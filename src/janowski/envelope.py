@@ -3,18 +3,21 @@
 At radius r the first-order map sends |z| = r onto the circle
 w(t) = C(r) + R(r) e^{it}, so the boundary of the powered image is the
 curve w(t)^a, written M(t) e^{i N(t)} with M = |w|^a and N = a arg w.
-Modulus and argument extremes have closed forms; the real and imaginary
-extremes sit at interior zeros of the explicit derivatives
+Modulus and argument extremes have closed forms. Re and Im are the
+objectives Re(e^{i phi} w^a) at phi = 0 and -pi/2, with
 
-    d/dt Re(w^a) = a R Re(i e^{it} w^{a-1}),
-    d/dt Im(w^a) = a R Im(i e^{it} w^{a-1}),
+    d/dt Re(e^{i phi} w^a) = -a R |w|^{a-1} sin theta(t),
+    theta(t) = t + phi + (a - 1) arg w(t).
 
-which are located by a 720-point sign scan refined with a bracketed
-solver. The quotient form of the critical-point equation has removable
-singularities, so root finding always works on the derivative itself.
-When |A| r = 1 the curve touches the origin and both Re(w^a) and
-Im(w^a) have a non-smooth minimum there; the touch parameter is kept as
-an extra candidate so the reported intervals stay correct.
+While the origin lies outside the circle, Re(R e^{it} / w) < 1/2, so
+theta' = 1 - (1 - a) Re(R e^{it} / w) > 1/2: theta increases strictly and
+gains exactly 2 pi per turn. Each direction thus has exactly two critical
+points, the maximum at theta = 0 and the minimum at theta = pi (mod 2 pi),
+each found by a safeguarded Newton solve in a known bracket. When
+|A| r = 1 the circle touches the origin; off the touch Re(R e^{it} / w) is
+exactly 1/2, so theta is linear and the roots are closed-form, while the
+touch (a cusp where w^a = 0) stays a candidate for both ends of each
+interval.
 
 Powers use the principal branch. With the argument-safe condition
 |A - B| <= |1 - A conj(B)| and |A| r <= 1 the curve never meets the cut
@@ -22,7 +25,8 @@ Powers use the principal branch. With the argument-safe condition
 value 1 for z = 0. The affine shift g is handled after the fact: the
 primary report describes (h - g)/(1 - g) and a shifted view restates
 Re/Im ranges exactly (rotated critical points) with modulus/argument
-ranges refined numerically.
+ranges refined numerically. With g = 0 the shifted view is the primary
+report itself.
 """
 
 from __future__ import annotations
@@ -32,31 +36,37 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     BranchUndefinedError,
     DegenerateMapError,
-    NoBracketError,
+    NoConvergenceError,
     OutOfRangeError,
 )
 from .moebius import JanowskiParams, image_disk
 
 _EPS = 1e-12
-_SCAN = 720
+_NEWTON_TOL = 1e-13  # final step length of a critical-parameter solve
+_NEWTON_CAP = 100
+_POLISH_POINTS = 33  # local grid per polishing round, two coarse steps wide
+_POLISH_ROUNDS = 5  # each round shrinks the spacing 16-fold
 
 
 # ---------------------------------------------------------------------------
 # low-level powered evaluation
 
 
+def _power(w, a: float) -> np.ndarray:
+    """Principal-branch w^a, with 0^a = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.exp(a * np.log(w))
+    return np.where(np.abs(w) == 0.0, 0.0, out)
+
+
 def powered_mobius(A: complex, B: complex, power: float, z) -> np.ndarray:
     """Principal-branch ((1 + A z)/(1 + B z))^power, vectorized over z."""
     z = np.asarray(z, dtype=complex)
-    base = (1.0 + A * z) / (1.0 + B * z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(power * np.log(base))
-    return np.where(np.abs(base) == 0.0, 0.0, out)
+    return _power((1.0 + A * z) / (1.0 + B * z), power)
 
 
 def powered_mobius_preimage(A: complex, B: complex, power: float, w) -> np.ndarray:
@@ -141,9 +151,11 @@ def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
 
 
 def re_derivative(p: JanowskiParams, r: float, t, phase: float = 0.0) -> np.ndarray:
-    """d/dt Re(e^{i phase} w(t)^alpha) along the boundary circle at radius r."""
+    """d/dt Re(e^{i phase} w^alpha) = -alpha R |w|^(alpha-1) sin theta(t) at radius r."""
     C, R = _circle_geometry(p, r)
-    return _dir_derivative(C, R, p.alpha, phase, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    theta, _ = _theta(C, R, p.alpha, phase, t)
+    return -p.alpha * R * np.abs(C + R * np.exp(1j * t)) ** (p.alpha - 1.0) * np.sin(theta)
 
 
 def im_derivative(p: JanowskiParams, r: float, t) -> np.ndarray:
@@ -151,19 +163,8 @@ def im_derivative(p: JanowskiParams, r: float, t) -> np.ndarray:
     return re_derivative(p, r, t, phase=-0.5 * math.pi)
 
 
-def _dir_derivative(C: complex, R: float, alpha: float, phase: float, t: np.ndarray):
-    w = C + R * np.exp(1j * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wp = np.exp((alpha - 1.0) * np.log(w))
-    return alpha * R * (1j * np.exp(1j * (t + phase)) * wp).real
-
-
-def _dir_objective(C: complex, R: float, alpha: float, phase: float, t: np.ndarray):
-    w = C + R * np.exp(1j * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wa = np.exp(alpha * np.log(w))
-    wa = np.where(np.abs(w) == 0.0, 0.0, wa)
-    return (np.exp(1j * phase) * wa).real
+def _dir_objective(C: complex, R: float, alpha: float, phase, t: np.ndarray):
+    return (np.exp(1j * phase) * _power(C + R * np.exp(1j * t), alpha)).real
 
 
 def _touch_parameter(C: complex, R: float) -> float | None:
@@ -173,84 +174,70 @@ def _touch_parameter(C: complex, R: float) -> float | None:
     return cmath.phase(-C) % (2.0 * math.pi)
 
 
-def _scan_roots(fun, exclude: float | None, n: int = _SCAN) -> list[float]:
-    """All zeros of a 2pi-periodic function from an n-point sign scan."""
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    vals = fun(t)
-    roots: list[float] = []
-    for i in range(n):
-        a = t[i]
-        b = t[(i + 1) % n] if i + 1 < n else 2.0 * math.pi
-        fa = vals[i]
-        fb = vals[(i + 1) % n]
-        if exclude is not None and a - 1e-12 <= exclude <= b + 1e-12:
-            continue  # derivative is singular at the origin touch
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            # evaluate mod 2pi so the wrap segment's right endpoint reuses the
-            # t = 0 sample exactly; f(2pi) can sit on the other side of a root
-            # at the seam
-            g = lambda x: float(fun(np.array([x % (2.0 * math.pi)]))[0])
-            roots.append(brentq(g, a, b, xtol=1e-13))
-    deduped: list[float] = []
-    for root in roots:
-        r_mod = root % (2.0 * math.pi)
-        if not any(abs(r_mod - q) < 1e-9 or abs(abs(r_mod - q) - 2.0 * math.pi) < 1e-9
-                   for q in deduped):
-            deduped.append(r_mod)
-    return deduped
+def _theta(C: complex, R: float, alpha: float, phase, t):
+    """theta(t) = t + phase + (alpha - 1) arg w(t) and its derivative."""
+    u = R * np.exp(1j * t)
+    w = C + u
+    return t + phase + (alpha - 1.0) * np.angle(w), 1.0 - (1.0 - alpha) * (u / w).real
 
 
-@dataclass(frozen=True)
-class _DirectionalExtremes:
-    lo: float
-    hi: float
-    t_max: float
-    t_min: float
-    fallback: bool
+def _critical_parameters(C: complex, R: float, alpha: float, phases: np.ndarray) -> np.ndarray:
+    """Solutions of theta(t) = k pi for the two multiples k pi in
+    (theta(0), theta(0) + 2 pi], one row per phase; each is alone in [0, 2 pi].
+
+    A Newton step is kept when it stays in the bracket and is at most half
+    the previous step; any other step bisects, so the iteration cannot cycle.
+    """
+    theta0, _ = _theta(C, R, alpha, phases, 0.0)
+    target = (np.floor(theta0 / math.pi)[:, None] + np.array([1.0, 2.0])) * math.pi
+    t = target - theta0[:, None]  # exact when alpha = 1
+    lo, hi = np.zeros_like(t), np.full_like(t, 2.0 * math.pi)
+    last = hi
+    done = np.zeros(t.shape, dtype=bool)
+    for _ in range(_NEWTON_CAP):
+        val, slope = _theta(C, R, alpha, phases[:, None], t)
+        below = val < target
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        step = (val - target) / slope
+        newton = t - step
+        bisect = (newton < lo) | (newton > hi) | (np.abs(step) > 0.5 * last)
+        nxt = np.where(bisect, 0.5 * (lo + hi), newton)
+        last = np.abs(nxt - t)
+        t = np.where(done, t, nxt)
+        done |= last <= _NEWTON_TOL
+        if done.all():
+            return t % (2.0 * math.pi)
+    raise NoConvergenceError(f"critical parameters not converged in {_NEWTON_CAP} steps")
 
 
-def _directional_extremes(C: complex, R: float, alpha: float, phase: float) -> _DirectionalExtremes:
-    deriv = lambda t: _dir_derivative(C, R, alpha, phase, t)
-    obj = lambda t: _dir_objective(C, R, alpha, phase, t)
+def _touch_critical_parameters(alpha: float, phases: np.ndarray, tau: float, touch: float) -> np.ndarray:
+    """The same solutions in closed form when the circle touches the origin.
+    Off the touch theta has slope (1 + alpha)/2 and equals mid + phase +
+    (alpha - 1) tau at mid = touch + pi, where w = 2C. It sweeps only
+    (1 + alpha) pi there, so a second root may be missing (NaN)."""
+    s = 0.5 * (1.0 + alpha)
+    mid = touch + math.pi
+    theta_mid = mid + phases + (alpha - 1.0) * tau
+    k = np.floor((theta_mid - s * math.pi) / math.pi)[:, None] + np.array([1.0, 2.0])
+    t = mid + (k * math.pi - theta_mid[:, None]) / s
+    return np.where(t < mid + math.pi, t % (2.0 * math.pi), np.nan)
+
+
+def _directional_extremes(C: complex, R: float, alpha: float, phases):
+    """Per phase, min and max of Re(e^{i phase} w^a) and the parameter of the max."""
+    phases = np.asarray(phases, dtype=float)
     touch = _touch_parameter(C, R)
-    roots = _scan_roots(deriv, exclude=touch)
-    fallback = False
-    if not roots:
-        # No sign change: fall back to direct extremization around the
-        # best scan samples. Flagged so callers can distrust t1/t2.
-        fallback = True
-        grid = np.linspace(0.0, 2.0 * math.pi, _SCAN, endpoint=False)
-        vals = obj(grid)
-        for idx in (int(np.argmax(vals)), int(np.argmin(vals))):
-            lo_b = grid[idx] - 0.02
-            hi_b = grid[idx] + 0.02
-            res = minimize_scalar(lambda x: -obj(np.array([x]))[0],
-                                  bounds=(lo_b, hi_b), method="bounded")
-            roots.append(float(res.x) % (2.0 * math.pi))
-            res = minimize_scalar(lambda x: obj(np.array([x]))[0],
-                                  bounds=(lo_b, hi_b), method="bounded")
-            roots.append(float(res.x) % (2.0 * math.pi))
-    candidates = list(roots)
+    if touch is None:
+        cand = _critical_parameters(C, R, alpha, phases)
+    else:
+        roots = _touch_critical_parameters(alpha, phases, cmath.phase(C), touch)
+        cand = np.column_stack([roots, np.full(phases.shape, touch)])
+    vals = _dir_objective(C, R, alpha, phases[:, None], cand)
     if touch is not None:
-        candidates.append(touch)
-    cand = np.array(sorted(candidates))
-    vals = obj(cand)
-    root_arr = np.array(sorted(roots))
-    root_vals = obj(root_arr)
-    # Reported critical parameters come from genuine derivative roots;
-    # ties resolve to the smallest parameter because both arrays are sorted.
-    t_max = float(root_arr[int(np.argmax(root_vals))])
-    t_min = float(root_arr[int(np.argmin(root_vals))])
-    return _DirectionalExtremes(
-        lo=float(np.min(vals)),
-        hi=float(np.max(vals)),
-        t_max=t_max,
-        t_min=t_min,
-        fallback=fallback,
-    )
+        vals[:, -1] = 0.0  # w^a vanishes at the touch
+    rows = np.arange(phases.size)
+    i_max = np.nanargmax(vals, axis=1)
+    return np.nanmin(vals, axis=1), vals[rows, i_max], cand[rows, i_max]
 
 
 @dataclass(frozen=True)
@@ -265,9 +252,8 @@ class CriticalPoints:
 def critical_points(p: JanowskiParams, r: float) -> CriticalPoints:
     """Critical parameters of Re, Im and modulus along the envelope at radius r."""
     C, R = _circle_geometry(p, r)
-    re_ext = _directional_extremes(C, R, p.alpha, 0.0)
-    im_ext = _directional_extremes(C, R, p.alpha, -0.5 * math.pi)
-    return CriticalPoints(t1=re_ext.t_max, t2=im_ext.t_max, tau=cmath.phase(C))
+    _, _, t_max = _directional_extremes(C, R, p.alpha, (0.0, -0.5 * math.pi))
+    return CriticalPoints(t1=float(t_max[0]), t2=float(t_max[1]), tau=cmath.phase(C))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +276,7 @@ class BoundReport:
 
     `arg`, `mod`, `re`, `im` are closed intervals for (h - g)/(1 - g);
     `critical` carries the extremal boundary parameters (None for purely
-    sampled reports), `fallback` is set when the root scan needed the
-    direct-extremization fallback, and `shifted` restates ranges for h
-    itself.
+    sampled reports), and `shifted` restates ranges for h itself.
     """
 
     arg: tuple[float, float]
@@ -300,7 +284,6 @@ class BoundReport:
     re: tuple[float, float]
     im: tuple[float, float]
     critical: CriticalPoints | None
-    fallback: bool
     shifted: ShiftedView
 
 
@@ -309,70 +292,79 @@ def envelope_bounds(p: JanowskiParams, r: float) -> BoundReport:
     C, R = _circle_geometry(p, r)
     a = p.alpha
     tau = cmath.phase(C)
-    zeta = math.asin(min(1.0, R / abs(C)))
+    if _touch_parameter(C, R) is None:
+        zeta, gap = math.asin(min(1.0, R / abs(C))), max(0.0, abs(C) - R)
+    else:
+        zeta, gap = 0.5 * math.pi, 0.0
     arg_iv = (a * (tau - zeta), a * (tau + zeta))
-    mod_iv = (max(0.0, abs(C) - R) ** a, (abs(C) + R) ** a)
+    mod_iv = (gap ** a, (abs(C) + R) ** a)
 
-    re_ext = _directional_extremes(C, R, a, 0.0)
-    im_ext = _directional_extremes(C, R, a, -0.5 * math.pi)
-    crit = CriticalPoints(t1=re_ext.t_max, t2=im_ext.t_max, tau=tau)
-
-    shifted = _shifted_view(p, C, R)
-    return BoundReport(
-        arg=arg_iv,
-        mod=mod_iv,
-        re=(re_ext.lo, re_ext.hi),
-        im=(im_ext.lo, im_ext.hi),
-        critical=crit,
-        fallback=re_ext.fallback or im_ext.fallback,
-        shifted=shifted,
-    )
-
-
-def _shifted_view(p: JanowskiParams, C: complex, R: float) -> ShiftedView:
     g = p.gamma
-    scale = abs(1.0 - g)
-    phase = cmath.phase(1.0 - g)
-    re_ext = _directional_extremes(C, R, p.alpha, phase)
-    im_ext = _directional_extremes(C, R, p.alpha, phase - 0.5 * math.pi)
-    re_iv = (g.real + scale * re_ext.lo, g.real + scale * re_ext.hi)
-    im_iv = (g.imag + scale * im_ext.lo, g.imag + scale * im_ext.hi)
+    phases = [0.0, -0.5 * math.pi]
+    if g != 0.0:
+        phases += [cmath.phase(1.0 - g), cmath.phase(1.0 - g) - 0.5 * math.pi]
+    lo, hi, t_max = _directional_extremes(C, R, a, phases)
+    re_iv, im_iv = (float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1]))
+    crit = CriticalPoints(t1=float(t_max[0]), t2=float(t_max[1]), tau=tau)
+    shifted = (ShiftedView(re=re_iv, im=im_iv, mod=mod_iv, arg=arg_iv) if g == 0.0
+               else _shifted_view(p, C, R, lo[2:], hi[2:]))
+    return BoundReport(arg=arg_iv, mod=mod_iv, re=re_iv, im=im_iv, critical=crit, shifted=shifted)
+
+
+def _unwrapped_turns(h: np.ndarray) -> tuple[np.ndarray, int]:
+    """Continuous argument along a closed sampled curve h and its turns
+    about 0: by the argument principle, the zeros of h inside the circle."""
+    args = np.unwrap(np.angle(h))
+    closing = np.angle(h[0] / h[-1])
+    return args, int(round((args[-1] + closing - args[0]) / (2.0 * math.pi)))
+
+
+def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedView:
+    """Ranges of h: Re/Im from the extremes lo, hi at phases arg(1 - g) and
+    arg(1 - g) - pi/2, modulus and argument from a 4096-point grid plus
+    polish. A zero of h inside the disk makes the modulus minimum 0; a zero
+    inside or on the circle leaves no continuous argument."""
+    g, scale = p.gamma, abs(1.0 - p.gamma)
+    re = (g.real + scale * float(lo[0]), g.real + scale * float(hi[0]))
+    im = (g.imag + scale * float(lo[1]), g.imag + scale * float(hi[1]))
 
     def h_of(t: np.ndarray) -> np.ndarray:
-        w = C + R * np.exp(1j * t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wa = np.exp(p.alpha * np.log(w))
-        wa = np.where(np.abs(w) == 0.0, 0.0, wa)
-        return (1.0 - g) * wa + g
+        return (1.0 - g) * _power(C + R * np.exp(1j * t), p.alpha) + g
 
-    mod_iv = _refined_range(lambda t: np.abs(h_of(t)))
     grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     hv = h_of(grid)
+    mod = _refined_range(lambda t: np.abs(h_of(t)), grid, np.abs(hv))
     if np.min(np.abs(hv)) < 1e-9:
-        arg_iv = None
-    else:
-        args = np.unwrap(np.angle(hv))
-        arg_iv = _refined_range(lambda t: np.unwrap(np.angle(h_of(t))),
-                                seeded=(grid, args))
-    return ShiftedView(re=re_iv, im=im_iv, mod=mod_iv, arg=arg_iv)
+        return ShiftedView(re=re, im=im, mod=mod, arg=None)
+    args, turns = _unwrapped_turns(hv)
+    if turns:
+        return ShiftedView(re=re, im=im, mod=(0.0, mod[1]), arg=None)
+
+    def arg_of(t: np.ndarray) -> np.ndarray:
+        # continuous argument, measured from the nearest grid sample
+        i = np.rint(t / grid[1]).astype(int) % grid.size
+        return args[i] + np.angle(h_of(t) / hv[i])
+
+    return ShiftedView(re=re, im=im, mod=mod, arg=_refined_range(arg_of, grid, args))
 
 
-def _refined_range(fun, n: int = 4096, seeded=None) -> tuple[float, float]:
-    """Min/max of a smooth periodic scalar function, grid plus local polish."""
-    if seeded is None:
-        grid = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        vals = fun(grid)
-    else:
-        grid, vals = seeded
+def _refined_range(fun, grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """Min/max of a smooth periodic function from its values on a uniform grid.
+    Each round samples both ends within one spacing of the best point so far."""
     step = grid[1] - grid[0]
-    out = []
-    for sign, idx in ((1.0, int(np.argmin(vals))), (-1.0, int(np.argmax(vals)))):
-        res = minimize_scalar(lambda x: sign * float(fun(np.array([x]))[0]),
-                              bounds=(grid[idx] - step, grid[idx] + step),
-                              method="bounded",
-                              options={"xatol": 1e-12})
-        out.append(sign * res.fun)
-    return (min(out[0], float(np.min(vals))), max(out[1], float(np.max(vals))))
+    sign = np.array([1.0, -1.0])  # minimize sign * fun: the min, then the max
+    idx = np.array([np.argmin(vals), np.argmax(vals)])
+    center, best = grid[idx], sign * vals[idx]
+    offsets = np.linspace(-1.0, 1.0, _POLISH_POINTS)
+    rows = np.arange(2)
+    for _ in range(_POLISH_ROUNDS):
+        t = center[:, None] + step * offsets
+        f = sign[:, None] * fun(t)
+        k = np.argmin(f, axis=1)
+        center = t[rows, k]
+        best = np.minimum(best, f[rows, k])
+        step *= 2.0 / (_POLISH_POINTS - 1)
+    return float(best[0]), float(-best[1])
 
 
 # ---------------------------------------------------------------------------

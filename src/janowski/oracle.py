@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.random import Generator, Philox
 
-from .envelope import BoundReport, ShiftedView, sample_curve
+from .envelope import BoundReport, ShiftedView, _unwrapped_turns, sample_curve
 from .errors import (
     BranchUndefinedError,
     InvalidTheoremIdError,
@@ -261,15 +261,17 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     g = complex(p.gamma)
     h = (1.0 - g) * (re + 1j * im) + g
     hmod = np.abs(h)
-    if float(hmod.min()) < 1e-9:
-        harg: tuple[float, float] | None = None
-    else:
-        unwrapped = np.unwrap(np.angle(h))
-        harg = (float(unwrapped.min()), float(unwrapped.max()))
+    hmin, harg = float(hmod.min()), None
+    if hmin >= 1e-9:
+        unwrapped, turns = _unwrapped_turns(h)
+        if turns:  # a zero of h inside the disk: no argument, modulus down to 0
+            hmin = 0.0
+        else:
+            harg = (float(unwrapped.min()), float(unwrapped.max()))
     shifted = ShiftedView(
         re=(float(h.real.min()), float(h.real.max())),
         im=(float(h.imag.min()), float(h.imag.max())),
-        mod=(float(hmod.min()), float(hmod.max())),
+        mod=(hmin, float(hmod.max())),
         arg=harg,
     )
     return BoundReport(
@@ -278,7 +280,6 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
         re=(float(re.min()), float(re.max())),
         im=(float(im.min()), float(im.max())),
         critical=None,
-        fallback=False,
         shifted=shifted,
     )
 

@@ -2,11 +2,15 @@
 angles, extreme Re/Im/modulus/argument, and the sector picture."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import janowski
 from janowski import (
     BranchUndefinedError,
     JanowskiParams,
@@ -68,22 +72,71 @@ def test_sample_curve_polar_fields():
 
 
 @pytest.mark.parametrize(
-    "A,B,alpha,r",
+    "A,B,alpha,gamma,r",
     [
-        (1.0, 0.0, 0.5, 0.9),
-        (0.8 + 0.1j, -0.4 + 0.2j, 0.6, 0.7),
-        (0.9, -0.9, 1.0, 0.5),
+        (1.0, 0.0, 0.5, 0.0, 0.9),
+        (0.8 + 0.1j, -0.4 + 0.2j, 0.6, 0.0, 0.7),
+        (0.9, -0.9, 1.0, 0.0, 0.5),
+        # a Newton iteration guarded only by its bracket cycles here between
+        # t ~ 2.44 and t ~ 3.10 and misses the maximum of Im h; h also has a
+        # zero inside the disk
+        pytest.param(0.4607964580479008 - 0.7886225574234497j, -0.7383561241086682 - 0.20567868197475034j,
+                     0.6942909438417129, 0.8271889156340405 + 0.8784631602084269j, 0.8702285120764757,
+                     id="oblique-shift"),
     ],
 )
-def test_closed_bounds_match_dense_sampling(A, B, alpha, r):
-    p = JanowskiParams(A, B, alpha)
+def test_closed_bounds_match_dense_sampling(A, B, alpha, gamma, r):
+    p = JanowskiParams(A, B, alpha, gamma)
     closed = envelope_bounds(p, r)
     sampled = empirical_bounds(p, r, n=60000)
-    for name in ("re", "im", "mod", "arg"):
+    pairs = [(getattr(closed, name), getattr(sampled, name)) for name in ("re", "im", "mod", "arg")]
+    pairs += [(getattr(closed.shifted, name), getattr(sampled.shifted, name))
+              for name in ("re", "im", "mod", "arg")]
+    for iv, siv in pairs:
+        if iv is None or siv is None:  # no argument range: h has a zero
+            assert iv is None and siv is None
+            continue
+        assert iv[0] == pytest.approx(siv[0], abs=2e-5)
+        assert iv[1] == pytest.approx(siv[1], abs=2e-5)
+
+
+def test_origin_touch_keeps_the_minimum_beside_the_cusp():
+    """|A| r = 1: Re(w^a) dips to about -6.3e-5 right next to the touch,
+    and the argument range is a (tau -/+ pi/2) exactly."""
+    A = (0.8006 - 0.5992j) / abs(0.8006 - 0.5992j)
+    p = JanowskiParams(A, -0.564 + 0.497j, 0.982)
+    closed = envelope_bounds(p, 1.0)
+    sampled = empirical_bounds(p, 1.0, n=200_000)
+    assert closed.re[0] == pytest.approx(-6.3194e-5, rel=1e-4)
+    assert closed.mod[0] == 0.0
+    assert closed.mod[1] == pytest.approx(sampled.mod[1], abs=2e-5)
+    for name in ("re", "im", "arg"):
         lo, hi = getattr(closed, name)
         slo, shi = getattr(sampled, name)
+        assert lo <= slo + 1e-12 and shi <= hi + 1e-12
         assert lo == pytest.approx(slo, abs=2e-5)
         assert hi == pytest.approx(shi, abs=2e-5)
+    tau = critical_points(p, 1.0).tau
+    assert closed.arg == pytest.approx((0.982 * (tau - math.pi / 2), 0.982 * (tau + math.pi / 2)), abs=1e-14)
+
+
+def test_zero_inside_the_disk_has_no_argument_range():
+    """gamma puts the zero of h at z = -0.6, inside |z| < 0.8."""
+    A, B, alpha, r = 0.9, 0.3j, 0.7, 0.8
+    wa = ((1.0 + A * -0.6) / (1.0 + B * -0.6)) ** alpha
+    p = JanowskiParams(A, B, alpha, wa / (wa - 1.0))
+    for report in (envelope_bounds(p, r), empirical_bounds(p, r)):
+        assert report.shifted.mod[0] == 0.0
+        assert report.shifted.mod[1] == pytest.approx(2.2533020596, abs=1e-8)
+        assert report.shifted.arg is None
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(janowski.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, janowski; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @given(safe_params(), st.floats(0.1, 0.9))
