@@ -59,39 +59,3 @@ def adaptive_gauss(
     if a == b:
         return 0.0 + 0.0j
     return recurse(float(a), float(b), 0)
-
-
-def radial_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    z: complex,
-    tol: float = 1e-10,
-    max_depth: int = 60,
-) -> complex:
-    """Integral of f along the segment from 0 to z.
-
-    `f` receives complex points on the segment (vectorized).
-    """
-    z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    return z * adaptive_gauss(lambda s: f(s * z), 0.0, 1.0, tol=tol, max_depth=max_depth)
-
-
-def radial_batch(
-    f: Callable[[np.ndarray], np.ndarray],
-    endpoints: np.ndarray,
-    n: int = 48,
-) -> np.ndarray:
-    """Fixed-order radial integrals of an analytic integrand, many endpoints.
-
-    Evaluates f on an (n, len(endpoints)) grid of segment points and
-    contracts with Gauss-Legendre weights. Accuracy relies on f being
-    analytic well past each segment, which holds for the composed-map
-    integrands this package feeds it; no error estimate is produced.
-    """
-    endpoints = np.asarray(endpoints, dtype=complex)
-    x, w = gauss_legendre(n)
-    s = 0.5 * (x + 1.0)  # map to (0, 1)
-    pts = s[:, None] * endpoints[None, :]
-    vals = f(pts)
-    return 0.5 * endpoints * np.tensordot(w, vals, axes=(0, 0))

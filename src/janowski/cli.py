@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .envelope import (
     tilt_angle,
 )
 from .errors import NumericalError, ParameterError
-from .moebius import JanowskiParams, canonicalize, contains, image_disk, origin_position
+from .moebius import JanowskiParams, canonicalize, contains, eval_map, image_disk, origin_position
 from .oracle import THEOREM_IDS, _jsonable, empirical_bounds, implication_trial
 from .radii import (
     INCLUSION_ORIENTATION_NOTE,
@@ -60,7 +61,7 @@ from .special import (
     silverman_inclusion,
 )
 
-__all__ = ["main", "parse_complex", "parse_angle"]
+__all__ = ["ACTIONS", "Action", "main", "parse_complex", "parse_angle"]
 
 
 def parse_complex(text: str) -> complex:
@@ -94,247 +95,111 @@ def _real(value: complex, name: str) -> float:
     return float(value.real)
 
 
-def _need(args, names: tuple[str, ...], action: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        flags = ", ".join("--" + n for n in missing)
-        raise ParameterError(f"action {action!r} requires {flags}")
-
-
-def _asdict(obj) -> dict:
-    return dataclasses.asdict(obj)
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# actions
 
 
-def _cmd_geometry(args):
-    act = args.action
-    if act == "image-disk":
-        _need(args, ("A", "B"), act)
-        p = JanowskiParams(args.A, args.B)
-        geo = image_disk(p, args.r)
-        result = _asdict(geo)
-        oracle = None
-        if args.verify and geo.kind == "disk":
-            t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-            w = (1.0 + args.A * args.r * np.exp(1j * t)) / (1.0 + args.B * args.r * np.exp(1j * t))
-            residual = float(np.max(np.abs(np.abs(w - geo.center) - geo.radius)))
-            oracle = {"boundary_residual": residual, "samples": 2048}
-        elif args.verify:
-            oracle = {"note": "half-plane image; boundary residual check applies to disks only"}
-        return {"A": args.A, "B": args.B, "r": args.r}, result, oracle
-    if act == "origin":
-        _need(args, ("A", "B"), act)
-        p = JanowskiParams(args.A, args.B)
-        return {"A": args.A, "B": args.B}, {"position": origin_position(p)}, None
-    if act == "canonicalize":
-        _need(args, ("A", "B"), act)
-        p = JanowskiParams(args.A, args.B)
-        return {"A": args.A, "B": args.B}, _asdict(canonicalize(p)), None
-    if act == "contains":
-        _need(args, ("A", "B", "inner_A", "inner_B"), act)
-        outer = image_disk(JanowskiParams(args.A, args.B), args.r)
-        inner = image_disk(JanowskiParams(args.inner_A, args.inner_B), args.inner_r)
-        verdict = contains(outer, inner, tol=args.tol)
-        params = {
-            "A": args.A,
-            "B": args.B,
-            "r": args.r,
-            "inner_A": args.inner_A,
-            "inner_B": args.inner_B,
-            "inner_r": args.inner_r,
-        }
-        return params, {"contains": verdict}, None
-    raise ParameterError(f"unknown geometry action {act!r}")
+class Action(NamedTuple):
+    """One CLI action. `required` and `optional` are the space-separated
+    argparse destinations it reads, echoed together as `params`; `run(args)`
+    returns the `result` (a dataclass or a dict) and `check(args, result)`
+    the `oracle` block under --verify."""
+
+    required: str
+    optional: str
+    run: Callable[[argparse.Namespace], Any]
+    check: Callable[[argparse.Namespace, Any], dict] | None = None
 
 
-def _bounds_params(args) -> JanowskiParams:
-    _need(args, ("A", "B"), args.action)
-    return JanowskiParams(args.A, args.B, args.alpha, args.gamma)
+def _first_order(a) -> JanowskiParams:
+    return JanowskiParams(a.A, a.B)
 
 
-def _cmd_bounds(args):
-    act = args.action
-    if act == "envelope":
-        p = _bounds_params(args)
-        report = envelope_bounds(p, args.r)
-        oracle = None
-        if args.verify:
-            emp = empirical_bounds(p, args.r, n=100_000)
-            gaps = [
-                abs(a - b)
-                for pair in ("arg", "mod", "re", "im")
-                for a, b in zip(getattr(report, pair), getattr(emp, pair))
-            ]
-            oracle = {"max_endpoint_gap": max(gaps), "samples": 100_000}
-        params = {"A": args.A, "B": args.B, "alpha": args.alpha, "gamma": args.gamma, "r": args.r}
-        return params, _asdict(report), oracle
-    if act == "critical":
-        p = _bounds_params(args)
-        params = {"A": args.A, "B": args.B, "alpha": args.alpha, "gamma": args.gamma, "r": args.r}
-        return params, _asdict(critical_points(p, args.r)), None
-    if act == "sector":
-        _need(args, ("m",), act)
-        img = sector_image(args.alpha, args.m)
-        return {"alpha": args.alpha, "m": args.m}, _asdict(img), None
-    if act == "tilt":
-        _need(args, ("b", "m"), act)
-        return {"b": args.b, "m": args.m}, {"tilt": tilt_angle(args.b, args.m)}, None
-    if act == "nesting":
-        _need(args, ("A", "B", "a1", "a2"), act)
-        nested = alpha_nesting(args.A, args.B, args.a1, args.a2)
-        params = {"A": args.A, "B": args.B, "a1": args.a1, "a2": args.a2}
-        return params, {"nested": nested}, None
-    if act == "ratio-sector":
-        _need(args, ("m", "beta", "phi"), act)
-        sp = ratio_sector_params(args.alpha, args.m, args.beta, args.phi)
-        params = {"alpha": args.alpha, "m": args.m, "beta": args.beta, "phi": args.phi}
-        return params, _asdict(sp), None
-    if act == "derivative-sector":
-        _need(args, ("m",), act)
-        sp, arg_bound = derivative_sector_params(args.alpha, args.m)
-        result = _asdict(sp)
-        result["arg_bound"] = arg_bound
-        return {"alpha": args.alpha, "m": args.m}, result, None
-    if act == "weighted-sector":
-        _need(args, ("beta", "gamma2", "m", "eta"), act)
-        sp = weighted_sector_params(args.alpha, args.beta, args.gamma2, args.m, args.eta)
-        params = {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma2, "m": args.m, "eta": args.eta}
-        return params, _asdict(sp), None
-    if act == "reciprocal-sector":
-        _need(args, ("beta",), act)
-        delta = reciprocal_order_sector(args.alpha, args.beta)
-        return {"alpha": args.alpha, "beta": args.beta}, {"delta": delta}, None
-    if act == "eta-inf":
-        _need(args, ("weight", "beta"), act)
-        w = args.weight
-
-        def const_weight(z):
-            return np.full_like(np.asarray(z, dtype=complex), w)
-
-        value = eta_infimum(const_weight, args.beta)
-        return {"weight": w, "beta": args.beta}, {"eta": value}, None
-    if act == "double-tilt":
-        _need(args, ("a", "b", "c", "d", "l", "m"), act)
-        rep = double_subordination_tilt(args.a, args.b, args.c, args.d, args.l, args.m, args.alpha, strict=False)
-        params = {"a": args.a, "b": args.b, "c": args.c, "d": args.d, "l": args.l, "m": args.m, "alpha": args.alpha}
-        return params, _asdict(rep), None
-    raise ParameterError(f"unknown bounds action {act!r}")
+def _powered(a) -> JanowskiParams:
+    return JanowskiParams(a.A, a.B, a.alpha, a.gamma)
 
 
-def _cmd_radius(args):
-    act = args.action
-    if act == "subordination":
-        _need(args, ("A", "B", "C", "D"), act)
-        prob = RadiusProblem(args.A, args.B, args.alpha, args.gamma, args.C, args.D, args.beta, args.delta)
-        params = {k: getattr(args, k) for k in ("A", "B", "alpha", "gamma", "C", "D", "beta", "delta")}
-        return params, {"radius": subordination_radius(prob)}, None
-    if act == "inclusion":
-        _need(args, ("A", "B", "C", "D"), act)
-        included = class_inclusion(args.A, args.B, args.alpha, args.C, args.D, args.beta)
-        params = {k: getattr(args, k) for k in ("A", "B", "alpha", "C", "D", "beta")}
-        return params, {"included": included, "orientation_note": INCLUSION_ORIENTATION_NOTE}, None
-    if act == "uralegaddi":
-        _need(args, ("A", "B", "beta2"), act)
-        value = uralegaddi_radius(args.A, args.B, args.alpha, args.beta2)
-        params = {"A": args.A, "B": args.B, "alpha": args.alpha, "beta2": args.beta2}
-        return params, {"radius": value}, None
-    if act == "reciprocal":
-        _need(args, ("A", "B", "beta2"), act)
-        value = reciprocal_radius(args.A, args.B, args.alpha, args.beta2)
-        params = {"A": args.A, "B": args.B, "alpha": args.alpha, "beta2": args.beta2}
-        return params, {"radius": value}, None
-    if act == "alpha-star":
-        value = alpha_star(tol=args.tol)
-        residual = 2.0 * value + (2.0 / math.pi) * math.atan(value) - 1.0
-        return {"tol": args.tol}, {"alpha_star": value, "residual": residual}, None
-    if act == "starlike":
-        _need(args, ("A", "B", "beta"), act)
-        a = _real(args.A, "A")
-        b = _real(args.B, "B")
-        rep = starlike_radius(a, b, args.beta, method=args.method)
-        oracle = None
-        if args.verify:
-            other = "bisect" if args.method == "closed" else "closed"
-            alt = starlike_radius(a, b, args.beta, method=other)
-            oracle = {"alternate_method": other, "gap": abs(alt.value - rep.value)}
-        params = {"A": a, "B": b, "beta": args.beta, "method": args.method}
-        return params, _asdict(rep), oracle
-    raise ParameterError(f"unknown radius action {act!r}")
+def _check_image_disk(a, geo) -> dict:
+    if geo.kind != "disk":
+        return {"note": "half-plane image; boundary residual check applies to disks only"}
+    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    w = eval_map(_first_order(a), a.r * np.exp(1j * t))
+    return {"boundary_residual": float(np.max(np.abs(np.abs(w - geo.center) - geo.radius))), "samples": 2048}
 
 
-def _cmd_special(args):
-    act = args.action
-    if act == "3f2":
-        _need(args, ("a1", "a2", "a3", "b1", "b2", "x"), act)
-        value = hyper_3f2(args.a1, args.a2, args.a3, args.b1, args.b2, args.x, tol=args.tol)
-        oracle = None
-        if args.verify:
-            tighter = hyper_3f2(args.a1, args.a2, args.a3, args.b1, args.b2, args.x, tol=args.tol * 1e-2)
-            oracle = {"tightened_tol_drift": abs(value - tighter)}
-        params = {k: getattr(args, k) for k in ("a1", "a2", "a3", "b1", "b2", "x", "tol")}
-        return params, {"value": value}, oracle
-    if act == "kernel":
-        _need(args, ("A", "b", "z"), act)
-        value = kernel_integral(args.A, args.b, args.alpha, args.z, tol=args.tol, method=args.method)
-        oracle = None
-        if args.verify and args.alpha == 1.0:
-            other = "closed" if args.method == "quad" else "quad"
-            alt = kernel_integral(args.A, args.b, args.alpha, args.z, tol=args.tol, method=other)
-            oracle = {"alternate_method": other, "gap": abs(alt - value)}
-        elif args.verify:
-            oracle = {"note": "closed-form cross-check exists only at alpha = 1"}
-        params = {"A": args.A, "b": args.b, "alpha": args.alpha, "z": args.z, "tol": args.tol, "method": args.method}
-        return params, {"value": value}, oracle
-    if act == "macgregor":
-        _need(args, ("beta",), act)
-        return {"beta": args.beta}, {"value": macgregor_gamma(args.beta)}, None
-    if act == "dominant":
-        _need(args, ("A", "b", "gamma", "mu", "eta", "delta", "rho", "z"), act)
-        spec = DominantSpec(args.A, args.b, args.alpha, args.gamma, args.mu, args.eta, args.delta, args.rho)
-        value = operator_dominant(spec, args.z)
-        params = {k: getattr(args, k) for k in ("A", "b", "alpha", "gamma", "mu", "eta", "delta", "rho", "z")}
-        return params, {"value": value, "value_at_origin": spec.value_at_origin}, None
-    if act == "best-q":
-        _need(args, ("A", "B", "z"), act)
-        target = JanowskiParams(args.A, args.B, args.alpha)
-
-        def psi(t: complex) -> complex:
-            return complex(eval_powered(target, t))
-
-        def lam(t: complex) -> complex:
-            return 1.0 + 0.0j
-
-        value = best_dominant(psi, lam, args.z, tol=args.tol)
-        oracle = None
-        if args.verify:
-            tighter = best_dominant(psi, lam, args.z, tol=args.tol * 1e-2)
-            oracle = {"tightened_tol_drift": abs(value - tighter)}
-        params = {"A": args.A, "B": args.B, "alpha": args.alpha, "z": args.z, "tol": args.tol}
-        return params, {"value": value}, oracle
-    if act == "silverman":
-        _need(args, ("A", "b", "beta"), act)
-        verdict = silverman_inclusion(args.A, args.b, args.alpha, args.beta)
-        params = {"A": args.A, "b": args.b, "alpha": args.alpha, "beta": args.beta}
-        return params, {"included": verdict}, None
-    raise ParameterError(f"unknown special action {act!r}")
+def _contains(a) -> dict:
+    outer = image_disk(_first_order(a), a.r)
+    inner = image_disk(JanowskiParams(a.inner_A, a.inner_B), a.inner_r)
+    return {"contains": contains(outer, inner, tol=a.tol)}
 
 
-def _cmd_verify(args):
-    ids = list(THEOREM_IDS) if args.theorem_id == "all" else [args.theorem_id]
-    reports = []
-    unsound = 0
-    for tid in ids:
-        for seed in range(args.seed, args.seed + args.seeds):
-            rep = implication_trial(tid, seed=seed)
-            if not rep.sound:
-                unsound += 1
-            reports.append(json.loads(rep.to_json()))
-    params = {"theorem_id": args.theorem_id, "first_seed": args.seed, "seeds": args.seeds}
-    result = {"trials": len(reports), "unsound": unsound, "reports": reports}
-    return params, result, None
+def _check_envelope(a, report) -> dict:
+    emp = empirical_bounds(_powered(a), a.r, n=100_000)
+    gaps = [abs(x - y) for k in ("arg", "mod", "re", "im") for x, y in zip(getattr(report, k), getattr(emp, k))]
+    return {"max_endpoint_gap": max(gaps), "samples": 100_000}
+
+
+def _derivative_sector(a) -> dict:
+    sp, arg_bound = derivative_sector_params(a.alpha, a.m)
+    return {**dataclasses.asdict(sp), "arg_bound": arg_bound}
+
+
+def _eta_inf(a) -> dict:
+    return {"eta": eta_infimum(lambda z: np.full_like(np.asarray(z, dtype=complex), a.weight), a.beta)}
+
+
+def _alpha_star(a) -> dict:
+    value = alpha_star()
+    return {"alpha_star": value, "residual": 2.0 * value + (2.0 / math.pi) * math.atan(value) - 1.0}
+
+
+def _starlike(a, method: str):
+    return starlike_radius(_real(a.A, "A"), _real(a.B, "B"), a.beta, method=method)
+
+
+def _check_starlike(a, rep) -> dict:
+    other = "bisect" if a.method == "closed" else "closed"
+    return {"alternate_method": other, "gap": abs(_starlike(a, other).value - rep.value)}
+
+
+def _hyper(a, tol: float) -> complex:
+    return hyper_3f2(a.a1, a.a2, a.a3, a.b1, a.b2, a.x, tol=tol)
+
+
+def _kernel(a, method: str) -> complex:
+    return kernel_integral(a.A, a.b, a.alpha, a.z, tol=a.tol, method=method)
+
+
+def _check_kernel(a, value) -> dict:
+    if a.alpha != 1.0:
+        return {"note": "closed-form cross-check exists only at alpha = 1"}
+    other = "closed" if a.method == "quad" else "quad"
+    return {"alternate_method": other, "gap": abs(_kernel(a, other) - value["value"])}
+
+
+def _dominant(a) -> dict:
+    spec = DominantSpec(a.A, a.b, a.alpha, a.gamma, a.mu, a.eta, a.delta, a.rho)
+    return {"value": operator_dominant(spec, a.z), "value_at_origin": spec.value_at_origin}
+
+
+def _best_q(a, tol: float) -> complex:
+    target = JanowskiParams(a.A, a.B, a.alpha)
+    return best_dominant(lambda t: complex(eval_powered(target, t)), lambda t: 1.0 + 0.0j, a.z, tol=tol)
+
+
+def _drift(compute: Callable[[argparse.Namespace, float], complex]):
+    """--verify check of a tolerance-driven value: recompute at tol / 100."""
+    return lambda a, value: {"tightened_tol_drift": abs(value["value"] - compute(a, a.tol * 1e-2))}
+
+
+def _verify(a) -> dict:
+    ids = list(THEOREM_IDS) if a.theorem_id == "all" else [a.theorem_id]
+    reports = [implication_trial(tid, seed=seed) for tid in ids for seed in range(a.seed, a.seed + a.seeds)]
+    return {
+        "trials": len(reports),
+        "unsound": sum(not rep.sound for rep in reports),
+        "reports": [json.loads(rep.to_json()) for rep in reports],
+    }
 
 
 def _svg_document(xs: np.ndarray, ys: np.ndarray) -> str:
@@ -380,38 +245,83 @@ def _svg_document(xs: np.ndarray, ys: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_plot(args):
-    _need(args, ("A", "B"), args.action)
-    p = JanowskiParams(args.A, args.B, args.alpha, args.gamma)
-    params = {
-        "A": args.A,
-        "B": args.B,
-        "alpha": args.alpha,
-        "gamma": args.gamma,
-        "r": args.r,
-        "n": args.n,
-    }
-    if args.action == "svg":
-        curve = sample_curve(p, args.r, n=args.n)
-        re = curve.M * np.cos(curve.N)
-        im = curve.M * np.sin(curve.N)
-        path = Path(args.out or "envelope.svg")
-        path.write_text(_svg_document(re, im))
-        return params, {"path": str(path), "points": args.n}, None
-    if args.action == "csv":
-        curve = sample_curve(p, args.r, n=args.n)
-        rows = ["t,u,v,M,N"]
-        for k in range(args.n):
-            rows.append(
-                ",".join(
-                    format(val, ".15g")
-                    for val in (curve.t[k], curve.u[k], curve.v[k], curve.M[k], curve.N[k])
-                )
-            )
-        path = Path(args.out or "envelope.csv")
-        path.write_text("\n".join(rows) + "\n")
-        return params, {"path": str(path), "rows": args.n}, None
-    raise ParameterError(f"unknown plot action {args.action!r}")
+def _plot_svg(a) -> dict:
+    curve = sample_curve(_powered(a), a.r, n=a.n)
+    path = Path(a.out or "envelope.svg")
+    path.write_text(_svg_document(curve.M * np.cos(curve.N), curve.M * np.sin(curve.N)))
+    return {"path": str(path), "points": a.n}
+
+
+def _plot_csv(a) -> dict:
+    curve = sample_curve(_powered(a), a.r, n=a.n)
+    rows = ["t,u,v,M,N"] + [
+        ",".join(format(val, ".15g") for val in (curve.t[k], curve.u[k], curve.v[k], curve.M[k], curve.N[k]))
+        for k in range(a.n)
+    ]
+    path = Path(a.out or "envelope.csv")
+    path.write_text("\n".join(rows) + "\n")
+    return {"path": str(path), "rows": a.n}
+
+
+# ACTIONS[command][action]; `verify` has the single action "".
+ACTIONS: dict[str, dict[str, Action]] = {
+    "geometry": {
+        "image-disk": Action("A B", "r", lambda a: image_disk(_first_order(a), a.r), _check_image_disk),
+        "origin": Action("A B", "", lambda a: {"position": origin_position(_first_order(a))}),
+        "canonicalize": Action("A B", "", lambda a: canonicalize(_first_order(a))),
+        "contains": Action("A B inner_A inner_B", "r inner_r tol", _contains),
+    },
+    "bounds": {
+        "envelope": Action("A B", "alpha gamma r", lambda a: envelope_bounds(_powered(a), a.r), _check_envelope),
+        "critical": Action("A B", "alpha gamma r", lambda a: critical_points(_powered(a), a.r)),
+        "sector": Action("m", "alpha", lambda a: sector_image(a.alpha, a.m)),
+        "tilt": Action("b m", "", lambda a: {"tilt": tilt_angle(a.b, a.m)}),
+        "nesting": Action("A B a1 a2", "", lambda a: {"nested": alpha_nesting(a.A, a.B, a.a1, a.a2)}),
+        "ratio-sector": Action("m beta phi", "alpha", lambda a: ratio_sector_params(a.alpha, a.m, a.beta, a.phi)),
+        "derivative-sector": Action("m", "alpha", _derivative_sector),
+        "weighted-sector": Action(
+            "beta gamma2 m eta", "alpha", lambda a: weighted_sector_params(a.alpha, a.beta, a.gamma2, a.m, a.eta)
+        ),
+        "reciprocal-sector": Action("beta", "alpha", lambda a: {"delta": reciprocal_order_sector(a.alpha, a.beta)}),
+        "eta-inf": Action("weight beta", "", _eta_inf),
+        "double-tilt": Action(
+            "a b c d l m", "alpha",
+            lambda a: double_subordination_tilt(a.a, a.b, a.c, a.d, a.l, a.m, a.alpha, strict=False),
+        ),
+    },
+    "radius": {
+        "subordination": Action("A B C D", "alpha gamma beta delta", lambda a: {
+            "radius": subordination_radius(RadiusProblem(a.A, a.B, a.alpha, a.gamma, a.C, a.D, a.beta, a.delta)),
+        }),
+        "inclusion": Action("A B C D", "alpha beta", lambda a: {
+            "included": class_inclusion(a.A, a.B, a.alpha, a.C, a.D, a.beta),
+            "orientation_note": INCLUSION_ORIENTATION_NOTE,
+        }),
+        "uralegaddi": Action(
+            "A B beta2", "alpha", lambda a: {"radius": uralegaddi_radius(a.A, a.B, a.alpha, a.beta2)}
+        ),
+        "reciprocal": Action(
+            "A B beta2", "alpha", lambda a: {"radius": reciprocal_radius(a.A, a.B, a.alpha, a.beta2)}
+        ),
+        "alpha-star": Action("", "", _alpha_star),
+        "starlike": Action("A B beta", "method", lambda a: _starlike(a, a.method), _check_starlike),
+    },
+    "special": {
+        "3f2": Action("a1 a2 a3 b1 b2 x", "tol", lambda a: {"value": _hyper(a, a.tol)}, _drift(_hyper)),
+        "kernel": Action("A b z", "alpha tol method", lambda a: {"value": _kernel(a, a.method)}, _check_kernel),
+        "macgregor": Action("beta", "", lambda a: {"value": macgregor_gamma(a.beta)}),
+        "dominant": Action("A b gamma mu eta delta rho z", "alpha", _dominant),
+        "best-q": Action("A B z", "alpha tol", lambda a: {"value": _best_q(a, a.tol)}, _drift(_best_q)),
+        "silverman": Action(
+            "A b beta", "alpha", lambda a: {"included": silverman_inclusion(a.A, a.b, a.alpha, a.beta)}
+        ),
+    },
+    "verify": {"": Action("", "theorem_id seed seeds", _verify)},
+    "plot": {
+        "svg": Action("A B", "alpha gamma r n", _plot_svg),
+        "csv": Action("A B", "alpha gamma r n", _plot_csv),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     geo = sub.add_parser("geometry", parents=[common], help="disk images of the bilinear map")
-    geo.add_argument("action", choices=["image-disk", "origin", "canonicalize", "contains"])
+    geo.add_argument("action", choices=list(ACTIONS["geometry"]))
     geo.add_argument("--A", type=parse_complex)
     geo.add_argument("--B", type=parse_complex)
     geo.add_argument("--r", type=float, default=1.0)
@@ -438,89 +348,67 @@ def _build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--inner-B", dest="inner_B", type=parse_complex)
     geo.add_argument("--inner-r", dest="inner_r", type=float, default=1.0)
     geo.add_argument("--tol", type=float, default=1e-12)
-    geo.set_defaults(handler=_cmd_geometry)
 
     bnd = sub.add_parser("bounds", parents=[common], help="powered envelope ranges and sector calculus")
-    bnd.add_argument("action", nargs="?", default="envelope", choices=[
-        "envelope", "critical", "sector", "tilt", "nesting", "ratio-sector",
-        "derivative-sector", "weighted-sector", "reciprocal-sector", "eta-inf", "double-tilt",
-    ])
+    bnd.add_argument("action", nargs="?", default="envelope", choices=list(ACTIONS["bounds"]))
     bnd.add_argument("--A", type=parse_complex)
     bnd.add_argument("--B", type=parse_complex)
     bnd.add_argument("--alpha", type=float, default=1.0)
-    bnd.add_argument("--gamma", type=float, default=0.0)
+    bnd.add_argument("--gamma", type=parse_complex, default=0j)
     bnd.add_argument("--gamma2", type=float, help="outer exponent for weighted-sector")
     bnd.add_argument("--r", type=float, default=1.0)
-    bnd.add_argument("--m", type=float)
-    bnd.add_argument("--b", type=float)
-    bnd.add_argument("--beta", type=float)
+    for name in ("m", "b", "beta"):
+        bnd.add_argument("--" + name, type=float)
     bnd.add_argument("--phi", type=parse_angle, help="comparison-ratio argument (accepts pi suffix)")
     bnd.add_argument("--eta", type=float)
     bnd.add_argument("--weight", type=parse_complex, help="constant weight for eta-inf")
-    bnd.add_argument("--a1", type=float)
-    bnd.add_argument("--a2", type=float)
-    bnd.add_argument("--a", type=float)
-    bnd.add_argument("--c", type=float)
-    bnd.add_argument("--d", type=float)
-    bnd.add_argument("--l", type=float)
-    bnd.set_defaults(handler=_cmd_bounds)
+    for name in ("a1", "a2", "a", "c", "d", "l"):
+        bnd.add_argument("--" + name, type=float)
 
     rad = sub.add_parser("radius", parents=[common], help="radius constants and inclusion tests")
-    rad.add_argument("action", choices=[
-        "subordination", "inclusion", "uralegaddi", "reciprocal", "alpha-star", "starlike",
-    ])
-    rad.add_argument("--A", type=parse_complex)
-    rad.add_argument("--B", type=parse_complex)
-    rad.add_argument("--C", type=parse_complex)
-    rad.add_argument("--D", type=parse_complex)
+    rad.add_argument("action", choices=list(ACTIONS["radius"]))
+    for name in ("A", "B", "C", "D"):
+        rad.add_argument("--" + name, type=parse_complex)
     rad.add_argument("--alpha", type=float, default=1.0)
     rad.add_argument("--beta", type=float, default=1.0)
-    rad.add_argument("--gamma", type=float, default=0.0)
-    rad.add_argument("--delta", type=float, default=0.0)
+    rad.add_argument("--gamma", type=parse_complex, default=0j)
+    rad.add_argument("--delta", type=parse_complex, default=0j)
     rad.add_argument("--beta2", type=float)
-    rad.add_argument("--tol", type=float, default=1e-12)
     rad.add_argument("--method", choices=["closed", "bisect"], default="closed")
-    rad.set_defaults(handler=_cmd_radius)
 
     spc = sub.add_parser("special", parents=[common], help="series, kernels, and dominants")
-    spc.add_argument("action", choices=["3f2", "kernel", "macgregor", "dominant", "best-q", "silverman"])
-    spc.add_argument("--a1", type=parse_complex)
-    spc.add_argument("--a2", type=parse_complex)
-    spc.add_argument("--a3", type=parse_complex)
-    spc.add_argument("--b1", type=parse_complex)
-    spc.add_argument("--b2", type=parse_complex)
-    spc.add_argument("--x", type=parse_complex)
-    spc.add_argument("--A", type=parse_complex)
-    spc.add_argument("--B", type=parse_complex)
+    spc.add_argument("action", choices=list(ACTIONS["special"]))
+    for name in ("a1", "a2", "a3", "b1", "b2", "x", "A", "B"):
+        spc.add_argument("--" + name, type=parse_complex)
     spc.add_argument("--b", type=float)
     spc.add_argument("--alpha", type=float, default=1.0)
     spc.add_argument("--beta", type=float)
     spc.add_argument("--gamma", type=float)
-    spc.add_argument("--mu", type=parse_complex)
-    spc.add_argument("--eta", type=parse_complex)
-    spc.add_argument("--delta", type=parse_complex)
-    spc.add_argument("--rho", type=parse_complex)
-    spc.add_argument("--z", type=parse_complex)
+    for name in ("mu", "eta", "delta", "rho", "z"):
+        spc.add_argument("--" + name, type=parse_complex)
     spc.add_argument("--tol", type=float, default=1e-10)
     spc.add_argument("--method", choices=["quad", "closed"], default="quad")
-    spc.set_defaults(handler=_cmd_special)
 
     ver = sub.add_parser("verify", parents=[common], help="randomized implication trials")
     ver.add_argument("--theorem-id", dest="theorem_id", default="all", choices=list(THEOREM_IDS) + ["all"])
     ver.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds starting at --seed")
-    ver.set_defaults(handler=_cmd_verify)
+    ver.set_defaults(action="")
 
     plt = sub.add_parser("plot", parents=[common], help="SVG and CSV artifacts of boundary curves")
-    plt.add_argument("action", nargs="?", default="svg", choices=["svg", "csv"])
+    plt.add_argument("action", nargs="?", default="svg", choices=list(ACTIONS["plot"]))
     plt.add_argument("--A", type=parse_complex)
     plt.add_argument("--B", type=parse_complex)
     plt.add_argument("--alpha", type=float, default=1.0)
-    plt.add_argument("--gamma", type=float, default=0.0)
+    plt.add_argument("--gamma", type=parse_complex, default=0j)
     plt.add_argument("--r", type=float, default=1.0)
     plt.add_argument("--n", type=int, default=2048)
-    plt.set_defaults(handler=_cmd_plot)
 
     return parser
+
+
+def _fail(message: str, kind: str, code: int) -> int:
+    print(json.dumps({"error": message, "kind": kind}), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -531,24 +419,31 @@ def main(argv=None) -> int:
         # argparse handles --help/--version (code 0) and flag-level parse
         # failures itself; fold the latter into the precondition exit code
         return 0 if exc.code in (0, None) else 2
+    action = ACTIONS[args.command][args.action]
     try:
-        params, result, oracle = args.handler(args)
+        missing = [flag for flag in action.required.split() if getattr(args, flag) is None]
+        if missing:
+            raise ParameterError(f"action {args.action!r} requires " + ", ".join("--" + f for f in missing))
+        value = action.run(args)
+        oracle = action.check(args, value) if args.verify and action.check else None
     except ParameterError as exc:
-        print(json.dumps({"error": str(exc), "kind": "parameter"}), file=sys.stderr)
-        return 2
+        return _fail(str(exc), "parameter", 2)
     except NumericalError as exc:
-        print(json.dumps({"error": str(exc), "kind": "numerical"}), file=sys.stderr)
-        return 3
+        return _fail(str(exc), "numerical", 3)
     envelope = {
-        "command": f"{args.command} {getattr(args, 'action', '')}".strip(),
-        "params": params,
-        "result": result,
+        "command": f"{args.command} {args.action}".strip(),
+        "params": {flag: getattr(args, flag) for flag in (action.required + " " + action.optional).split()},
+        "result": dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value,
         "version": __version__,
         "seed": args.seed,
     }
     if oracle is not None:
         envelope["oracle"] = oracle
-    text = json.dumps(_jsonable(envelope), indent=2, sort_keys=True)
+    try:
+        text = json.dumps(_jsonable(envelope), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        # a NaN or infinity reached the report; strict JSON has no spelling for it
+        return _fail(f"non-finite number in the report: {exc}", "numerical", 3)
     if args.out and args.command != "plot":
         Path(args.out).write_text(text + "\n")
     else:

@@ -6,6 +6,9 @@ violations, detectable before any numerics run) and numerical failures
 maps the first family to exit code 2 and the second to exit code 3.
 """
 
+import cmath
+import dataclasses
+
 
 class JanowskiError(Exception):
     """Base class for every error raised by this package."""
@@ -13,6 +16,13 @@ class JanowskiError(Exception):
 
 class ParameterError(JanowskiError, ValueError):
     """A precondition on the inputs is violated."""
+
+
+def require_finite(params) -> None:
+    """Raise ParameterError if a field of the dataclass `params` is NaN or infinite."""
+    bad = [f.name for f in dataclasses.fields(params) if not cmath.isfinite(complex(getattr(params, f.name)))]
+    if bad:
+        raise ParameterError(f"{type(params).__name__}: {', '.join(bad)} must be finite")
 
 
 class DegenerateMapError(ParameterError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMapError, OutOfRangeError, ParameterError, PoleOnBoundaryError
+from .errors import DegenerateMapError, OutOfRangeError, ParameterError, PoleOnBoundaryError, require_finite
 
 _EPS = 1e-12
 
@@ -46,6 +46,7 @@ class JanowskiParams:
     A != B and |B| <= 1. `argument_safe` reports whether the origin stays
     out of the open first-order image of the unit disk, the condition
     under which powers and arguments of the map are single-valued.
+    Every field must be finite.
     """
 
     A: complex
@@ -57,6 +58,7 @@ class JanowskiParams:
         object.__setattr__(self, "A", complex(self.A))
         object.__setattr__(self, "B", complex(self.B))
         object.__setattr__(self, "gamma", complex(self.gamma))
+        require_finite(self)
         if abs(self.A - self.B) <= _EPS:
             raise DegenerateMapError("A and B must differ")
         if abs(self.B) > 1.0 + _EPS:
@@ -121,8 +123,11 @@ class CanonicalParams:
 
 
 def eval_map(p: JanowskiParams, z) -> complex | np.ndarray:
-    """First-order value (1 + A z) / (1 + B z); scalar or array z."""
+    """First-order value (1 + A z) / (1 + B z); scalar or non-empty array z
+    of finite points."""
     z = np.asarray(z, dtype=complex)
+    if z.size == 0 or not np.isfinite(z).all():
+        raise ParameterError("z must be a non-empty set of finite points")
     denom = 1.0 + p.B * z
     if np.min(np.abs(denom)) < 1e-14:
         raise PoleOnBoundaryError("z hits the pole of the first-order map")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMapError, NoRootError, OutOfRangeError
+from .errors import DegenerateMapError, NoRootError, OutOfRangeError, require_finite
 
 # Orientation of the starlike-order chain implied by the inclusion
 # criterion: with target order a1 (A = 1 - 2 a1, B = -1) and source order
@@ -33,7 +33,8 @@ INCLUSION_ORIENTATION_NOTE = (
 @dataclass(frozen=True)
 class RadiusProblem:
     """Subordination-radius instance: source (C, D, beta, delta) into target
-    (A, B, alpha, gamma), each a powered, shifted first-order map."""
+    (A, B, alpha, gamma), each a powered, shifted first-order map; every
+    field must be finite."""
 
     A: complex
     B: complex
@@ -45,6 +46,7 @@ class RadiusProblem:
     delta: complex
 
     def __post_init__(self):
+        require_finite(self)
         for hi, lo, name in ((self.A, self.B, "target"), (self.C, self.D, "source")):
             if abs(complex(hi) - complex(lo)) <= 1e-12:
                 raise DegenerateMapError(f"{name} map has equal parameters")
@@ -110,21 +112,20 @@ def reciprocal_radius(A: complex, B: complex, alpha: float, beta2: float) -> flo
     return min(alpha * abs(A - B) / den, 1.0)
 
 
-def alpha_star(tol: float = 1e-12) -> float:
+def alpha_star() -> float:
     """Power threshold: the unique root of 2 a + (2/pi) atan(a) = 1 in (0, 1).
 
-    Solved by plain bisection; the residual at the returned point is far
-    below `tol`.
+    Solved by bisection down to adjacent floats (54 halvings of [0, 1]),
+    so the returned lower end lies within one ulp of the root.
     """
     f = lambda a: 2.0 * a + (2.0 / math.pi) * math.atan(a) - 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > min(tol, 1e-12) * 0.01:
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if f(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 @dataclass(frozen=True)

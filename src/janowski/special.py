@@ -26,6 +26,7 @@ from .errors import (
     OutOfRangeError,
     ParameterError,
     PoleOnBoundaryError,
+    require_finite,
 )
 
 
@@ -186,7 +187,8 @@ def macgregor_gamma(beta: float) -> float:
 class DominantSpec:
     """Parameters of the explicit dominant attached to the integro-differential
     operator inclusion: base map (1+Az)/(1-bz), outer power alpha*gamma, and
-    the affine weights mu, eta, delta, rho of the bracketed combination."""
+    the affine weights mu, eta, delta, rho of the bracketed combination.
+    Every field must be finite."""
 
     A: complex
     b: float
@@ -198,6 +200,7 @@ class DominantSpec:
     rho: complex
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 <= self.b <= 1.0:
             raise OutOfRangeError(f"b must lie in [0, 1], got {self.b}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -1,13 +1,16 @@
 """Command line contract: literal parsing, report envelopes, exit codes,
 artifact files."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from janowski.cli import main, parse_angle, parse_complex
+from janowski import JanowskiParams, envelope_bounds
+from janowski.cli import ACTIONS, main, parse_angle, parse_complex
 from janowski.errors import ParameterError
+from janowski.oracle import _jsonable
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +143,12 @@ class TestActions:
         )
         assert data["params"]["phi"] == pytest.approx(math.pi / 4.0)
 
+    def test_complex_gamma_reaches_the_oblique_shift(self, capsys):
+        data = report(capsys, "bounds", "envelope", "--A", "0.8", "--B=-0.3", "--alpha", "0.6", "--gamma=0.2i")
+        expected = envelope_bounds(JanowskiParams(0.8, -0.3, 0.6, 0.2j), 1.0)
+        assert data["result"] == json.loads(json.dumps(_jsonable(dataclasses.asdict(expected))))
+        assert data["params"]["gamma"] == {"re": 0.0, "im": 0.2}
+
     def test_verify_trials_sound(self, capsys):
         data = report(capsys, "verify", "--theorem-id", "C5.12", "--seeds", "4")
         assert data["result"]["trials"] == 4
@@ -159,6 +168,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "bounds", "--A", "nope", "--B", "0")
         assert code == 2
         assert "nope" in err
+
+    def test_nan_parameter_is_parameter_failure(self, capsys):
+        code, out, err = run_cli(capsys, "geometry", "image-disk", "--A", "nan", "--B", "0")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "parameter"
+
+    def test_non_finite_result_prints_no_json(self, capsys):
+        # a NaN order slips past starlike_radius; strict JSON cannot spell it
+        code, out, err = run_cli(capsys, "radius", "starlike", "--A", "1", "--B", "-1", "--beta", "nan")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["kind"] == "numerical"
 
     def test_divergent_series_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
@@ -195,3 +217,57 @@ class TestPlot:
         first = lines[1].split(",")
         assert len(first) == 5
         assert float(first[0]) == 0.0
+
+
+SMOKE_ARGV = {
+    ("geometry", "image-disk"): "--A 0.8 --B=-0.3 --r 0.7",
+    ("geometry", "origin"): "--A 0.5 --B=-1",
+    ("geometry", "canonicalize"): "--A=0.5+0.1i --B=0.3i",
+    ("geometry", "contains"): "--A 1 --B=-1 --inner-A 0.5 --inner-B=-0.5",
+    ("bounds", "envelope"): "--A 0.8 --B=-0.3 --alpha 0.6 --gamma=0.1-0.2i",
+    ("bounds", "critical"): "--A 0.8 --B=-0.3 --alpha 0.6",
+    ("bounds", "sector"): "--alpha 0.5 --m 0.3",
+    ("bounds", "tilt"): "--b 0.4 --m 0.3",
+    ("bounds", "nesting"): "--A 1 --B=-1 --a1 0.3 --a2 0.6",
+    ("bounds", "ratio-sector"): "--alpha 0.5 --m 0 --beta 1 --phi 0.25pi",
+    ("bounds", "derivative-sector"): "--alpha 0.5 --m 0.2",
+    ("bounds", "weighted-sector"): "--alpha 0.5 --beta 0.4 --gamma2 0.6 --m 0.2 --eta 0.5",
+    ("bounds", "reciprocal-sector"): "--alpha 0.5 --beta 0.3",
+    ("bounds", "eta-inf"): "--weight=1+0.5i --beta 0.3",
+    ("bounds", "double-tilt"): "--a 0.5 --b 0.3 --c 0.4 --d 0.2 --l 0.5 --m 0.3 --alpha 0.7",
+    ("radius", "subordination"): "--A 1 --B=-1 --C 0.5 --D=-0.5 --alpha 0.8 --beta 0.6 --gamma=0.1i --delta 0.2",
+    ("radius", "inclusion"): "--A 1 --B=-1 --alpha 0.5 --C 1 --D=-1 --beta 0.25",
+    ("radius", "uralegaddi"): "--A 1 --B=-1 --beta2 1.5",
+    ("radius", "reciprocal"): "--A 1 --B=-1 --beta2 0.5",
+    ("radius", "alpha-star"): "",
+    ("radius", "starlike"): "--A 0.8 --B=-0.6 --beta 1.2 --method bisect",
+    ("special", "3f2"): "--a1 1 --a2 1 --a3 1 --b1 2 --b2 2 --x 0.5",
+    ("special", "kernel"): "--A 1 --b 0 --alpha 1 --z 0.5",
+    ("special", "macgregor"): "--beta 0.5",
+    ("special", "dominant"): "--A 1 --b 0.5 --alpha 0.5 --gamma 0.5 --mu 1 --eta 0.5 --delta 1 --rho 0 --z 0.3",
+    ("special", "best-q"): "--A 1 --B=-1 --alpha 0.5 --z 0.3",
+    ("special", "silverman"): "--A 0.5 --b 0.5 --alpha 0.5 --beta 0.1",
+    ("verify", ""): "--theorem-id T5.5",
+    ("plot", "svg"): "--A 1 --B 0 --alpha 0.5 --n 64",
+    ("plot", "csv"): "--A 0.8 --B=-0.3 --gamma=0.2i --n 64",
+}
+
+
+@pytest.mark.parametrize(
+    "command,action", [(cmd, act) for cmd, table in ACTIONS.items() for act in table], ids=lambda x: x or "-"
+)
+def test_every_action_prints_strict_json(capsys, tmp_path, command, action):
+    assert (command, action) in SMOKE_ARGV, "each action needs a smoke invocation"
+    argv = [command, *([action] if action else []), *SMOKE_ARGV[command, action].split(), "--verify"]
+    if command == "plot":
+        argv += ["--out", str(tmp_path / f"curve.{action}")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    data = json.loads(out, parse_constant=reject)
+    entry = ACTIONS[command][action]
+    assert data["command"] == f"{command} {action}".strip()
+    assert set(data["params"]) == set(f"{entry.required} {entry.optional}".split())

@@ -136,6 +136,21 @@ def test_parameter_validation():
         JanowskiParams(1.0, 0.0, gamma=1.0)
 
 
+@pytest.mark.parametrize("z", [[], np.array([0.1, np.nan]), complex(0.0, np.inf)])
+def test_eval_map_rejects_empty_and_non_finite_points(z):
+    with pytest.raises(ParameterError):
+        eval_map(JanowskiParams(0.8, -0.5), z)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(A=np.nan, B=0.0), dict(A=1.0, B=complex(0.0, np.inf)), dict(A=1.0, B=0.0, gamma=complex(np.nan, 0.0))],
+)
+def test_params_reject_non_finite_fields(kwargs):
+    with pytest.raises(ParameterError, match="finite"):
+        JanowskiParams(**kwargs)
+
+
 def test_pole_on_circle_rejected_pointwise():
     with pytest.raises(PoleOnBoundaryError):
         eval_map(JanowskiParams(0.5, -1.0), 1.0)

@@ -10,6 +10,7 @@ from janowski import (
     INCLUSION_ORIENTATION_NOTE,
     NoRootError,
     OutOfRangeError,
+    ParameterError,
     RadiusProblem,
     alpha_star,
     class_inclusion,
@@ -56,6 +57,21 @@ def test_alpha_star_solves_its_equation():
     a = alpha_star()
     assert abs(2.0 * a + (2.0 / math.pi) * math.atan(a) - 1.0) < 1e-12
     assert f"{a:.8f}".startswith("0.38344860")
+
+
+def test_alpha_star_matches_a_30_digit_root():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        root = mp.findroot(lambda a: 2 * a + (2 / mp.pi) * mp.atan(a) - 1, 0.38)
+        assert abs(mp.mpf(alpha_star()) - root) < 1e-16
+
+
+@pytest.mark.parametrize("field", ["A", "alpha", "gamma", "D", "beta", "delta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_radius_problem_rejects_non_finite_fields(field, bad):
+    fields = dict(A=1.0, B=0.0, alpha=1.0, gamma=0.0, C=1.0, D=-1.0, beta=1.0, delta=0.0)
+    with pytest.raises(ParameterError, match=f": {field} must be finite"):
+        RadiusProblem(**{**fields, field: bad})
 
 
 def test_starlike_radius_methods_agree():

@@ -141,6 +141,12 @@ class TestOperatorDominant:
         assert operator_dominant(spec, 0.0) == spec.mu * spec.delta + spec.mu * spec.rho
         assert spec.value_at_origin == operator_dominant(spec, 0.0)
 
+    @pytest.mark.parametrize("field", ["A", "b", "gamma", "rho"])
+    def test_spec_rejects_non_finite_fields(self, field):
+        fields = dict(A=1.0, b=1.0, alpha=1.0, gamma=1.0, mu=1.0, eta=1.0, delta=1.0, rho=0.0)
+        with pytest.raises(ParameterError, match=f": {field} must be finite"):
+            DominantSpec(**{**fields, field: math.nan})
+
     def test_derivative_sum_dominant(self):
         """mu = eta = delta = 1, rho = 0 is the image of p + zp' under the
         first-order base map; at A = b = 1 it is (1+2z-z^2)/(1-z)^2."""
