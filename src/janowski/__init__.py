@@ -21,11 +21,7 @@ from .envelope import (
     critical_points,
     envelope_bounds,
     eval_powered,
-    im_derivative,
     invert_powered,
-    powered_mobius,
-    powered_mobius_preimage,
-    re_derivative,
     sample_curve,
     sector_image,
     tilt_angle,
@@ -37,7 +33,6 @@ from .errors import (
     InvalidTheoremIdError,
     JanowskiError,
     NegativeRealPartError,
-    NoBracketError,
     NoConvergenceError,
     NonCaratheodoryLambdaError,
     NoRootError,
@@ -112,14 +107,10 @@ __all__ = [
     "canonicalize",
     "contains",
     # envelope
-    "powered_mobius",
-    "powered_mobius_preimage",
     "eval_powered",
     "invert_powered",
     "EnvelopeCurve",
     "sample_curve",
-    "re_derivative",
-    "im_derivative",
     "CriticalPoints",
     "critical_points",
     "ShiftedView",
@@ -177,7 +168,6 @@ __all__ = [
     "InvalidTheoremIdError",
     "NonCaratheodoryLambdaError",
     "NumericalError",
-    "NoBracketError",
     "NoRootError",
     "NoConvergenceError",
     "QuadratureFailureError",

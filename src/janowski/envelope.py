@@ -63,21 +63,6 @@ def _power(w, a: float) -> np.ndarray:
     return np.where(np.abs(w) == 0.0, 0.0, out)
 
 
-def powered_mobius(A: complex, B: complex, power: float, z) -> np.ndarray:
-    """Principal-branch ((1 + A z)/(1 + B z))^power, vectorized over z."""
-    z = np.asarray(z, dtype=complex)
-    return _power((1.0 + A * z) / (1.0 + B * z), power)
-
-
-def powered_mobius_preimage(A: complex, B: complex, power: float, w) -> np.ndarray:
-    """Inverse of the powered map: w -> (w~ - 1)/(A - B w~) with w~ = w^(1/power)."""
-    w = np.asarray(w, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wt = np.exp(np.log(w) / power)
-    wt = np.where(np.abs(w) == 0.0, 0.0, wt)
-    return (wt - 1.0) / (A - B * wt)
-
-
 def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     """Value of the powered, shifted map at z (principal branch, anchored at 1).
 
@@ -87,14 +72,18 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     _branch_guard(p, float(np.max(np.abs(z))) if z.size else 0.0)
-    out = (1.0 - p.gamma) * powered_mobius(p.A, p.B, p.alpha, z) + p.gamma
+    out = (1.0 - p.gamma) * _power((1.0 + p.A * z) / (1.0 + p.B * z), p.alpha) + p.gamma
     return complex(out) if out.ndim == 0 else out
 
 
 def invert_powered(p: JanowskiParams, w) -> np.ndarray:
-    """Preimage of candidate values under the powered, shifted map."""
-    w = np.asarray(w, dtype=complex)
-    return powered_mobius_preimage(p.A, p.B, p.alpha, (w - p.gamma) / (1.0 - p.gamma))
+    """Preimage of candidate values under the powered, shifted map:
+    w -> (w~ - 1)/(A - B w~) with w~ = ((w - gamma)/(1 - gamma))^(1/alpha)."""
+    w = (np.asarray(w, dtype=complex) - p.gamma) / (1.0 - p.gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wt = np.exp(np.log(w) / p.alpha)
+    wt = np.where(np.abs(w) == 0.0, 0.0, wt)
+    return (wt - 1.0) / (p.A - p.B * wt)
 
 
 def _branch_guard(p: JanowskiParams, r: float) -> None:
@@ -148,19 +137,6 @@ def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
 
 # ---------------------------------------------------------------------------
 # critical points of the directional objectives
-
-
-def re_derivative(p: JanowskiParams, r: float, t, phase: float = 0.0) -> np.ndarray:
-    """d/dt Re(e^{i phase} w^alpha) = -alpha R |w|^(alpha-1) sin theta(t) at radius r."""
-    C, R = _circle_geometry(p, r)
-    t = np.asarray(t, dtype=float)
-    theta, _ = _theta(C, R, p.alpha, phase, t)
-    return -p.alpha * R * np.abs(C + R * np.exp(1j * t)) ** (p.alpha - 1.0) * np.sin(theta)
-
-
-def im_derivative(p: JanowskiParams, r: float, t) -> np.ndarray:
-    """d/dt Im(w(t)^alpha); the imaginary part is Re at phase -pi/2."""
-    return re_derivative(p, r, t, phase=-0.5 * math.pi)
 
 
 def _dir_objective(C: complex, R: float, alpha: float, phase, t: np.ndarray):

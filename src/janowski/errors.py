@@ -20,9 +20,14 @@ class ParameterError(JanowskiError, ValueError):
 
 def require_finite(params) -> None:
     """Raise ParameterError if a field of the dataclass `params` is NaN or infinite."""
-    bad = [f.name for f in dataclasses.fields(params) if not cmath.isfinite(complex(getattr(params, f.name)))]
+    require_finite_args(type(params).__name__, **{f.name: getattr(params, f.name) for f in dataclasses.fields(params)})
+
+
+def require_finite_args(owner: str, /, **args) -> None:
+    """Raise ParameterError if one of the scalar arguments `args` of `owner` is NaN or infinite."""
+    bad = [name for name, value in args.items() if not cmath.isfinite(complex(value))]
     if bad:
-        raise ParameterError(f"{type(params).__name__}: {', '.join(bad)} must be finite")
+        raise ParameterError(f"{owner}: {', '.join(bad)} must be finite")
 
 
 class DegenerateMapError(ParameterError):
@@ -67,10 +72,6 @@ class NonCaratheodoryLambdaError(ParameterError):
 
 class NumericalError(JanowskiError):
     """An algorithm could not meet its accuracy contract."""
-
-
-class NoBracketError(NumericalError):
-    """A sign-change scan found no bracket for a root."""
 
 
 class NoRootError(NumericalError):

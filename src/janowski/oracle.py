@@ -24,21 +24,21 @@ import cmath
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.random import Generator, Philox
 
-from .envelope import BoundReport, ShiftedView, _unwrapped_turns, sample_curve
+from .envelope import BoundReport, ShiftedView, _unwrapped_turns, sample_curve, tilt_angle
 from .errors import (
     BranchUndefinedError,
     InvalidTheoremIdError,
     OutOfRangeError,
     ParameterError,
 )
-from .moebius import JanowskiParams
+from .moebius import JanowskiParams, image_disk
 from .sectors import eta_infimum, ratio_sector_params, reciprocal_order_sector, weighted_sector_params
 from .special import DominantSpec, operator_dominant, silverman_inclusion
 
@@ -348,9 +348,10 @@ class TrialReport:
 _N_SAMPLES = 4096
 
 
-def _tilted_log(a: complex, w: np.ndarray) -> np.ndarray:
-    """Principal log of (1 + a w)/(1 - w); stays principal for |arg| < pi."""
-    return np.log(1.0 + a * w) - np.log(1.0 - w)
+def _log_ratio(A: complex, B: complex, w: np.ndarray) -> np.ndarray:
+    """log(1 + A w) - log(1 + B w), a log of (1 + A w)/(1 + B w) that stays
+    principal for |arg| < pi."""
+    return np.log(1.0 + A * w) - np.log(1.0 + B * w)
 
 
 def _trial_ratio_sector(seed: int, prm: dict) -> TrialReport:
@@ -370,7 +371,7 @@ def _trial_ratio_sector(seed: int, prm: dict) -> TrialReport:
     w = omega.value(z)
     zdw = z * omega.deriv(z)
     a = cmath.exp(1j * math.pi * m)
-    logbase = _tilted_log(a, w)
+    logbase = _log_ratio(a, -1.0, w)
     p = np.exp(alpha * logbase)
     zdp = alpha * p * (a / (1.0 + a * w) + 1.0 / (1.0 - w)) * zdw
     gratio = 1.0 - cg * z  # g/(z g') for the comparison g(z) = z/(1 - cg z)
@@ -436,7 +437,7 @@ def _trial_weighted_sector(seed: int, prm: dict) -> TrialReport:
     w = omega.value(z)
     zdw = z * omega.deriv(z)
     a = cmath.exp(1j * math.pi * m)
-    logbase = _tilted_log(a, w)
+    logbase = _log_ratio(a, -1.0, w)
     # z p'/p for p = base^beta, evaluated without forming p first
     zlogd = (a / (1.0 + a * w) + 1.0 / (1.0 - w)) * zdw
     x = lam(z) * beta * zlogd
@@ -483,7 +484,7 @@ def _trial_inverse_coefficient(seed: int, prm: dict) -> TrialReport:
     z = _unit_grid(_N_SAMPLES)
     w = omega.value(z)
     zdw = z * omega.deriv(z)
-    logbase = np.log(1.0 + A * w) - np.log(1.0 - b * w)
+    logbase = _log_ratio(A, -b, w)
     p = np.exp(alpha * logbase)
     ratio = alpha * (A / (1.0 + A * w) + b / (1.0 - b * w)) * zdw  # z p'/p
     coeff = ratio / p  # z p'/p^2
@@ -572,7 +573,7 @@ _OPERATOR_TABLE_B = (
 def _operator_samples(spec: DominantSpec, w: np.ndarray, zdw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, E) for the first-order operator E = mu p^a (d + r p) + eta z p' p^(a-1)."""
     A = complex(spec.A)
-    logbase = np.log(1.0 + A * w) - np.log(1.0 - spec.b * w)
+    logbase = _log_ratio(A, -spec.b, w)
     p = np.exp(spec.gamma * logbase)
     zdp = spec.gamma * p * (A / (1.0 + A * w) + spec.b / (1.0 - spec.b * w)) * zdw
     p_alpha = np.exp(spec.alpha * spec.gamma * logbase)
@@ -581,50 +582,49 @@ def _operator_samples(spec: DominantSpec, w: np.ndarray, zdw: np.ndarray) -> tup
     return p, e
 
 
-def _dominant_curve(spec: DominantSpec, z: np.ndarray) -> np.ndarray:
-    A = complex(spec.A)
-    num = 1.0 + A * z
-    den = 1.0 - spec.b * z
-    q_log = np.log(num) - np.log(den)
-    bracket = (
-        complex(spec.mu) * complex(spec.delta)
-        + complex(spec.mu) * complex(spec.rho) * np.exp(spec.gamma * q_log)
-        + complex(spec.eta) * spec.gamma * (A + spec.b) * z / (num * den)
-    )
-    return np.exp(spec.alpha * spec.gamma * q_log) * bracket
-
-
-def _image_disk_clearance(A: complex, B: complex, radius: float) -> float:
-    """Cut clearance of the bilinear image {(1+Az)/(1+Bz) : |z| <= radius}."""
-    denom = 1.0 - abs(B) ** 2 * radius**2
-    center = (1.0 - A * np.conj(B) * radius**2) / denom
-    spread = abs(A - B) * radius / denom
-    return _ray_clearance(complex(center), float(spread))
-
-
-def _winding_hypothesis(e_samples: np.ndarray, curve: np.ndarray) -> tuple[bool, float]:
-    contained = _winding_contains(e_samples, curve)
-    frac = float(np.mean(contained))
-    return bool(np.all(contained)), frac
-
-
-_INNER_RADII = (0.35, 0.65, 0.9, 1.0)
-
-
-def _multi_radius_grid(n_each: int = 512) -> np.ndarray:
-    base = _unit_grid(n_each)
-    return np.concatenate([r * base for r in _INNER_RADII])
-
-
-def _trial_operator_dominant(seed: int, prm: dict) -> TrialReport:
+def _operator_trial(theorem_id: str, seed: int, spec: DominantSpec, detail: dict) -> TrialReport:
     """First-order operator subordination against its exact dominant.
 
     Even seeds use w(z) = c z, for which the operator image of the base
     power IS the dominant composed with c z; the trial then checks that
     exact identity through the standalone dominant evaluator.  Odd seeds
     use a genuine polynomial Schwarz function and fall back to a winding
-    count against the sampled dominant curve.
+    count against the sampled dominant curve.  `detail` holds the calling
+    id's own parameters; the trial adds its evidence to it.
     """
+    omega = _effective_schwarz(seed, rho=0.6, c_max=0.88)
+    detail["mode"] = "identity" if seed % 2 == 0 else "poly"
+    z = _unit_grid(512) if seed % 2 == 0 else np.concatenate([r * _unit_grid(512) for r in (0.35, 0.65, 0.9, 1.0)])
+    p, e_samples = _operator_samples(spec, omega.value(z), z * omega.deriv(z))
+    if seed % 2 == 0:
+        reference = operator_dominant(spec, omega.linear_coefficient * z)
+        scale = 1.0 + float(np.max(np.abs(reference)))
+        identity_gap = float(np.max(np.abs(e_samples - reference))) / scale
+        hypothesis = identity_gap < 1e-9
+        detail["identity_gap"] = identity_gap
+    else:
+        rho_curve = 0.99
+        sup_omega = float(np.max(np.abs(omega.value(_unit_grid(16384)))))
+        base = JanowskiParams(spec.A, -spec.b)
+        disks = (image_disk(base, rho_curve), image_disk(base, sup_omega))
+        clearance = min(_ray_clearance(g.center, g.radius) for g in disks)
+        contained = _winding_contains(e_samples, operator_dominant(spec, rho_curve * _unit_grid(_N_SAMPLES)))
+        hypothesis = bool(np.all(contained)) and clearance > 1e-9
+        detail["contained_fraction"] = float(np.mean(contained))
+        detail["cut_clearance"] = clearance
+
+    target = JanowskiParams(spec.A, -spec.b, spec.gamma)
+    try:
+        max_pull = float(np.max(subordination_pullback(p, target)))
+    except BranchUndefinedError:
+        max_pull = math.inf
+    margin = 1.0 - max_pull
+    detail["max_pullback"] = max_pull
+    return TrialReport(theorem_id, seed, hypothesis, margin >= -1e-4, margin, detail)
+
+
+def _trial_operator_dominant(seed: int, prm: dict) -> TrialReport:
+    """T5.7: the operator trial on a seed-chosen row of the operator tables."""
     table = _OPERATOR_TABLE_A if seed % 2 == 0 else _OPERATOR_TABLE_B
     row = table[(seed // 2) % 4]
     spec = DominantSpec(
@@ -637,55 +637,7 @@ def _trial_operator_dominant(seed: int, prm: dict) -> TrialReport:
         delta=complex(prm.get("delta", row[6])),
         rho=complex(prm.get("rho", row[7])),
     )
-    omega = _effective_schwarz(seed, rho=0.6, c_max=0.88)
-    detail: dict[str, object] = {
-        "A": spec.A,
-        "b": spec.b,
-        "alpha": spec.alpha,
-        "gamma": spec.gamma,
-        "mu": spec.mu,
-        "eta": spec.eta,
-        "delta": spec.delta,
-        "rho": spec.rho,
-        "mode": "identity" if seed % 2 == 0 else "poly",
-    }
-
-    if seed % 2 == 0:
-        z = _unit_grid(512)
-        w = omega.value(z)
-        zdw = z * omega.deriv(z)
-        p, e_samples = _operator_samples(spec, w, zdw)
-        c = omega.linear_coefficient
-        assert c is not None
-        reference = np.array([operator_dominant(spec, c * zz) for zz in z])
-        scale = 1.0 + float(np.max(np.abs(reference)))
-        identity_gap = float(np.max(np.abs(e_samples - reference))) / scale
-        hypothesis = identity_gap < 1e-9
-        detail["identity_gap"] = identity_gap
-    else:
-        z = _multi_radius_grid()
-        w = omega.value(z)
-        zdw = z * omega.deriv(z)
-        p, e_samples = _operator_samples(spec, w, zdw)
-        rho_curve = 0.99
-        clear_curve = _image_disk_clearance(spec.A, -spec.b, rho_curve)
-        sup_omega = float(np.max(np.abs(omega.value(_unit_grid(16384)))))
-        clear_base = _image_disk_clearance(spec.A, -spec.b, sup_omega)
-        curve = _dominant_curve(spec, rho_curve * _unit_grid(_N_SAMPLES))
-        contained, frac = _winding_hypothesis(e_samples, curve)
-        hypothesis = contained and clear_curve > 1e-9 and clear_base > 1e-9
-        detail["contained_fraction"] = frac
-        detail["cut_clearance"] = min(clear_curve, clear_base)
-
-    target = JanowskiParams(spec.A, -spec.b, spec.gamma)
-    try:
-        max_pull = float(np.max(subordination_pullback(p, target)))
-    except BranchUndefinedError:
-        max_pull = math.inf
-    margin = 1.0 - max_pull
-    conclusion = margin >= -1e-4
-    detail["max_pullback"] = max_pull
-    return TrialReport("T5.7", seed, hypothesis, conclusion, margin, detail)
+    return _operator_trial("T5.7", seed, spec, asdict(spec))
 
 
 _COMBO_TABLE_A = (
@@ -704,66 +656,19 @@ _COMBO_TABLE_B = (
 
 
 def _trial_convex_combination(seed: int, prm: dict) -> TrialReport:
-    """Affine combination (1-l) p + l z p' against its exact dominant, the
-    unit-modulus-numerator specialization of the operator trial."""
+    """C5.12: the affine combination (1-l) p + l z p', which is the operator
+    trial at A = e^{i m pi}, alpha = delta = 1, mu = 1 - l, eta = l, rho = 0."""
     table = _COMBO_TABLE_A if seed % 2 == 0 else _COMBO_TABLE_B
     row = table[(seed // 2) % 4]
     m = float(prm.get("m", row[0]))
     b = float(prm.get("b", row[1]))
     lam = float(prm.get("lam", row[2]))
     gamma = float(prm.get("gamma", row[3]))
-    a = cmath.exp(1j * math.pi * m)
-    spec = DominantSpec(A=a, b=b, alpha=1.0, gamma=gamma, mu=1.0 - lam, eta=lam, delta=1.0, rho=0.0)
-
-    omega = _effective_schwarz(seed, rho=0.6, c_max=0.88)
-    detail: dict[str, object] = {
-        "m": m,
-        "b": b,
-        "lam": lam,
-        "gamma": gamma,
-        "mode": "identity" if seed % 2 == 0 else "poly",
-    }
-
-    def combo(w: np.ndarray, zdw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        logbase = np.log(1.0 + a * w) - np.log(1.0 - b * w)
-        p = np.exp(gamma * logbase)
-        zdp = gamma * p * (a / (1.0 + a * w) + b / (1.0 - b * w)) * zdw
-        return p, (1.0 - lam) * p + lam * zdp
-
-    if seed % 2 == 0:
-        z = _unit_grid(512)
-        p, e_samples = combo(omega.value(z), z * omega.deriv(z))
-        c = omega.linear_coefficient
-        assert c is not None
-        reference = np.array([operator_dominant(spec, c * zz) for zz in z])
-        scale = 1.0 + float(np.max(np.abs(reference)))
-        identity_gap = float(np.max(np.abs(e_samples - reference))) / scale
-        hypothesis = identity_gap < 1e-9
-        detail["identity_gap"] = identity_gap
-    else:
-        z = _multi_radius_grid()
-        p, e_samples = combo(omega.value(z), z * omega.deriv(z))
-        rho_curve = 0.99
-        clear_curve = _image_disk_clearance(a, -b, rho_curve)
-        sup_omega = float(np.max(np.abs(omega.value(_unit_grid(16384)))))
-        clear_base = _image_disk_clearance(a, -b, sup_omega)
-        curve = _dominant_curve(spec, rho_curve * _unit_grid(_N_SAMPLES))
-        contained, frac = _winding_hypothesis(e_samples, curve)
-        hypothesis = contained and clear_curve > 1e-9 and clear_base > 1e-9
-        detail["contained_fraction"] = frac
-        detail["cut_clearance"] = min(clear_curve, clear_base)
-
-    target = JanowskiParams(a, -b, gamma)
-    try:
-        max_pull = float(np.max(subordination_pullback(p, target)))
-    except BranchUndefinedError:
-        max_pull = math.inf
-    margin = 1.0 - max_pull
-    conclusion = margin >= -1e-4
-    tilt = math.atan2(b * math.sin(math.pi * m), b * math.cos(math.pi * m) + 1.0)
-    detail["max_pullback"] = max_pull
-    detail["tilt"] = tilt
-    return TrialReport("C5.12", seed, hypothesis, conclusion, margin, detail)
+    spec = DominantSpec(
+        A=cmath.exp(1j * math.pi * m), b=b, alpha=1.0, gamma=gamma, mu=1.0 - lam, eta=lam, delta=1.0, rho=0.0
+    )
+    detail = {"m": m, "b": b, "lam": lam, "gamma": gamma, "tilt": tilt_angle(b, m)}
+    return _operator_trial("C5.12", seed, spec, detail)
 
 
 _BRIOT_TABLE = (
@@ -795,7 +700,7 @@ def _trial_first_order(seed: int, prm: dict) -> TrialReport:
     z = _unit_grid(_N_SAMPLES)
     w = omega.value(z)
     zdw = z * omega.deriv(z)
-    logbase = np.log(1.0 + A * w) - np.log(1.0 + B * w)
+    logbase = _log_ratio(A, B, w)
     p = np.exp(alpha * logbase)
     zdp = alpha * p * (A / (1.0 + A * w) - B / (1.0 + B * w)) * zdw
     denom = beta * p + gamma

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMapError, NoRootError, OutOfRangeError, require_finite
+from .errors import DegenerateMapError, NoRootError, OutOfRangeError, require_finite, require_finite_args
 
 # Orientation of the starlike-order chain implied by the inclusion
 # criterion: with target order a1 (A = 1 - 2 a1, B = -1) and source order
@@ -90,6 +90,7 @@ def class_inclusion(
 
 def uralegaddi_radius(A: complex, B: complex, alpha: float, beta2: float) -> float:
     """Radius of membership in the Uralegaddi class Re(z f'/f) < beta2, beta2 > 1."""
+    require_finite_args("uralegaddi_radius", A=A, B=B, alpha=alpha, beta2=beta2)
     A, B = complex(A), complex(B)
     if abs(A - B) <= 1e-12:
         raise DegenerateMapError("A and B must differ")
@@ -101,6 +102,7 @@ def uralegaddi_radius(A: complex, B: complex, alpha: float, beta2: float) -> flo
 
 def reciprocal_radius(A: complex, B: complex, alpha: float, beta2: float) -> float:
     """Radius of reciprocal starlikeness Re(f/(z f')) > beta2, 0 <= beta2 < 1."""
+    require_finite_args("reciprocal_radius", A=A, B=B, alpha=alpha, beta2=beta2)
     A, B = complex(A), complex(B)
     if abs(A - B) <= 1e-12:
         raise DegenerateMapError("A and B must differ")
@@ -147,6 +149,7 @@ def starlike_radius(A: float, B: float, beta: float, method: str = "closed") -> 
     angle equation; the two agree to 1e-9 and both report the smallest
     positive root.
     """
+    require_finite_args("starlike_radius", A=A, B=B, beta=beta)
     if not 0.0 < A <= 1.0:
         raise OutOfRangeError(f"A must lie in (0, 1], got {A}")
     if not -1.0 <= B < 0.0:

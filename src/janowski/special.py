@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     PoleOnBoundaryError,
     require_finite,
+    require_finite_args,
 )
 
 
@@ -53,6 +54,7 @@ def hyper_3f2(
     NoConvergenceError (the series diverges for |x| > 1 and converges
     slowly near |x| = 1).
     """
+    require_finite_args("hyper_3f2", a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, x=x)
     for b in (b1, b2):
         if _near_nonpositive_int(b):
             raise ParameterError(f"lower parameter {b} is a nonpositive integer")
@@ -132,6 +134,7 @@ def kernel_integral(
     antiderivatives; it exists as an independent route, not a fast path,
     so the two can be compared.
     """
+    require_finite_args("kernel_integral", A=A, b=b, alpha=alpha, z=z)
     A = complex(A)
     if not 0.0 <= b <= 1.0:
         raise OutOfRangeError(f"b must lie in [0, 1], got {b}")
@@ -215,21 +218,25 @@ class DominantSpec:
         return complex(self.mu) * complex(self.delta) + complex(self.mu) * complex(self.rho)
 
 
-def operator_dominant(spec: DominantSpec, z: complex) -> complex:
+def operator_dominant(spec: DominantSpec, z) -> complex | np.ndarray:
     """Evaluate the dominant h(z) = Q^(alpha gamma) (mu delta + mu rho Q^gamma
-    + eta gamma (A + b) z / ((1 + A z)(1 - b z))), Q = (1+Az)/(1-bz)."""
-    z = complex(z)
+    + eta gamma (A + b) z / ((1 + A z)(1 - b z))), Q = (1+Az)/(1-bz), at a
+    scalar or a non-empty array z of finite points."""
+    z = np.asarray(z, dtype=complex)
+    if z.size == 0 or not np.isfinite(z).all():
+        raise ParameterError("z must be a non-empty set of finite points")
     num = 1.0 + complex(spec.A) * z
     den = 1.0 - spec.b * z
-    if abs(den) < 1e-14 or abs(num) < 1e-14:
+    if np.min(np.abs(den)) < 1e-14 or np.min(np.abs(num)) < 1e-14:
         raise PoleOnBoundaryError("evaluation point hits a zero or pole of the base map")
-    q_log = cmath.log(num) - cmath.log(den)
+    q_log = np.log(num) - np.log(den)
     bracket = (
         complex(spec.mu) * complex(spec.delta)
-        + complex(spec.mu) * complex(spec.rho) * cmath.exp(spec.gamma * q_log)
+        + complex(spec.mu) * complex(spec.rho) * np.exp(spec.gamma * q_log)
         + complex(spec.eta) * spec.gamma * (complex(spec.A) + spec.b) * z / (num * den)
     )
-    return cmath.exp(spec.alpha * spec.gamma * q_log) * bracket
+    out = np.exp(spec.alpha * spec.gamma * q_log) * bracket
+    return complex(out) if out.ndim == 0 else out
 
 
 def best_dominant(

@@ -170,14 +170,15 @@ class TestExitCodes:
         assert "nope" in err
 
     def test_nan_parameter_is_parameter_failure(self, capsys):
-        code, out, err = run_cli(capsys, "geometry", "image-disk", "--A", "nan", "--B", "0")
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["kind"] == "parameter"
+        for argv in ("geometry image-disk --A nan --B 0", "radius starlike --A 1 --B -1 --beta nan"):
+            code, out, err = run_cli(capsys, *argv.split())
+            assert code == 2
+            assert out == ""
+            assert json.loads(err)["kind"] == "parameter"
 
     def test_non_finite_result_prints_no_json(self, capsys):
-        # a NaN order slips past starlike_radius; strict JSON cannot spell it
-        code, out, err = run_cli(capsys, "radius", "starlike", "--A", "1", "--B", "-1", "--beta", "nan")
+        # |A - B| overflows to inf and the radius to NaN; strict JSON cannot spell it
+        code, out, err = run_cli(capsys, "radius", "uralegaddi", "--A", "1e308", "--B=-1e308", "--beta2", "2")
         assert code == 3
         assert out == ""
         assert json.loads(err)["kind"] == "numerical"

@@ -1,6 +1,7 @@
 """Boundary envelopes of the powered, shifted map: curve sampling, critical
 angles, extreme Re/Im/modulus/argument, and the sector picture."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ from janowski import (
     critical_points,
     empirical_bounds,
     envelope_bounds,
-    im_derivative,
+    image_disk,
     sample_curve,
     sector_image,
     tilt_angle,
@@ -54,9 +55,16 @@ def test_square_root_envelope_endpoints(square_root_case):
 
 
 def test_im_derivative_vanishes_at_interior_critical_angle(square_root_case):
+    # Im w(t)^alpha is stationary at t2, with w(t) = C + R e^{it} the image circle
     p, r = square_root_case
-    c = critical_points(p, r)
-    assert abs(float(im_derivative(p, r, c.t2))) < 1e-8
+    t2 = critical_points(p, r).t2
+    geo = image_disk(p, r)
+
+    def im_power(t: float) -> float:
+        return ((geo.center + geo.radius * cmath.exp(1j * t)) ** p.alpha).imag
+
+    h = 1e-6
+    assert abs(im_power(t2 + h) - im_power(t2 - h)) / (2.0 * h) < 1e-8
 
 
 def test_sample_curve_polar_fields():

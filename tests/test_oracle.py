@@ -6,7 +6,9 @@ satisfies the conclusion by construction, evaluates the hypothesis honestly,
 and is sound exactly when no trial lands hypothesis-true/conclusion-false.
 """
 
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -160,6 +162,19 @@ class TestImplicationTrials:
         assert isinstance(data["hypothesis_holds"], bool)
         assert isinstance(data["conclusion_holds"], bool)
         assert isinstance(data["detail"], dict)
+
+    def test_convex_combination_is_the_operator_trial_specialized(self):
+        # C5.12 is T5.7 at A = e^{i m pi}, alpha = delta = 1, mu = 1 - lam, eta = lam, rho = 0
+        for seed in range(16):
+            combo = implication_trial("C5.12", seed=seed)
+            m, b, lam, gamma = (combo.detail[k] for k in ("m", "b", "lam", "gamma"))
+            spec = dict(A=cmath.exp(1j * math.pi * m), b=b, alpha=1.0, gamma=gamma,
+                        mu=1.0 - lam, eta=lam, delta=1.0, rho=0.0)
+            op = implication_trial("T5.7", params=spec, seed=seed)
+            assert (op.hypothesis_holds, op.conclusion_holds, op.margin) == (
+                combo.hypothesis_holds, combo.conclusion_holds, combo.margin)
+            for key in ("max_pullback", "identity_gap" if seed % 2 == 0 else "contained_fraction"):
+                assert op.detail[key] == combo.detail[key], (seed, key)
 
     def test_reports_are_deterministic(self):
         a = implication_trial("T5.5", seed=12).to_json()

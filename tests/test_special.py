@@ -15,14 +15,19 @@ from janowski import (
     NonCaratheodoryLambdaError,
     OutOfRangeError,
     ParameterError,
+    PoleOnBoundaryError,
     best_dominant,
     eval_powered,
     hyper_3f2,
     kernel_integral,
     macgregor_gamma,
     operator_dominant,
+    reciprocal_radius,
     silverman_inclusion,
+    starlike_radius,
+    uralegaddi_radius,
 )
+from janowski.oracle import _OPERATOR_TABLE_A, _OPERATOR_TABLE_B
 
 LN2 = math.log(2.0)
 
@@ -173,6 +178,58 @@ class TestOperatorDominant:
             DominantSpec(A=1.0, b=1.5, alpha=1.0, gamma=1.0, mu=1.0, eta=1.0, delta=1.0, rho=0.0)
         with pytest.raises(OutOfRangeError):
             DominantSpec(A=1.0, b=1.0, alpha=2.0, gamma=1.0, mu=1.0, eta=1.0, delta=1.0, rho=0.0)
+
+    @pytest.mark.parametrize("row", _OPERATOR_TABLE_A + _OPERATOR_TABLE_B)
+    def test_array_matches_30_digit_evaluation(self, row):
+        mp = pytest.importorskip("mpmath")
+        spec = DominantSpec(*row)
+        z = np.outer([0.0, 0.3, 0.7, 0.95, 0.99], np.exp(2j * np.pi * np.arange(16) / 16)).ravel()
+        got = operator_dominant(spec, z)
+        assert got.shape == z.shape
+        with mp.workdps(30):
+            A, b = mp.mpc(spec.A), mp.mpf(spec.b)
+            mu, eta, delta, rho = (mp.mpc(v) for v in (spec.mu, spec.eta, spec.delta, spec.rho))
+            for zi, gi in zip(z, got):
+                zz = mp.mpc(zi)
+                num, den = 1 + A * zz, 1 - b * zz
+                qlog = mp.log(num) - mp.log(den)
+                bracket = (mu * delta + mu * rho * mp.exp(spec.gamma * qlog)
+                           + eta * spec.gamma * (A + b) * zz / (num * den))
+                want = mp.exp(spec.alpha * spec.gamma * qlog) * bracket
+                assert abs(mp.mpc(gi) - want) <= 1e-12 * abs(want)
+
+    def test_scalar_point_gives_a_complex(self):
+        spec = DominantSpec(*_OPERATOR_TABLE_A[2])
+        assert type(operator_dominant(spec, 0.5)) is complex
+        assert type(operator_dominant(spec, np.complex128(0.5j))) is complex
+
+    def test_pole_anywhere_in_an_array_raises(self):
+        spec = DominantSpec(A=0.5, b=0.8, alpha=1.0, gamma=1.0, mu=1.0, eta=1.0, delta=1.0, rho=0.0)
+        with pytest.raises(PoleOnBoundaryError):
+            operator_dominant(spec, np.array([0.1, 0.2j, 1.0 / 0.8, -0.3]))
+
+
+_SPEC = DominantSpec(A=1.0, b=1.0, alpha=1.0, gamma=1.0, mu=1.0, eta=1.0, delta=1.0, rho=0.0)
+_NON_FINITE_CALLS = {
+    "starlike_radius-beta-nan": (starlike_radius, (1.0, -1.0, math.nan)),
+    "starlike_radius-beta-inf": (starlike_radius, (1.0, -1.0, math.inf)),
+    "uralegaddi_radius-beta2-nan": (uralegaddi_radius, (1.0, -1.0, 1.0, math.nan)),
+    "uralegaddi_radius-alpha-nan": (uralegaddi_radius, (1.0, -1.0, math.nan, 2.0)),
+    "uralegaddi_radius-A-inf": (uralegaddi_radius, (math.inf, -1.0, 1.0, 2.0)),
+    "reciprocal_radius-alpha-nan": (reciprocal_radius, (1.0, -1.0, math.nan, 0.5)),
+    "reciprocal_radius-B-nan": (reciprocal_radius, (1.0, complex(0.0, math.nan), 1.0, 0.5)),
+    "hyper_3f2-x-nan": (hyper_3f2, (1.0, 1.0, 1.0, 2.0, 2.0, math.nan)),
+    "hyper_3f2-a1-inf": (hyper_3f2, (math.inf, 1.0, 1.0, 2.0, 2.0, 0.5)),
+    "kernel_integral-z-nan": (kernel_integral, (1.0, 0.5, 0.5, math.nan)),
+    "kernel_integral-A-nan": (kernel_integral, (complex(math.nan, 0.0), 0.5, 0.5, 0.5)),
+    "operator_dominant-z-nan": (operator_dominant, (_SPEC, math.nan)),
+}
+
+
+@pytest.mark.parametrize("fn, args", _NON_FINITE_CALLS.values(), ids=_NON_FINITE_CALLS.keys())
+def test_non_finite_scalar_arguments_raise(fn, args):
+    with pytest.raises(ParameterError, match="finite"):
+        fn(*args)
 
 
 class TestBestDominant:
