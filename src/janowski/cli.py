@@ -21,6 +21,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
+from ._json import jsonable
 from .envelope import (
     alpha_nesting,
     critical_points,
@@ -32,7 +33,7 @@ from .envelope import (
 )
 from .errors import NumericalError, ParameterError
 from .moebius import JanowskiParams, canonicalize, contains, eval_map, image_disk, origin_position
-from .oracle import THEOREM_IDS, _jsonable, empirical_bounds, implication_trial
+from .oracle import THEOREM_IDS, empirical_bounds, implication_trial
 from .radii import (
     INCLUSION_ORIENTATION_NOTE,
     RadiusProblem,
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
     if oracle is not None:
         envelope["oracle"] = oracle
     try:
-        text = json.dumps(_jsonable(envelope), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(jsonable(envelope), indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         # a NaN or infinity reached the report; strict JSON has no spelling for it
         return _fail(f"non-finite number in the report: {exc}", "numerical", 3)

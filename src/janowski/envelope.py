@@ -42,6 +42,7 @@ from .errors import (
     DegenerateMapError,
     NoConvergenceError,
     OutOfRangeError,
+    require_finite_args,
 )
 from .moebius import JanowskiParams, image_disk
 
@@ -378,6 +379,7 @@ def sector_image(alpha: float, m: float) -> SectorImage:
 def tilt_angle(b: float, m: float) -> float:
     """Tilt lambda with Re(e^{-i lambda} h) > 0 for h subordinate to
     (1 + e^{i m pi} z)/(1 - b z); lambda = arg(1 + b e^{i m pi})."""
+    require_finite_args("tilt_angle", b=b, m=m)
     if not 0.0 <= b <= 1.0:
         raise OutOfRangeError(f"b must lie in [0, 1], got {b}")
     a = cmath.exp(1j * math.pi * m)

@@ -31,6 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.random import Generator, Philox
 
+from ._json import jsonable
 from .envelope import BoundReport, ShiftedView, _unwrapped_turns, sample_curve, tilt_angle
 from .errors import (
     BranchUndefinedError,
@@ -213,24 +214,53 @@ def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol:
     return bool(np.max(subordination_pullback(p_samples, target)) <= r + tol)
 
 
-def _winding_contains(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
-    """Argument-principle membership of points w.r.t. a closed sampled curve.
+_ON_VERTEX = 1e-12  # a point this close to a curve vertex counts as contained
+_PAIR_BLOCK = 1 << 16  # (point, edge) pairs tested at once, bounding the working memory
 
-    A point is inside when the total turning of curve - point exceeds pi
-    (a full loop contributes 2 pi; outside points net to 0).  Points
-    within 1e-12 of the curve count as contained.
+
+def _winding_contains(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """Nonzero-rule membership of the 1-d `points` w.r.t. the closed polygon
+    through the samples `curve`.
+
+    A point is inside when its winding number is nonzero, so a region the
+    curve covers twice (winding 2) is inside too, where an even-odd count
+    would put it outside.  Points within 1e-12 of a curve vertex count as
+    contained; non-finite points are never inside.
+
+    Winding numbers come from signed crossings of the ray from the point to
+    +inf (Hormann and Agathos, "The point in polygon problem for arbitrary
+    polygons", Comput. Geom. 20 (2001)): an upward edge with the point on
+    its left adds 1, a downward edge with the point on its right subtracts
+    1.  Only an edge whose y-range holds the point's y can cross its ray,
+    and |point - vertex| < 1e-12 forces |dy| < 1e-12, so each edge is
+    paired only with the points whose y lies in its y-range widened by
+    twice that tolerance (the factor absorbs rounding at the window ends).
+    With the points sorted by y once, each edge's points are one slice.
     """
+    order = np.argsort(points.imag, kind="stable")
+    pts = points[order]
     nxt = np.roll(curve, -1)
-    flags = np.empty(points.shape, dtype=bool)
-    for lo in range(0, points.size, 128):
-        blk = points[lo : lo + 128, None]
-        d0 = curve[None, :] - blk
-        d1 = nxt[None, :] - blk
-        hit = np.abs(d0).min(axis=1) < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.angle(d1 / d0)
-        total = np.abs(np.nansum(steps, axis=1))
-        flags[lo : lo + 128] = hit | (total > math.pi)
+    y_lo = np.minimum(curve.imag, nxt.imag) - 2.0 * _ON_VERTEX
+    y_hi = np.maximum(curve.imag, nxt.imag) + 2.0 * _ON_VERTEX
+    first = np.searchsorted(pts.imag, y_lo, side="left")
+    count = np.searchsorted(pts.imag, y_hi, side="right") - first
+    ends = np.cumsum(count)  # pair k belongs to the edge e with ends[e-1] <= k < ends[e]
+    shift = first - (ends - count)  # and tests the sorted point k + shift[e]
+    winding = np.zeros(points.size, dtype=np.int64)
+    hit = np.zeros(points.size, dtype=bool)
+    for k0 in range(0, int(ends[-1]), _PAIR_BLOCK):
+        k = np.arange(k0, min(k0 + _PAIR_BLOCK, int(ends[-1])))
+        edge = np.searchsorted(ends, k, side="right")
+        at = k + shift[edge]
+        d0 = curve[edge] - pts[at]
+        d1 = nxt[edge] - pts[at]
+        left = d0.real * d1.imag - d0.imag * d1.real  # > 0: point left of the edge
+        up = (d0.imag <= 0.0) & (d1.imag > 0.0) & (left > 0.0)
+        down = (d1.imag <= 0.0) & (d0.imag > 0.0) & (left < 0.0)
+        winding += np.bincount(at[up], minlength=points.size) - np.bincount(at[down], minlength=points.size)
+        hit[at[np.abs(d0) < _ON_VERTEX]] = True
+    flags = np.empty(points.size, dtype=bool)
+    flags[order] = hit | (winding != 0)
     return flags
 
 
@@ -288,25 +318,6 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
 # trial reports
 
 
-def _jsonable(value):
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        return {"re": c.real, "im": c.imag}
-    if value is None:
-        return None
-    return str(value)
-
-
 @dataclass(frozen=True)
 class TrialReport:
     """Outcome of one randomized implication trial."""
@@ -330,7 +341,7 @@ class TrialReport:
             "hypothesis_holds": bool(self.hypothesis_holds),
             "conclusion_holds": bool(self.conclusion_holds),
             "margin": float(self.margin),
-            "detail": _jsonable(self.detail),
+            "detail": jsonable(self.detail),
         }
         return json.dumps(payload, sort_keys=True)
 

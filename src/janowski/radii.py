@@ -79,6 +79,7 @@ def class_inclusion(
 ) -> bool:
     """Whether every (C, D, beta)-subordinate function is (A, B, alpha)-subordinate
     on the whole disk: beta (|C - D| + |A D - B C|) <= alpha |A - B|."""
+    require_finite_args("class_inclusion", A=A, B=B, alpha=alpha, C=C, D=D, beta=beta)
     A, B, C, D = complex(A), complex(B), complex(C), complex(D)
     if abs(A - B) <= 1e-12 or abs(C - D) <= 1e-12:
         raise DegenerateMapError("class parameters must differ")

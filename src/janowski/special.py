@@ -253,6 +253,7 @@ def best_dominant(
     integral diverges) and lambda must keep positive real part along the
     segment; violations raise NonCaratheodoryLambdaError.
     """
+    require_finite_args("best_dominant", z=z)
     z = complex(z)
     if abs(z) >= 1.0:
         raise OutOfRangeError("z must lie in the open unit disk")
@@ -286,6 +287,7 @@ def best_dominant(
 def silverman_inclusion(A: complex, b: float, alpha: float, beta: float) -> bool:
     """Coefficient criterion placing the operator class inside the bounded-
     turning class: beta (1+b)^(alpha-1) (1+|A|)^(alpha+1) <= alpha |A + b|."""
+    require_finite_args("silverman_inclusion", A=A, b=b, alpha=alpha, beta=beta)
     A = complex(A)
     if not 0.0 <= b <= 1.0:
         raise OutOfRangeError(f"b must lie in [0, 1], got {b}")

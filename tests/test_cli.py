@@ -8,9 +8,9 @@ import math
 import pytest
 
 from janowski import JanowskiParams, envelope_bounds
+from janowski._json import jsonable
 from janowski.cli import ACTIONS, main, parse_angle, parse_complex
 from janowski.errors import ParameterError
-from janowski.oracle import _jsonable
 
 
 def run_cli(capsys, *argv):
@@ -146,7 +146,7 @@ class TestActions:
     def test_complex_gamma_reaches_the_oblique_shift(self, capsys):
         data = report(capsys, "bounds", "envelope", "--A", "0.8", "--B=-0.3", "--alpha", "0.6", "--gamma=0.2i")
         expected = envelope_bounds(JanowskiParams(0.8, -0.3, 0.6, 0.2j), 1.0)
-        assert data["result"] == json.loads(json.dumps(_jsonable(dataclasses.asdict(expected))))
+        assert data["result"] == json.loads(json.dumps(jsonable(dataclasses.asdict(expected))))
         assert data["params"]["gamma"] == {"re": 0.0, "im": 0.2}
 
     def test_verify_trials_sound(self, capsys):

@@ -29,6 +29,8 @@ from janowski import (
     subordination_pullback,
     verify_subordination,
 )
+from janowski import oracle
+from janowski.oracle import _winding_contains
 from tests.conftest import safe_params
 
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
@@ -180,3 +182,83 @@ class TestImplicationTrials:
         a = implication_trial("T5.5", seed=12).to_json()
         b = implication_trial("T5.5", seed=12).to_json()
         assert a == b
+
+
+def _angle_sum_contains(points, curve):
+    """Reference membership: |sum of turning angles of curve - point| > pi,
+    or within 1e-12 of a vertex."""
+    nxt = np.roll(curve, -1)
+    flags = np.empty(points.shape, dtype=bool)
+    for lo in range(0, points.size, 128):
+        blk = points[lo : lo + 128, None]
+        d0 = curve[None, :] - blk
+        d1 = nxt[None, :] - blk
+        hit = np.abs(d0).min(axis=1) < 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.angle(d1 / d0)
+        total = np.abs(np.nansum(steps, axis=1))
+        flags[lo : lo + 128] = hit | (total > math.pi)
+    return flags
+
+
+def _containment_calls(monkeypatch, tid, seed):
+    """The (points, curve) arguments of every containment test one trial makes."""
+    calls = []
+    contains = oracle._winding_contains
+
+    def spy(points, curve):
+        calls.append((points, curve))
+        return contains(points, curve)
+
+    monkeypatch.setattr(oracle, "_winding_contains", spy)
+    implication_trial(tid, seed=seed)
+    return calls
+
+
+class TestWindingContains:
+    # seeds 1, 3, 5, 7 take every row of the poly-mode operator and combination tables
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    @pytest.mark.parametrize("tid", ["T5.7", "C5.12"])
+    def test_poly_mode_trials_match_the_angle_sum(self, monkeypatch, tid, seed):
+        (points, curve), = _containment_calls(monkeypatch, tid, seed)
+        assert np.array_equal(_winding_contains(points, curve), _angle_sum_contains(points, curve))
+
+        rng = np.random.default_rng(seed)
+        lo = np.array([curve.real.min(), curve.imag.min()])
+        span = np.array([curve.real.max(), curve.imag.max()]) - lo
+        box = lo - 0.1 * span + 1.2 * span * rng.random((512, 2))
+        box = box[:, 0] + 1j * box[:, 1]
+        box[:32] = curve[rng.choice(curve.size, 32, replace=False)]  # vertices hit exactly
+        extremes = [curve.imag.argmax(), curve.imag.argmin(), curve.real.argmax(), curve.real.argmin()]
+        box[32:36] = curve[extremes] + np.array([5e-13j, -5e-13j, 5e-13, -5e-13])  # just outside, within 1e-12
+        got = _winding_contains(box, curve)
+        assert np.array_equal(got, _angle_sum_contains(box, curve))
+        assert got[:36].all() and got[36:].any() and not got.all()
+
+    def test_doubly_covered_loop_is_inside(self):
+        # the inner loop of the limacon (1 + 2 cos t) e^{it} has winding number 2,
+        # which an even-odd count would put outside
+        t = 2.0 * np.pi * np.arange(4096) / 4096
+        curve = (1.0 + 2.0 * np.cos(t)) * np.exp(1j * t)
+        points = np.array([0.5, 0.3 + 0.1j, 2.0, 1.5 - 1.0j, -0.5, 3.5, 1.0 + 2.0j])
+        got = _winding_contains(points, curve)
+        assert got.tolist() == [True, True, True, True, False, False, False]
+        assert np.array_equal(got, _angle_sum_contains(points, curve))
+
+    def test_pairs_beyond_one_block_match_the_angle_sum(self):
+        # every edge of this zigzag straddles every point: 512 x 256 pairs, two blocks
+        j = np.arange(512)
+        curve = j / 512 + 1j * np.where(j % 2 == 0, 1.0, -1.0)
+        rng = np.random.default_rng(0)
+        points = rng.random(256) + 0.99j * (2.0 * rng.random(256) - 1.0)
+        got = _winding_contains(points, curve)
+        assert np.array_equal(got, _angle_sum_contains(points, curve))
+        assert got.any() and not got.all()
+
+    def test_nan_points_are_outside(self):
+        t = 2.0 * np.pi * np.arange(256) / 256
+        curve = np.exp(1j * t)
+        points = np.array([complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.nan), 0.0])
+        got = _winding_contains(points, curve)
+        assert got.tolist() == [False, False, False, True]
+        assert np.array_equal(got, _angle_sum_contains(points, curve))

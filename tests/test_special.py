@@ -17,6 +17,7 @@ from janowski import (
     ParameterError,
     PoleOnBoundaryError,
     best_dominant,
+    class_inclusion,
     eval_powered,
     hyper_3f2,
     kernel_integral,
@@ -25,6 +26,7 @@ from janowski import (
     reciprocal_radius,
     silverman_inclusion,
     starlike_radius,
+    tilt_angle,
     uralegaddi_radius,
 )
 from janowski.oracle import _OPERATOR_TABLE_A, _OPERATOR_TABLE_B
@@ -102,6 +104,32 @@ class TestKernelIntegral:
         A, b, alpha, z = 0.8, 0.5, 0.5, 1e-3
         got = kernel_integral(A, b, alpha, z)
         assert abs(got - (z + alpha * (A + b) * z * z / 2.0)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "A,b,alpha,z",
+        [
+            (1.0, 0.5, 0.5, -0.99),  # the segment runs to 0.01 from the zero of 1 + A t
+            (0.8, 1.0, 0.3, 0.9),  # and to 0.1 from the pole of 1/(1 - b t)
+            (0.5 + 0.3j, 0.7, 0.75, 0.4 + 0.5j),
+            (-0.6j, 0.0, 0.25, -0.8 + 0.3j),
+        ],
+    )
+    def test_fractional_power_matches_25_digit_quadrature(self, A, b, alpha, z):
+        mp = pytest.importorskip("mpmath")
+        got = kernel_integral(A, b, alpha, z)
+        with mp.workdps(25):
+            A_, b_, z_ = mp.mpc(A), mp.mpf(b), mp.mpc(z)
+
+            def rate(t):
+                return mp.expm1(alpha * (mp.log(1 + A_ * t) - mp.log(1 - b_ * t))) / t
+
+            def unit(f):
+                # int_0^1 f(s) ds with s = 1 - v^2, which keeps Gauss-Legendre
+                # converging fast when a singularity sits just beyond s = 1
+                return mp.quad(lambda v: 2 * v * f(1 - v * v), [0, 1], method="gauss-legendre")
+
+            want = complex(z_ * unit(lambda s: mp.exp(s * z_ * unit(lambda u: rate(u * s * z_)))))
+        assert abs(got - want) < 1e-10
 
     def test_domain_respects_pole(self):
         with pytest.raises(OutOfRangeError):
@@ -223,6 +251,10 @@ _NON_FINITE_CALLS = {
     "kernel_integral-z-nan": (kernel_integral, (1.0, 0.5, 0.5, math.nan)),
     "kernel_integral-A-nan": (kernel_integral, (complex(math.nan, 0.0), 0.5, 0.5, 0.5)),
     "operator_dominant-z-nan": (operator_dominant, (_SPEC, math.nan)),
+    "silverman_inclusion-A-nan": (silverman_inclusion, (math.nan, 0.5, 1.0, 0.3)),
+    "class_inclusion-A-nan": (class_inclusion, (math.nan, 0.0, 1.0, 1.0, -1.0, 1.0)),
+    "tilt_angle-m-nan": (tilt_angle, (0.5, math.nan)),
+    "best_dominant-z-nan": (best_dominant, (lambda t: 1.0 + t, lambda t: 1.0, math.nan)),
 }
 
 
