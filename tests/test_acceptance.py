@@ -6,6 +6,7 @@ assertions clear, so the tee'd run doubles as the acceptance report."""
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from janowski import (
 )
 
 LN2 = math.log(2.0)
+GOLDEN_TRIALS = Path(__file__).parent / "golden" / "trials.jsonl"
 
 
 def _announce(label: str, detail: str) -> None:
@@ -147,7 +149,9 @@ def test_criterion_6_starlike_radius_grid():
 
 
 def test_criterion_7_implication_trials():
-    """>= 350 randomized trials with zero hypothesis-true/conclusion-false."""
+    """>= 350 randomized trials with zero hypothesis-true/conclusion-false,
+    each report byte-identical to its line in the golden corpus."""
+    golden = GOLDEN_TRIALS.read_text().splitlines()
     start = time.perf_counter()
     total = 0
     fired = 0
@@ -155,12 +159,14 @@ def test_criterion_7_implication_trials():
     for tid in THEOREM_IDS:
         for seed in range(50):
             rep = implication_trial(tid, seed=seed)
+            assert rep.to_json() == golden[total], f"{tid} seed {seed} differs from {GOLDEN_TRIALS.name}"
             total += 1
             fired += rep.hypothesis_holds
             if not rep.sound:
                 unsound.append((tid, seed))
     elapsed = time.perf_counter() - start
     assert total >= 350
+    assert total == len(golden)
     assert not unsound, f"unsound trials: {unsound}"
     _announce(
         "criterion 7",
