@@ -81,10 +81,11 @@ def invert_powered(p: JanowskiParams, w) -> np.ndarray:
     """Preimage of candidate values under the powered, shifted map:
     w -> (w~ - 1)/(A - B w~) with w~ = ((w - gamma)/(1 - gamma))^(1/alpha)."""
     w = (np.asarray(w, dtype=complex) - p.gamma) / (1.0 - p.gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wt = np.exp(np.log(w) / p.alpha)
-    wt = np.where(np.abs(w) == 0.0, 0.0, wt)
-    return (wt - 1.0) / (p.A - p.B * wt)
+    if p.alpha != 1.0:  # the power 1 is the identity, kept exact
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wt = np.exp(np.log(w) / p.alpha)
+        w = np.where(np.abs(w) == 0.0, 0.0, wt)
+    return (w - 1.0) / (p.A - p.B * w)
 
 
 def _branch_guard(p: JanowskiParams, r: float) -> None:

@@ -16,6 +16,11 @@ Honesty conventions used throughout:
   was built, via the inverse map of the claimed dominant.
 * Reports are plain data with one-line JSON serialization so long runs
   can be streamed and audited.
+
+Trial contract: a trial samples its test function through
+`_effective_schwarz` and returns only its evidence, the tuple
+(hypothesis, conclusion, margin, detail); `implication_trial` records the
+sampling mode in `detail` and builds the one `TrialReport`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from numpy.polynomial import polynomial as npoly
 from numpy.random import Generator, Philox
 
 from ._json import jsonable
-from .envelope import BoundReport, ShiftedView, _unwrapped_turns, sample_curve, tilt_angle
+from .envelope import BoundReport, ShiftedView, _unwrapped_turns, invert_powered, sample_curve, tilt_angle
 from .errors import (
     BranchUndefinedError,
     InvalidTheoremIdError,
@@ -55,6 +60,7 @@ __all__ = [
 ]
 
 _HEADROOM = 1.0 - 1e-6
+_N_SAMPLES = 4096  # unit-grid points on which a trial samples its test function
 _SAFETY = 1e-5  # interior margin a sampled supremum must clear before a claim
 _GRID_CACHE: dict[int, np.ndarray] = {}
 
@@ -163,16 +169,24 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     return SchwarzPoly(tuple(coef), _HEADROOM / peak)
 
 
-def _effective_schwarz(seed: int, rho: float, c_max: float) -> SchwarzPoly:
-    """Trial test function: even seeds take a rotation-dilation (exact
-    identities available), odd seeds a dilated random polynomial."""
+def _effective_schwarz(
+    seed: int, rho: float, c_max: float, z: np.ndarray | None = None
+) -> tuple[SchwarzPoly, np.ndarray, np.ndarray, np.ndarray]:
+    """Trial test function omega with its samples (omega, z, omega(z), z omega'(z))
+    on the grid z, by default the unit grid.  Even seeds take a rotation-
+    dilation (exact identities available), odd seeds a dilated random
+    polynomial."""
     rng = Generator(Philox(key=[seed, 2]))
     if seed % 2 == 0:
         u, v = rng.random(2)
         c = c_max * (0.25 + 0.75 * u) * cmath.exp(2j * math.pi * v)
-        return SchwarzPoly.scaled_identity(c)
-    degree = 2 + int(rng.random() * 12.0)
-    return random_schwarz(seed, degree).dilated(rho)
+        omega = SchwarzPoly.scaled_identity(c)
+    else:
+        degree = 2 + int(rng.random() * 12.0)
+        omega = random_schwarz(seed, degree).dilated(rho)
+    if z is None:
+        z = _unit_grid(_N_SAMPLES)
+    return omega, z, omega.value(z), z * omega.deriv(z)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +194,19 @@ def _effective_schwarz(seed: int, rho: float, c_max: float) -> SchwarzPoly:
 
 
 def subordination_pullback(w, target: JanowskiParams) -> np.ndarray:
-    """Moduli of the inverse powered map of `target` at the points w.
+    """Moduli of the inverse powered map of `target` (`invert_powered`) at
+    the points w.
 
     Values <= 1 certify membership in the image of the unit disk.  Points
     that land on the branch cut of the outer root raise BranchUndefined;
     points swallowed by the pole of the inverse come back as inf.
     """
     ws = np.atleast_1d(np.asarray(w, dtype=complex))
-    g = complex(target.gamma)
-    base = (ws - g) / (1.0 - g)
+    base = (ws - target.gamma) / (1.0 - target.gamma)
     if np.any((base.real <= 0.0) & (base.imag == 0.0)):
         raise BranchUndefinedError("sample on the branch cut of the inverse power")
-    if target.alpha == 1.0:
-        tilde = base
-    else:
-        tilde = np.exp(np.log(base) / target.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.abs((tilde - 1.0) / (complex(target.A) - complex(target.B) * tilde))
+        q = np.abs(invert_powered(target, ws))
     return np.where(np.isfinite(q), q, np.inf)
 
 
@@ -355,17 +365,27 @@ class TrialReport:
 # expression honestly on a boundary grid.  A sound implication can therefore
 # never produce hypothesis-true/conclusion-false; a buggy formula anywhere in
 # the chain shows up as exactly that pattern.
+#
+# A trial returns its evidence (hypothesis, conclusion, margin, detail);
+# `implication_trial` adds the sampling mode to `detail` and builds the report.
 
-_N_SAMPLES = 4096
+_Evidence = tuple[bool, bool, float, dict]
 
 
-def _log_ratio(A: complex, B: complex, w: np.ndarray) -> np.ndarray:
+def _log_ratio(A: complex, B: complex, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(1 + A w) - log(1 + B w), a log of (1 + A w)/(1 + B w) that stays
-    principal for |arg| < pi."""
-    return np.log(1.0 + A * w) - np.log(1.0 + B * w)
+    principal for |arg| < pi, and its w-derivative A/(1 + A w) - B/(1 + B w)."""
+    num = 1.0 + A * w
+    den = 1.0 + B * w
+    return np.log(num) - np.log(den), A / num - B / den
 
 
-def _trial_ratio_sector(seed: int, prm: dict) -> TrialReport:
+def _max_pullback(p: np.ndarray, A: complex, B: complex, alpha: float) -> float:
+    """Largest pullback modulus of the samples p under ((1 + A z)/(1 + B z))^alpha."""
+    return float(np.max(subordination_pullback(p, JanowskiParams(A, B, alpha))))
+
+
+def _trial_ratio_sector(seed: int, prm: dict) -> _Evidence:
     """Sector transfer for quotients: derivative-quotient sector bound forces
     the function-quotient sector bound, with the comparison pole drawn at
     random inside an annulus."""
@@ -377,14 +397,11 @@ def _trial_ratio_sector(seed: int, prm: dict) -> TrialReport:
     cg = complex(prm.get("g_pole", default_pole))
     beta = float(prm.get("beta", 0.98 * (1.0 - abs(cg))))
 
-    omega = _effective_schwarz(seed, rho=0.2, c_max=0.25)
-    z = _unit_grid(_N_SAMPLES)
-    w = omega.value(z)
-    zdw = z * omega.deriv(z)
+    _, z, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
     a = cmath.exp(1j * math.pi * m)
-    logbase = _log_ratio(a, -1.0, w)
+    logbase, dlog = _log_ratio(a, -1.0, w)
     p = np.exp(alpha * logbase)
-    zdp = alpha * p * (a / (1.0 + a * w) + 1.0 / (1.0 - w)) * zdw
+    zdp = alpha * p * dlog * zdw
     gratio = 1.0 - cg * z  # g/(z g') for the comparison g(z) = z/(1 - cg z)
     quotient = p + zdp * gratio  # f'/g' when f = g p
 
@@ -405,30 +422,21 @@ def _trial_ratio_sector(seed: int, prm: dict) -> TrialReport:
     con_lo = -alpha * (1.0 - m) * math.pi / 2.0
     con_hi = alpha * (1.0 + m) * math.pi / 2.0
     con_margin = _sector_margin(alpha * logbase.imag, con_lo, con_hi)
-    target = JanowskiParams(a, -1.0, alpha)
-    max_pull = float(np.max(subordination_pullback(p, target)))
+    max_pull = _max_pullback(p, a, -1.0, alpha)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return TrialReport(
-        "T3.3",
-        seed,
-        hypothesis,
-        conclusion,
-        con_margin,
-        {
-            "alpha": alpha,
-            "m": m,
-            "beta": beta,
-            "g_pole": cg,
-            "mode": "identity" if seed % 2 == 0 else "poly",
-            "mu1": mu1,
-            "mu2": mu2,
-            "hyp_margin": hyp_margin,
-            "max_pullback": max_pull,
-        },
-    )
+    return hypothesis, conclusion, con_margin, {
+        "alpha": alpha,
+        "m": m,
+        "beta": beta,
+        "g_pole": cg,
+        "mu1": mu1,
+        "mu2": mu2,
+        "hyp_margin": hyp_margin,
+        "max_pullback": max_pull,
+    }
 
 
-def _trial_weighted_sector(seed: int, prm: dict) -> TrialReport:
+def _trial_weighted_sector(seed: int, prm: dict) -> _Evidence:
     """Sector transfer for the weighted product p^a (1 + lambda z p'/p)^g."""
     alpha = float(prm.get("alpha", (0.5, 0.8, 1.0)[seed % 3]))
     beta = float(prm.get("beta", (0.45, 0.7, 1.0)[(seed // 3) % 3]))
@@ -443,15 +451,11 @@ def _trial_weighted_sector(seed: int, prm: dict) -> TrialReport:
     eta = float(prm.get("eta", 0.999 * eta_infimum(lam, beta)))
     sp = weighted_sector_params(alpha, beta, gamma, m, eta)
 
-    omega = _effective_schwarz(seed, rho=0.35, c_max=0.5)
-    z = _unit_grid(_N_SAMPLES)
-    w = omega.value(z)
-    zdw = z * omega.deriv(z)
+    _, z, w, zdw = _effective_schwarz(seed, rho=0.35, c_max=0.5)
     a = cmath.exp(1j * math.pi * m)
-    logbase = _log_ratio(a, -1.0, w)
+    logbase, dlog = _log_ratio(a, -1.0, w)
     # z p'/p for p = base^beta, evaluated without forming p first
-    zlogd = (a / (1.0 + a * w) + 1.0 / (1.0 - w)) * zdw
-    x = lam(z) * beta * zlogd
+    x = lam(z) * beta * (dlog * zdw)
     shifted = 1.0 + x
     safe = bool(np.all(shifted.real > 0.0))
     arg_expr = alpha * beta * logbase.imag + gamma * np.angle(shifted)
@@ -459,30 +463,21 @@ def _trial_weighted_sector(seed: int, prm: dict) -> TrialReport:
     hypothesis = safe and hyp_margin > _SAFETY
 
     con_margin = _sector_margin(beta * logbase.imag, -beta * (1.0 - m) * math.pi / 2.0, beta * (1.0 + m) * math.pi / 2.0)
-    target = JanowskiParams(a, -1.0, beta)
-    max_pull = float(np.max(subordination_pullback(np.exp(beta * logbase), target)))
+    max_pull = _max_pullback(np.exp(beta * logbase), a, -1.0, beta)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return TrialReport(
-        "T3.6",
-        seed,
-        hypothesis,
-        conclusion,
-        con_margin,
-        {
-            "alpha": alpha,
-            "beta": beta,
-            "gamma": gamma,
-            "m": m,
-            "eta": eta,
-            "mode": "identity" if seed % 2 == 0 else "poly",
-            "delta": sp.delta,
-            "hyp_margin": hyp_margin,
-            "max_pullback": max_pull,
-        },
-    )
+    return hypothesis, conclusion, con_margin, {
+        "alpha": alpha,
+        "beta": beta,
+        "gamma": gamma,
+        "m": m,
+        "eta": eta,
+        "delta": sp.delta,
+        "hyp_margin": hyp_margin,
+        "max_pullback": max_pull,
+    }
 
 
-def _trial_inverse_coefficient(seed: int, prm: dict) -> TrialReport:
+def _trial_inverse_coefficient(seed: int, prm: dict) -> _Evidence:
     """Coefficient-criterion inclusion: small z p'/p^2 plus the printed
     parameter inequality force the powered tilted-disk bound."""
     A = complex(prm.get("A", (1.0, 0.85, 0.5 + 0.3j, 0.65 - 0.25j)[seed % 4]))
@@ -491,42 +486,28 @@ def _trial_inverse_coefficient(seed: int, prm: dict) -> TrialReport:
     cap = alpha * abs(A + b) / ((1.0 + b) ** (alpha - 1.0) * (1.0 + abs(A)) ** (alpha + 1.0))
     beta = float(prm.get("beta", 0.98 * min(1.0, cap)))
 
-    omega = _effective_schwarz(seed, rho=0.2, c_max=0.25)
-    z = _unit_grid(_N_SAMPLES)
-    w = omega.value(z)
-    zdw = z * omega.deriv(z)
-    logbase = _log_ratio(A, -b, w)
+    _, _, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
+    logbase, dlog = _log_ratio(A, -b, w)
     p = np.exp(alpha * logbase)
-    ratio = alpha * (A / (1.0 + A * w) + b / (1.0 - b * w)) * zdw  # z p'/p
-    coeff = ratio / p  # z p'/p^2
+    coeff = alpha * dlog * zdw / p  # z p'/p^2
     criterion = silverman_inclusion(A, b, alpha, beta)
     sup_coeff = float(np.max(np.abs(coeff)))
     hypothesis = criterion and sup_coeff < beta * _HEADROOM
 
-    target = JanowskiParams(A, -b, alpha)
-    max_pull = float(np.max(subordination_pullback(p, target)))
+    max_pull = _max_pullback(p, A, -b, alpha)
     margin = 1.0 - max_pull
-    conclusion = margin >= -1e-4
-    return TrialReport(
-        "T5.4",
-        seed,
-        hypothesis,
-        conclusion,
-        margin,
-        {
-            "A": A,
-            "b": b,
-            "alpha": alpha,
-            "beta": beta,
-            "mode": "identity" if seed % 2 == 0 else "poly",
-            "criterion": criterion,
-            "sup_coefficient": sup_coeff,
-            "max_pullback": max_pull,
-        },
-    )
+    return hypothesis, margin >= -1e-4, margin, {
+        "A": A,
+        "b": b,
+        "alpha": alpha,
+        "beta": beta,
+        "criterion": criterion,
+        "sup_coefficient": sup_coeff,
+        "max_pullback": max_pull,
+    }
 
 
-def _trial_reciprocal_sector(seed: int, prm: dict) -> TrialReport:
+def _trial_reciprocal_sector(seed: int, prm: dict) -> _Evidence:
     """Reciprocal-order criterion: a small-derivative affine part pins the
     argument of p inside the arcsine sector."""
     order = float(prm.get("order", (0.0, 0.25, 0.5)[seed % 3]))
@@ -534,10 +515,7 @@ def _trial_reciprocal_sector(seed: int, prm: dict) -> TrialReport:
     beta = float(prm.get("beta", kappa * (1.0 - order)))
     coef = beta / (1.0 - order)
 
-    omega = _effective_schwarz(seed, rho=0.6, c_max=0.9)
-    z = _unit_grid(_N_SAMPLES)
-    w = omega.value(z)
-    zdw = z * omega.deriv(z)
+    _, _, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.9)
     p = 1.0 + coef * w
     sup_deriv = float(np.max(np.abs((1.0 - order) * coef * zdw)))
     inverse_part = np.abs(order + (1.0 - order) * p)
@@ -545,24 +523,15 @@ def _trial_reciprocal_sector(seed: int, prm: dict) -> TrialReport:
 
     half_angle = reciprocal_order_sector(order, beta) * math.pi / 2.0
     con_margin = half_angle - float(np.max(np.abs(np.angle(p))))
-    target = JanowskiParams(coef, 0.0, 1.0)
-    max_pull = float(np.max(subordination_pullback(p, target)))
+    max_pull = _max_pullback(p, coef, 0.0, 1.0)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return TrialReport(
-        "T5.5",
-        seed,
-        hypothesis,
-        conclusion,
-        con_margin,
-        {
-            "order": order,
-            "beta": beta,
-            "mode": "identity" if seed % 2 == 0 else "poly",
-            "sup_derivative": sup_deriv,
-            "half_angle": half_angle,
-            "max_pullback": max_pull,
-        },
-    )
+    return hypothesis, conclusion, con_margin, {
+        "order": order,
+        "beta": beta,
+        "sup_derivative": sup_deriv,
+        "half_angle": half_angle,
+        "max_pullback": max_pull,
+    }
 
 
 _OPERATOR_TABLE_A = (
@@ -581,32 +550,25 @@ _OPERATOR_TABLE_B = (
 )
 
 
-def _operator_samples(spec: DominantSpec, w: np.ndarray, zdw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, E) for the first-order operator E = mu p^a (d + r p) + eta z p' p^(a-1)."""
-    A = complex(spec.A)
-    logbase = _log_ratio(A, -spec.b, w)
-    p = np.exp(spec.gamma * logbase)
-    zdp = spec.gamma * p * (A / (1.0 + A * w) + spec.b / (1.0 - spec.b * w)) * zdw
-    p_alpha = np.exp(spec.alpha * spec.gamma * logbase)
-    p_alpha_m1 = np.exp((spec.alpha - 1.0) * spec.gamma * logbase)
-    e = complex(spec.mu) * p_alpha * (complex(spec.delta) + complex(spec.rho) * p) + complex(spec.eta) * zdp * p_alpha_m1
-    return p, e
-
-
-def _operator_trial(theorem_id: str, seed: int, spec: DominantSpec, detail: dict) -> TrialReport:
+def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     """First-order operator subordination against its exact dominant.
 
-    Even seeds use w(z) = c z, for which the operator image of the base
-    power IS the dominant composed with c z; the trial then checks that
-    exact identity through the standalone dominant evaluator.  Odd seeds
-    use a genuine polynomial Schwarz function and fall back to a winding
-    count against the sampled dominant curve.  `detail` holds the calling
-    id's own parameters; the trial adds its evidence to it.
+    The operator is E = mu p^a (d + r p) + eta z p' p^(a-1) on the base power
+    p.  Even seeds use w(z) = c z, for which E IS the dominant composed with
+    c z; the trial then checks that exact identity through the standalone
+    dominant evaluator.  Odd seeds use a genuine polynomial Schwarz function
+    and fall back to a winding count against the sampled dominant curve.
+    `detail` holds the calling id's own parameters; the trial adds its
+    evidence to it.
     """
-    omega = _effective_schwarz(seed, rho=0.6, c_max=0.88)
-    detail["mode"] = "identity" if seed % 2 == 0 else "poly"
     z = _unit_grid(512) if seed % 2 == 0 else np.concatenate([r * _unit_grid(512) for r in (0.35, 0.65, 0.9, 1.0)])
-    p, e_samples = _operator_samples(spec, omega.value(z), z * omega.deriv(z))
+    omega, z, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.88, z=z)
+    logbase, dlog = _log_ratio(complex(spec.A), -spec.b, w)
+    p = np.exp(spec.gamma * logbase)
+    zdp = spec.gamma * p * dlog * zdw
+    p_alpha = np.exp(spec.alpha * spec.gamma * logbase)
+    p_alpha_m1 = np.exp((spec.alpha - 1.0) * spec.gamma * logbase)
+    e_samples = complex(spec.mu) * p_alpha * (complex(spec.delta) + complex(spec.rho) * p) + complex(spec.eta) * zdp * p_alpha_m1
     if seed % 2 == 0:
         reference = operator_dominant(spec, omega.linear_coefficient * z)
         scale = 1.0 + float(np.max(np.abs(reference)))
@@ -624,17 +586,16 @@ def _operator_trial(theorem_id: str, seed: int, spec: DominantSpec, detail: dict
         detail["contained_fraction"] = float(np.mean(contained))
         detail["cut_clearance"] = clearance
 
-    target = JanowskiParams(spec.A, -spec.b, spec.gamma)
     try:
-        max_pull = float(np.max(subordination_pullback(p, target)))
+        max_pull = _max_pullback(p, spec.A, -spec.b, spec.gamma)
     except BranchUndefinedError:
         max_pull = math.inf
     margin = 1.0 - max_pull
     detail["max_pullback"] = max_pull
-    return TrialReport(theorem_id, seed, hypothesis, margin >= -1e-4, margin, detail)
+    return hypothesis, margin >= -1e-4, margin, detail
 
 
-def _trial_operator_dominant(seed: int, prm: dict) -> TrialReport:
+def _trial_operator_dominant(seed: int, prm: dict) -> _Evidence:
     """T5.7: the operator trial on a seed-chosen row of the operator tables."""
     table = _OPERATOR_TABLE_A if seed % 2 == 0 else _OPERATOR_TABLE_B
     row = table[(seed // 2) % 4]
@@ -648,7 +609,7 @@ def _trial_operator_dominant(seed: int, prm: dict) -> TrialReport:
         delta=complex(prm.get("delta", row[6])),
         rho=complex(prm.get("rho", row[7])),
     )
-    return _operator_trial("T5.7", seed, spec, asdict(spec))
+    return _operator_trial(seed, spec, asdict(spec))
 
 
 _COMBO_TABLE_A = (
@@ -666,7 +627,7 @@ _COMBO_TABLE_B = (
 )
 
 
-def _trial_convex_combination(seed: int, prm: dict) -> TrialReport:
+def _trial_convex_combination(seed: int, prm: dict) -> _Evidence:
     """C5.12: the affine combination (1-l) p + l z p', which is the operator
     trial at A = e^{i m pi}, alpha = delta = 1, mu = 1 - l, eta = l, rho = 0."""
     table = _COMBO_TABLE_A if seed % 2 == 0 else _COMBO_TABLE_B
@@ -679,7 +640,7 @@ def _trial_convex_combination(seed: int, prm: dict) -> TrialReport:
         A=cmath.exp(1j * math.pi * m), b=b, alpha=1.0, gamma=gamma, mu=1.0 - lam, eta=lam, delta=1.0, rho=0.0
     )
     detail = {"m": m, "b": b, "lam": lam, "gamma": gamma, "tilt": tilt_angle(b, m)}
-    return _operator_trial("C5.12", seed, spec, detail)
+    return _operator_trial(seed, spec, detail)
 
 
 _BRIOT_TABLE = (
@@ -691,7 +652,7 @@ _BRIOT_TABLE = (
 )
 
 
-def _trial_first_order(seed: int, prm: dict) -> TrialReport:
+def _trial_first_order(seed: int, prm: dict) -> _Evidence:
     """Weighted first-order perturbation p + lambda z p'/(beta p + gamma)
     subordinate to the powered bilinear map implies the same for p."""
     row = _BRIOT_TABLE[seed % 4]
@@ -707,50 +668,35 @@ def _trial_first_order(seed: int, prm: dict) -> TrialReport:
     )
     lam = prm.get("weight", weights[(seed // 4) % 3])
 
-    omega = _effective_schwarz(seed, rho=0.3, c_max=0.45)
-    z = _unit_grid(_N_SAMPLES)
-    w = omega.value(z)
-    zdw = z * omega.deriv(z)
-    logbase = _log_ratio(A, B, w)
+    _, z, w, zdw = _effective_schwarz(seed, rho=0.3, c_max=0.45)
+    logbase, dlog = _log_ratio(A, B, w)
     p = np.exp(alpha * logbase)
-    zdp = alpha * p * (A / (1.0 + A * w) - B / (1.0 + B * w)) * zdw
+    zdp = alpha * p * dlog * zdw
     denom = beta * p + gamma
     denom_clear = float(np.min(np.abs(denom)))
     e_samples = p + lam(z) * zdp / denom
 
-    target = JanowskiParams(A, B, alpha)
     try:
-        hyp_pull = float(np.max(subordination_pullback(e_samples, target)))
-        hyp_cut = False
+        hyp_pull = _max_pullback(e_samples, A, B, alpha)
     except BranchUndefinedError:
         hyp_pull = math.inf
-        hyp_cut = True
-    hypothesis = (not hyp_cut) and hyp_pull <= _HEADROOM and denom_clear > 1e-9
+    hypothesis = hyp_pull <= _HEADROOM and denom_clear > 1e-9
 
-    max_pull = float(np.max(subordination_pullback(p, target)))
+    max_pull = _max_pullback(p, A, B, alpha)
     margin = 1.0 - max_pull
-    conclusion = margin >= -1e-4
-    return TrialReport(
-        "T5.10",
-        seed,
-        hypothesis,
-        conclusion,
-        margin,
-        {
-            "A": A,
-            "B": B,
-            "alpha": alpha,
-            "beta": beta,
-            "gamma": gamma,
-            "mode": "identity" if seed % 2 == 0 else "poly",
-            "hyp_pullback": hyp_pull,
-            "denominator_clearance": denom_clear,
-            "max_pullback": max_pull,
-        },
-    )
+    return hypothesis, margin >= -1e-4, margin, {
+        "A": A,
+        "B": B,
+        "alpha": alpha,
+        "beta": beta,
+        "gamma": gamma,
+        "hyp_pullback": hyp_pull,
+        "denominator_clearance": denom_clear,
+        "max_pullback": max_pull,
+    }
 
 
-_TRIALS: dict[str, Callable[[int, dict], TrialReport]] = {
+_TRIALS: dict[str, Callable[[int, dict], _Evidence]] = {
     "T3.3": _trial_ratio_sector,
     "T3.6": _trial_weighted_sector,
     "T5.4": _trial_inverse_coefficient,
@@ -775,4 +721,7 @@ def implication_trial(theorem_id: str, params: Mapping[str, object] | None = Non
         raise InvalidTheoremIdError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(_TRIALS)}")
     if seed < 0:
         raise OutOfRangeError(f"seed must be nonnegative, got {seed}")
-    return fn(int(seed), dict(params or {}))
+    seed = int(seed)
+    hypothesis, conclusion, margin, detail = fn(seed, dict(params or {}))
+    detail["mode"] = "identity" if seed % 2 == 0 else "poly"
+    return TrialReport(theorem_id, seed, hypothesis, conclusion, margin, detail)
