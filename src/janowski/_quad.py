@@ -15,6 +15,7 @@ import numpy as np
 from .errors import QuadratureFailureError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_DEPTH = 60  # bisection depth at which a failing panel raises
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -35,13 +36,12 @@ def adaptive_gauss(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> complex:
     """Integrate a vectorized complex integrand over the real interval [a, b].
 
     The error estimate on each panel is |GL(20) - GL(10)|; panels failing
     a depth-scaled share of `tol` are bisected. Raises
-    QuadratureFailureError if any panel reaches `max_depth` still failing.
+    QuadratureFailureError if any panel reaches depth 60 still failing.
     """
 
     def recurse(lo: float, hi: float, depth: int) -> complex:
@@ -49,7 +49,7 @@ def adaptive_gauss(
         fine = _panel(f, lo, hi, 20)
         if abs(fine - coarse) <= tol * max(1.0, 0.5 ** depth):
             return fine
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureFailureError(
                 f"panel [{lo}, {hi}] failed tolerance {tol} at depth {depth}"
             )

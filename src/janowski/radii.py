@@ -89,27 +89,44 @@ def class_inclusion(
     return beta * (abs(C - D) + abs(A * D - B * C)) <= alpha * abs(A - B) + 1e-12
 
 
+def _scaled_pair(A: complex, B: complex) -> tuple[complex, complex, int]:
+    """(A 2^-e, B 2^-e, e) for the least e >= 0 that brings every real and
+    imaginary part of A and B to at most 1 in modulus.
+
+    A radius quotient divided through by 2^e cannot overflow in |A - B|,
+    and as the scale is a power of two the quotient keeps its last bit
+    wherever the unscaled one is finite."""
+    A, B = complex(A), complex(B)
+    m = max(abs(A.real), abs(A.imag), abs(B.real), abs(B.imag))
+    e = math.frexp(m)[1] if m > 1.0 else 0
+    return (
+        complex(math.ldexp(A.real, -e), math.ldexp(A.imag, -e)),
+        complex(math.ldexp(B.real, -e), math.ldexp(B.imag, -e)),
+        e,
+    )
+
+
 def uralegaddi_radius(A: complex, B: complex, alpha: float, beta2: float) -> float:
     """Radius of membership in the Uralegaddi class Re(z f'/f) < beta2, beta2 > 1."""
     require_finite_args("uralegaddi_radius", A=A, B=B, alpha=alpha, beta2=beta2)
-    A, B = complex(A), complex(B)
-    if abs(A - B) <= 1e-12:
+    A, B, e = _scaled_pair(A, B)
+    if abs(A - B) <= math.ldexp(1e-12, -e):
         raise DegenerateMapError("A and B must differ")
     if beta2 <= 1.0:
         raise OutOfRangeError(f"beta2 must exceed 1, got {beta2}")
-    den = 2.0 * (beta2 + 1.0) + abs(A - B * (2.0 * beta2 - 1.0))
+    den = math.ldexp(2.0 * (beta2 + 1.0), -e) + abs(A - B * (2.0 * beta2 - 1.0))
     return min(alpha * abs(A - B) / den, 1.0)
 
 
 def reciprocal_radius(A: complex, B: complex, alpha: float, beta2: float) -> float:
     """Radius of reciprocal starlikeness Re(f/(z f')) > beta2, 0 <= beta2 < 1."""
     require_finite_args("reciprocal_radius", A=A, B=B, alpha=alpha, beta2=beta2)
-    A, B = complex(A), complex(B)
-    if abs(A - B) <= 1e-12:
+    A, B, e = _scaled_pair(A, B)
+    if abs(A - B) <= math.ldexp(1e-12, -e):
         raise DegenerateMapError("A and B must differ")
     if not 0.0 <= beta2 < 1.0:
         raise OutOfRangeError(f"beta2 must lie in [0, 1), got {beta2}")
-    den = 2.0 * beta2 + abs(A - B * (2.0 * beta2 - 1.0))
+    den = math.ldexp(2.0 * beta2, -e) + abs(A - B * (2.0 * beta2 - 1.0))
     if den == 0.0:
         return 1.0
     return min(alpha * abs(A - B) / den, 1.0)

@@ -135,22 +135,21 @@ def weighted_sector_params(
     )
 
 
-def eta_infimum(
-    weight: Callable[[np.ndarray], np.ndarray],
-    beta: float,
-    n_radii: int = 32,
-    n_angles: int = 128,
-) -> float:
+_ETA_RADII = 32  # radii of the eta_infimum grid, from 1e-3 to 0.999
+_ETA_ANGLES = 128  # angles per radius of the eta_infimum grid
+
+
+def eta_infimum(weight: Callable[[np.ndarray], np.ndarray], beta: float) -> float:
     """Infimum over the disk of beta Re(w) / (1 + beta |Im(w)|) for a weight w(z).
 
-    Sampled on a radial-angular grid reaching radius 0.999. The weight
+    Sampled on a 32 x 128 radial-angular grid reaching radius 0.999. The weight
     must keep a nonnegative real part; a negative sample raises
     NegativeRealPartError.
     """
     if beta <= 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta}")
-    r = np.linspace(1e-3, 0.999, n_radii)
-    t = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    r = np.linspace(1e-3, 0.999, _ETA_RADII)
+    t = np.linspace(0.0, 2.0 * np.pi, _ETA_ANGLES, endpoint=False)
     z = r[:, None] * np.exp(1j * t[None, :])
     lam = np.asarray(weight(z), dtype=complex)
     if np.min(lam.real) < 0.0:

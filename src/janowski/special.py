@@ -31,6 +31,9 @@ from .errors import (
 )
 
 
+_MAX_TERMS = 100_000  # 3F2 terms summed before NoConvergenceError
+
+
 def _near_nonpositive_int(x: complex) -> bool:
     xr = complex(x)
     return abs(xr.imag) < 1e-12 and xr.real < 0.5 and abs(xr.real - round(xr.real)) < 1e-12
@@ -44,13 +47,12 @@ def hyper_3f2(
     b2: complex,
     x: complex,
     tol: float = 1e-15,
-    max_terms: int = 100_000,
 ) -> complex:
     """Generalized hypergeometric sum 3F2(a1, a2, a3; b1, b2; x) by direct
     term recurrence.
 
     Terms are accumulated until three consecutive terms are below
-    `tol` relative to the running sum; exceeding `max_terms` raises
+    `tol` relative to the running sum; exceeding 100k terms raises
     NoConvergenceError (the series diverges for |x| > 1 and converges
     slowly near |x| = 1).
     """
@@ -61,7 +63,7 @@ def hyper_3f2(
     total = complex(1.0)
     term = complex(1.0)
     small_run = 0
-    for n in range(max_terms):
+    for n in range(_MAX_TERMS):
         term *= (a1 + n) * (a2 + n) * (a3 + n) * x / ((b1 + n) * (b2 + n) * (1 + n))
         total += term
         if abs(term) < tol * max(abs(total), 1e-300):
@@ -70,27 +72,12 @@ def hyper_3f2(
                 return total
         else:
             small_run = 0
-    raise NoConvergenceError(f"3F2 series did not settle within {max_terms} terms at x={x}")
-
-
-def _clog1p(x: complex) -> complex:
-    """log(1 + x) for complex x without cancellation at small |x| (Kahan)."""
-    u = 1.0 + x
-    if u == 1.0:
-        return complex(x)
-    return cmath.log(u) * (x / (u - 1.0))
-
-
-def _cexpm1(y: complex) -> complex:
-    """exp(y) - 1 for complex y without cancellation at small |y| (Kahan)."""
-    u = cmath.exp(y)
-    if u == 1.0:
-        return complex(y)
-    return (u - 1.0) * (y / cmath.log(u))
+    raise NoConvergenceError(f"3F2 series did not settle within {_MAX_TERMS} terms at x={x}")
 
 
 def _clog1p_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized twin of _clog1p over complex arrays."""
+    """log(1 + x) for complex x (array or scalar) without cancellation at
+    small |x| (Kahan)."""
     u = 1.0 + x
     plain = u == 1.0
     safe = np.where(plain, 2.0, u)
@@ -100,7 +87,8 @@ def _clog1p_arr(x: np.ndarray) -> np.ndarray:
 
 
 def _cexpm1_arr(y: np.ndarray) -> np.ndarray:
-    """Vectorized twin of _cexpm1 over complex arrays."""
+    """exp(y) - 1 for complex y (array or scalar) without cancellation at
+    small |y| (Kahan)."""
     u = np.exp(y)
     plain = u == 1.0
     safe = np.where(plain, 2.0, u)
@@ -153,10 +141,10 @@ def kernel_integral(
         if abs(A + b) < 1e-14:
             return z
         if b == 0.0:
-            return _cexpm1(A * z) / A
+            return complex(_cexpm1_arr(A * z)) / A
         if abs(A) < 1e-14:
-            return -_clog1p(-b * z) / b
-        return (cmath.exp((-A / b) * _clog1p(-b * z)) - 1.0) / A
+            return -complex(_clog1p_arr(-b * z)) / b
+        return (cmath.exp((-A / b) * complex(_clog1p_arr(-b * z))) - 1.0) / A
     if method != "quad":
         raise OutOfRangeError(f"unknown method {method!r}")
 
@@ -295,7 +283,13 @@ def silverman_inclusion(A: complex, b: float, alpha: float, beta: float) -> bool
         raise OutOfRangeError(f"alpha must lie in (0, 1], got {alpha}")
     if beta <= 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta}")
-    if abs(A + b) < 1e-14:
+    # Both sides divided by s = max(1, |Re A|, |Im A|), so that no power or
+    # modulus overflows for huge A; at s = 1 this is the printed inequality
+    # to the last bit.
+    s = max(1.0, abs(A.real), abs(A.imag))
+    a = A / s
+    gap = abs(a + b / s)  # |A + b| / s
+    if gap < 1e-14 / s:
         raise DegenerateMapError("A + b = 0 leaves the criterion vacuous")
-    lhs = beta * (1.0 + b) ** (alpha - 1.0) * (1.0 + abs(A)) ** (alpha + 1.0)
-    return lhs <= alpha * abs(A + b) + 1e-12
+    lhs = beta * (1.0 + b) ** (alpha - 1.0) * s**alpha * (1.0 / s + abs(a)) ** (alpha + 1.0)
+    return lhs <= alpha * gap + 1e-12 / s

@@ -177,11 +177,21 @@ class TestExitCodes:
             assert json.loads(err)["kind"] == "parameter"
 
     def test_non_finite_result_prints_no_json(self, capsys):
-        # |A - B| overflows to inf and the radius to NaN; strict JSON cannot spell it
-        code, out, err = run_cli(capsys, "radius", "uralegaddi", "--A", "1e308", "--B=-1e308", "--beta2", "2")
+        # mu delta overflows to inf and inf * 0 to NaN; strict JSON cannot spell it
+        argv = "special dominant --A 0.5 --b 0.5 --gamma 1 --mu 1e308 --eta 1 --delta 1e308 --rho 0 --z 0.5"
+        code, out, err = run_cli(capsys, *argv.split())
         assert code == 3
         assert out == ""
         assert json.loads(err)["kind"] == "numerical"
+
+    @pytest.mark.parametrize("A", ["1e308", "1.7e308+1.7e308i"])
+    def test_huge_silverman_parameter_is_decided(self, capsys, A):
+        data = report(capsys, "special", "silverman", "--A", A, "--b", "0.5", "--beta", "0.3")
+        assert data["result"]["included"] is False
+
+    def test_huge_radius_parameters_stay_finite(self, capsys):
+        data = report(capsys, "radius", "uralegaddi", "--A", "1e308", "--B=-1e308", "--beta2", "2")
+        assert data["result"]["radius"] == 0.5
 
     def test_divergent_series_is_numerical_failure(self, capsys):
         code, _, err = run_cli(

@@ -48,6 +48,25 @@ def test_reciprocal_frozen():
     assert reciprocal_radius(1.0, -1.0, 1.0, 0.75) == pytest.approx(2.0 / 3.0)
 
 
+def test_huge_parameters_give_finite_radii():
+    # |A - B| overflows unless the quotient is scaled first
+    assert uralegaddi_radius(1e308, -1e308, 1.0, 2.0) == 0.5  # 2e308 / 4e308
+    assert reciprocal_radius(1.5e308, -1.5e308, 1.0, 0.999) == 1.0
+    assert uralegaddi_radius(1.7e308 + 1.7e308j, -1.0, 1.0, 2.0) == 1.0
+
+
+@pytest.mark.parametrize("scale", [3.0, 1e5, 2.0**600])
+def test_scaled_radii_match_the_unscaled_formula(scale):
+    # the scale is a power of two, so finite quotients keep every bit
+    A, B = 0.8 * scale + 0.3j * scale, -0.6 * scale
+    for beta2 in (1.5, 2.0, 3.25):
+        den = 2.0 * (beta2 + 1.0) + abs(A - B * (2.0 * beta2 - 1.0))
+        assert uralegaddi_radius(A, B, 0.7, beta2) == min(0.7 * abs(A - B) / den, 1.0)
+    for beta2 in (0.0, 0.4, 0.9):
+        den = 2.0 * beta2 + abs(A - B * (2.0 * beta2 - 1.0))
+        assert reciprocal_radius(A, B, 0.7, beta2) == min(0.7 * abs(A - B) / den, 1.0)
+
+
 def test_reciprocal_domain():
     with pytest.raises(OutOfRangeError):
         reciprocal_radius(1.0, -1.0, 1.0, 1.0)  # needs beta2 < 1

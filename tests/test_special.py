@@ -300,6 +300,11 @@ class TestSilvermanInclusion:
     def test_generic_point(self):
         assert silverman_inclusion(0.5, 0.5, 0.8, 0.2)
 
+    @pytest.mark.parametrize("A", [1e308, 1.7e308 + 1.7e308j])
+    def test_huge_A_is_decided_without_overflow(self, A):
+        # (1 + |A|)^2 overflows the printed form; the left side is ~|A|^2
+        assert not silverman_inclusion(A, 0.5, 1.0, 0.3)
+
     def test_cancellation_rejected(self):
         with pytest.raises(ParameterError):
             silverman_inclusion(-0.5, 0.5, 1.0, 0.3)
