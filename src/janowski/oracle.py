@@ -365,9 +365,6 @@ class TrialReport:
 # expression honestly on a boundary grid.  A sound implication can therefore
 # never produce hypothesis-true/conclusion-false; a buggy formula anywhere in
 # the chain shows up as exactly that pattern.
-#
-# A trial returns its evidence (hypothesis, conclusion, margin, detail);
-# `implication_trial` adds the sampling mode to `detail` and builds the report.
 
 _Evidence = tuple[bool, bool, float, dict]
 
