@@ -4,6 +4,7 @@ artifact files."""
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -264,15 +265,37 @@ SMOKE_ARGV = {
 }
 
 
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli.jsonl"
+
+
+def smoke_argv(command: str, action: str, out_dir: Path) -> list[str]:
+    """The smoke invocation of one action, with --verify; plots go to `out_dir`."""
+    argv = [command, *([action] if action else []), *SMOKE_ARGV[command, action].split(), "--verify"]
+    if command == "plot":
+        argv += ["--out", str(out_dir / f"curve.{action}")]
+    return argv
+
+
+def golden_cli_line(command: str, action: str, result: dict) -> str:
+    """The corpus line of one smoke invocation: its command and `result`
+    block, without the plot's output path, which lives in a temporary
+    directory."""
+    if command == "plot":
+        result = {key: value for key, value in result.items() if key != "path"}
+    return json.dumps({"command": f"{command} {action}".strip(), "result": result}, sort_keys=True)
+
+
+def test_golden_cli_corpus_covers_every_action():
+    commands = [json.loads(line)["command"] for line in GOLDEN_CLI.read_text().splitlines()]
+    assert commands == [f"{cmd} {act}".strip() for cmd, act in SMOKE_ARGV]
+
+
 @pytest.mark.parametrize(
     "command,action", [(cmd, act) for cmd, table in ACTIONS.items() for act in table], ids=lambda x: x or "-"
 )
 def test_every_action_prints_strict_json(capsys, tmp_path, command, action):
     assert (command, action) in SMOKE_ARGV, "each action needs a smoke invocation"
-    argv = [command, *([action] if action else []), *SMOKE_ARGV[command, action].split(), "--verify"]
-    if command == "plot":
-        argv += ["--out", str(tmp_path / f"curve.{action}")]
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *smoke_argv(command, action, tmp_path))
     assert code == 0, err
 
     def reject(token):
@@ -282,3 +305,5 @@ def test_every_action_prints_strict_json(capsys, tmp_path, command, action):
     entry = ACTIONS[command][action]
     assert data["command"] == f"{command} {action}".strip()
     assert set(data["params"]) == set(f"{entry.required} {entry.optional}".split())
+    golden = {json.loads(line)["command"]: line for line in GOLDEN_CLI.read_text().splitlines()}
+    assert golden_cli_line(command, action, data["result"]) == golden[data["command"]]
