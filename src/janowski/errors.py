@@ -83,4 +83,4 @@ class NoConvergenceError(NumericalError):
 
 
 class QuadratureFailureError(NumericalError):
-    """Adaptive quadrature hit its subdivision cap before the tolerance."""
+    """Quadrature hit its panel cap before the tolerance."""

@@ -3,21 +3,28 @@ the extremal dominants of the differential-subordination results, and the
 closed-form order/criterion helpers that accompany them.
 
 Everything here is scalar-analytic on the open unit disk. The kernel and
-best-dominant integrals are done with adaptive Gauss panels along radial
-segments; integrands are written with complex log1p/expm1 equivalents so
-they stay accurate near the origin, where the naive quotient forms cancel.
+the best dominant are both of the form int_0^1 h(s) e^G(s) ds along the
+radial segment to z, where G(s) = int_0^s g is itself a radial integral.
+`_nested_integral` computes the two in one left-to-right pass over
+16-point Gauss-Legendre panels: on each panel G at the nodes is the
+running G plus the spectral cumulative integral of g (Greengard, SIAM J.
+Numer. Anal. 28, 1991), and a panel is bisected while its half-width
+times the trailing Legendre coefficients of g or of h e^G exceeds the
+tolerance. Integrands are written with complex log1p/expm1 equivalents
+so they stay accurate near the origin, where the naive quotient forms
+cancel.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 from dataclasses import dataclass
 from typing import Callable
 
-from ._quad import adaptive_gauss
 from .errors import (
     BranchUndefinedError,
     DegenerateMapError,
@@ -26,12 +33,20 @@ from .errors import (
     OutOfRangeError,
     ParameterError,
     PoleOnBoundaryError,
+    QuadratureFailureError,
     require_finite,
     require_finite_args,
 )
 
 
 _MAX_TERMS = 100_000  # 3F2 terms summed before NoConvergenceError
+_PANEL_NODES = 16  # Gauss-Legendre nodes per panel of _nested_integral
+_MAX_PANELS = 1000  # panels evaluated before QuadratureFailureError
+
+
+def _require_tol(owner: str, tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"{owner}: tol must be finite and positive, got {tol}")
 
 
 def _near_nonpositive_int(x: complex) -> bool:
@@ -57,6 +72,7 @@ def hyper_3f2(
     slowly near |x| = 1).
     """
     require_finite_args("hyper_3f2", a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, x=x)
+    _require_tol("hyper_3f2", tol)
     for b in (b1, b2):
         if _near_nonpositive_int(b):
             raise ParameterError(f"lower parameter {b} is a nonpositive integer")
@@ -106,6 +122,52 @@ def _kernel_rate(A: complex, b: float, alpha: float, t: np.ndarray) -> np.ndarra
     return np.where(tiny, alpha * (A + b), _cexpm1_arr(alpha * ell) / tt)
 
 
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The panel rule on [-1, 1]: Gauss-Legendre nodes x and weights w, the
+    matrix taking values at x to the integrals from -1 to each node of
+    their interpolant, and the two rows taking them to its last two
+    Legendre coefficients. Built on first use, so importing costs nothing."""
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(_PANEL_NODES)
+    # discrete orthogonality at the nodes (exact up to degree 2n - 1):
+    # c_k = (k + 1/2) sum_j w_j P_k(x_j) f(x_j)
+    to_coef = (np.arange(_PANEL_NODES) + 0.5)[:, None] * (leg.legvander(x, _PANEL_NODES - 1) * w[:, None]).T
+    cumulative = leg.legvander(x, _PANEL_NODES) @ leg.legint(to_coef, lbnd=-1.0)
+    return x, w, cumulative, to_coef[-2:]
+
+
+def _nested_integral(
+    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], tol: float
+) -> tuple[complex, complex]:
+    """(int_0^1 h(s) e^G(s) ds, G(1)) with G(s) = int_0^s g, where f(s)
+    returns (g(s), h(s)) on an array of s in (0, 1).
+
+    Panels are taken left to right, so G is known at the left end of each.
+    A panel is bisected while its half-width times the last two Legendre
+    coefficients of g or of h e^G exceeds `tol` (or is not finite); the
+    width factor lets values with a rounding floor, such as g next to a
+    singularity just beyond s = 1, pass once their panel is small enough.
+    Raises QuadratureFailureError after _MAX_PANELS panels.
+    """
+    x, w, cumulative, tail = _panel_rule()
+    total, G = 0j, 0j
+    todo = [(0.0, 1.0)]  # a stack: the leftmost panel on top
+    for _ in range(_MAX_PANELS):
+        a, b = todo.pop()
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        g, h = f(mid + half * x)
+        y = h * np.exp(G + half * (cumulative @ g))
+        if half * max(np.max(np.abs(tail @ g)), np.max(np.abs(tail @ y))) <= tol:
+            G += half * (w @ g)
+            total += half * (w @ y)
+        else:
+            todo += [(mid, b), (a, mid)]
+        if not todo:
+            return total, G
+    raise QuadratureFailureError(f"nested integral not within tolerance {tol} after {_MAX_PANELS} panels")
+
+
 def kernel_integral(
     A: complex,
     b: float,
@@ -117,12 +179,14 @@ def kernel_integral(
     """Starlikeness kernel K(z) = int_0^z exp(int_0^w rate dt) dw, where the
     inner rate is (((1+At)/(1-bt))^alpha - 1)/t.
 
-    `method="quad"` evaluates the nested integral with adaptive panels.
+    `method="quad"` evaluates the nested integral in one panel pass
+    (`_nested_integral`); `tol` bounds the error of the outer integral.
     `method="closed"` requires alpha = 1 and uses the elementary
     antiderivatives; it exists as an independent route, not a fast path,
     so the two can be compared.
     """
     require_finite_args("kernel_integral", A=A, b=b, alpha=alpha, z=z)
+    _require_tol("kernel_integral", tol)
     A = complex(A)
     if not 0.0 <= b <= 1.0:
         raise OutOfRangeError(f"b must lie in [0, 1], got {b}")
@@ -147,16 +211,8 @@ def kernel_integral(
         return (cmath.exp((-A / b) * complex(_clog1p_arr(-b * z))) - 1.0) / A
     if method != "quad":
         raise OutOfRangeError(f"unknown method {method!r}")
-
-    def inner(w: complex) -> complex:
-        if abs(w) < 1e-300:
-            return 0.0
-        return w * adaptive_gauss(lambda s: _kernel_rate(A, b, alpha, s * w), 0.0, 1.0, tol=tol * 0.1)
-
-    def outer(s: np.ndarray) -> np.ndarray:
-        return np.array([cmath.exp(inner(si * z)) for si in s])
-
-    return z * adaptive_gauss(outer, 0.0, 1.0, tol=tol)
+    outer, _ = _nested_integral(lambda s: (z * _kernel_rate(A, b, alpha, s * z), 1.0), tol)
+    return z * outer
 
 
 def macgregor_gamma(beta: float) -> float:
@@ -242,6 +298,7 @@ def best_dominant(
     segment; violations raise NonCaratheodoryLambdaError.
     """
     require_finite_args("best_dominant", z=z)
+    _require_tol("best_dominant", tol)
     z = complex(z)
     if abs(z) >= 1.0:
         raise OutOfRangeError("z must lie in the open unit disk")
@@ -254,22 +311,17 @@ def best_dominant(
         if complex(lam(t)).real <= 0.0:
             raise NonCaratheodoryLambdaError(f"Re lambda <= 0 at t={t}")
 
-    def exponent(t: complex) -> complex:
-        if abs(t) < 1e-300:
-            return 0.0
+    def f(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # G(s) = int_0^s (psi/lambda - 1)(u z) du / u, h = 1/lambda
+        lam_s = np.array([complex(lam(t)) for t in s * z])
+        psi_s = np.array([complex(psi(t)) for t in s * z])
+        return (psi_s / lam_s - 1.0) / s, 1.0 / lam_s
 
-        def f(u: np.ndarray) -> np.ndarray:
-            return np.array([(complex(psi(ui * t)) / complex(lam(ui * t)) - 1.0) / ui for ui in u])
-
-        return adaptive_gauss(f, 0.0, 1.0, tol=tol * 0.1)
-
-    def denom_integrand(u: np.ndarray) -> np.ndarray:
-        return np.array([cmath.exp(exponent(ui * z)) / complex(lam(ui * z)) for ui in u])
-
-    denom = z * adaptive_gauss(denom_integrand, 0.0, 1.0, tol=tol)
+    outer, G1 = _nested_integral(f, tol)
+    denom = z * outer
     if abs(denom) < 1e-300:
         raise DegenerateMapError("denominator integral vanishes")
-    return z * cmath.exp(exponent(z)) / denom
+    return z * cmath.exp(G1) / denom
 
 
 def silverman_inclusion(A: complex, b: float, alpha: float, beta: float) -> bool:

@@ -264,6 +264,23 @@ def test_non_finite_scalar_arguments_raise(fn, args):
         fn(*args)
 
 
+_BAD_TOLERANCE_CALLS = {
+    "kernel_integral-tol-0": (kernel_integral, (1.0, 0.5, 0.5, 0.5, 0.0)),
+    "kernel_integral-tol-negative": (kernel_integral, (1.0, 0.5, 0.5, 0.5, -0.1)),
+    "kernel_integral-tol-nan": (kernel_integral, (1.0, 0.5, 1.0, 0.5, math.nan, "closed")),
+    "best_dominant-tol-negative": (best_dominant, (lambda t: 1.0 + t, lambda t: 1.0, 0.5, -1.0)),
+    "best_dominant-tol-inf": (best_dominant, (lambda t: 1.0 + t, lambda t: 1.0, 0.5, math.inf)),
+    "hyper_3f2-tol-nan": (hyper_3f2, (1.0, 1.0, 1.0, 2.0, 2.0, 0.5, math.nan)),
+    "hyper_3f2-tol-0": (hyper_3f2, (1.0, 1.0, 1.0, 2.0, 2.0, 0.5, 0.0)),
+}
+
+
+@pytest.mark.parametrize("fn, args", _BAD_TOLERANCE_CALLS.values(), ids=_BAD_TOLERANCE_CALLS.keys())
+def test_bad_tolerances_raise(fn, args):
+    with pytest.raises(ParameterError, match="tol must be finite and positive"):
+        fn(*args)
+
+
 class TestBestDominant:
     def test_exponential_quotient(self):
         got = best_dominant(lambda t: 1.0 + t, lambda t: 1.0, 0.5)
@@ -285,6 +302,33 @@ class TestBestDominant:
             best_dominant(lambda t: 1.0 + t, lambda t: 2.0, 0.5)
         with pytest.raises(ParameterError):
             best_dominant(lambda t: 2.0 + t, lambda t: 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "A,B,alpha,z",
+        [
+            (0.7 + 0.5j, -0.3 + 0.2j, 0.6, 0.9),
+            (0.9j, -0.2, 0.8, 0.9 * cmath.exp(2.5j)),
+            (-0.5j, 0.4, 0.35, -0.5 + 0.6j),
+        ],
+    )
+    def test_matches_25_digit_quadrature(self, A, B, alpha, z):
+        mp = pytest.importorskip("mpmath")
+        p = JanowskiParams(A, B, alpha)
+        got = best_dominant(lambda t: complex(eval_powered(p, t)), lambda t: 1.0 + 0.4 * t, z)
+        with mp.workdps(25):
+            A_, B_, z_ = mp.mpc(A), mp.mpc(B), mp.mpc(z)
+            lam = lambda t: 1 + mp.mpf("0.4") * t
+            psi = lambda t: mp.exp(alpha * (mp.log(1 + A_ * t) - mp.log(1 + B_ * t)))
+
+            def unit(f):
+                # int_0^1 f(s) ds with s = 1 - v^2, as in the kernel reference
+                return mp.quad(lambda v: 2 * v * f(1 - v * v), [0, 1], method="gauss-legendre")
+
+            def G(s):  # int_0^(s z) (psi/lambda - 1)(t) dt / t
+                return unit(lambda u: (psi(u * s * z_) / lam(u * s * z_) - 1) / u)
+
+            want = complex(mp.exp(G(1)) / unit(lambda s: mp.exp(G(s)) / lam(s * z_)))
+        assert abs(got - want) < 1e-10
 
     def test_left_half_plane_weight_rejected(self):
         with pytest.raises(NonCaratheodoryLambdaError):
