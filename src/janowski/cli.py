@@ -425,8 +425,10 @@ def main(argv=None) -> int:
         missing = [flag for flag in action.required.split() if getattr(args, flag) is None]
         if missing:
             raise ParameterError(f"action {args.action!r} requires " + ", ".join("--" + f for f in missing))
-        value = action.run(args)
-        oracle = action.check(args, value) if args.verify and action.check else None
+        # stderr carries only the JSON error; a non-finite result is caught below
+        with np.errstate(all="ignore"):
+            value = action.run(args)
+            oracle = action.check(args, value) if args.verify and action.check else None
     except ParameterError as exc:
         return _fail(str(exc), "parameter", 2)
     except NumericalError as exc:

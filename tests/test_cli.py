@@ -4,6 +4,7 @@ artifact files."""
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,9 +179,12 @@ class TestExitCodes:
             assert json.loads(err)["kind"] == "parameter"
 
     def test_non_finite_result_prints_no_json(self, capsys):
-        # mu delta overflows to inf and inf * 0 to NaN; strict JSON cannot spell it
+        # mu delta overflows to inf and inf * 0 to NaN; strict JSON cannot spell
+        # it, and numpy's warnings about it must not reach stderr either
         argv = "special dominant --A 0.5 --b 0.5 --gamma 1 --mu 1e308 --eta 1 --delta 1e308 --rho 0 --z 0.5"
-        code, out, err = run_cli(capsys, *argv.split())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv.split())
         assert code == 3
         assert out == ""
         assert json.loads(err)["kind"] == "numerical"
@@ -193,6 +197,20 @@ class TestExitCodes:
     def test_huge_radius_parameters_stay_finite(self, capsys):
         data = report(capsys, "radius", "uralegaddi", "--A", "1e308", "--B=-1e308", "--beta2", "2")
         assert data["result"]["radius"] == 0.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "special kernel --A 1 --b 0 --z 0.5 --tol -1",
+            "special best-q --A 1 --B=-1 --z 0.3 --tol 0",
+            "special 3f2 --a1 1 --a2 1 --a3 1 --b1 2 --b2 2 --x 0.5 --tol nan",
+        ],
+    )
+    def test_bad_tolerance_is_parameter_failure(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "parameter"
 
     def test_divergent_series_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
