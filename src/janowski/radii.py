@@ -61,13 +61,16 @@ class RadiusProblem:
 def subordination_radius(prob: RadiusProblem) -> float:
     """Radius (capped at 1) on which source-subordinate functions are
     target-subordinate."""
-    A, B, C, D = (complex(prob.A), complex(prob.B), complex(prob.C), complex(prob.D))
+    # (A, B) = 2^e1 (a, b) and (C, D) = 2^e2 (c, d), so |A - B|, |C - D| and
+    # the cross term cannot overflow; num and den are the printed ones divided
+    # by 2^(e1 + e2), which keeps every bit of a finite quotient.
+    (A, B, e1), (C, D, e2) = _scaled_pair(prob.A, prob.B), _scaled_pair(prob.C, prob.D)
     gamma, delta = complex(prob.gamma), complex(prob.delta)
     inv_a = 1.0 / prob.alpha
-    num = prob.alpha * abs(A - B) * abs(1.0 - gamma) ** inv_a
+    num = math.ldexp(prob.alpha * abs(A - B) * abs(1.0 - gamma) ** inv_a, -e2)
     cross = A * D * (gamma - 1.0) + B * (C * (1.0 - delta) + D * (delta - gamma))
     den = prob.beta * abs(1.0 - gamma) ** (inv_a - 1.0) * (
-        abs(C - D) * abs(delta - 1.0) + abs(cross)
+        math.ldexp(abs(C - D) * abs(delta - 1.0), -e1) + abs(cross)
     )
     if den == 0.0:
         return 1.0

@@ -53,6 +53,8 @@ def test_huge_parameters_give_finite_radii():
     assert uralegaddi_radius(1e308, -1e308, 1.0, 2.0) == 0.5  # 2e308 / 4e308
     assert reciprocal_radius(1.5e308, -1.5e308, 1.0, 0.999) == 1.0
     assert uralegaddi_radius(1.7e308 + 1.7e308j, -1.0, 1.0, 2.0) == 1.0
+    # the cross term vanishes and |A - B| = |C - D|
+    assert subordination_radius(RadiusProblem(1e308, -1e308, 1.0, 0, 1e308, -1e308, 1.0, 0)) == 1.0
 
 
 @pytest.mark.parametrize("scale", [3.0, 1e5, 2.0**600])
@@ -65,6 +67,14 @@ def test_scaled_radii_match_the_unscaled_formula(scale):
     for beta2 in (0.0, 0.4, 0.9):
         den = 2.0 * beta2 + abs(A - B * (2.0 * beta2 - 1.0))
         assert reciprocal_radius(A, B, 0.7, beta2) == min(0.7 * abs(A - B) / den, 1.0)
+    # the scaled pair as target, then as source
+    for prob in (RadiusProblem(A, B, 0.7, 0.2j, 0.5, -0.5 + 0.1j, 0.6, 0.3),
+                 RadiusProblem(0.5, -0.5 + 0.1j, 0.6, 0.3, A, B, 0.7, 0.2j)):
+        a, b, al, g, c, d, be, de = (getattr(prob, f) for f in "A B alpha gamma C D beta delta".split())
+        cross = a * d * (g - 1.0) + b * (c * (1.0 - de) + d * (de - g))
+        num = al * abs(a - b) * abs(1.0 - g) ** (1.0 / al)
+        den = be * abs(1.0 - g) ** (1.0 / al - 1.0) * (abs(c - d) * abs(de - 1.0) + abs(cross))
+        assert subordination_radius(prob) == min(num / den, 1.0)
 
 
 def test_reciprocal_domain():
