@@ -3,16 +3,11 @@ the extremal dominants of the differential-subordination results, and the
 closed-form order/criterion helpers that accompany them.
 
 Everything here is scalar-analytic on the open unit disk. The kernel and
-the best dominant are both of the form int_0^1 h(s) e^G(s) ds along the
-radial segment to z, where G(s) = int_0^s g is itself a radial integral.
-`_nested_integral` computes the two in one left-to-right pass over
-16-point Gauss-Legendre panels: on each panel G at the nodes is the
-running G plus the spectral cumulative integral of g (Greengard, SIAM J.
-Numer. Anal. 28, 1991), and a panel is bisected while its half-width
-times the trailing Legendre coefficients of g or of h e^G exceeds the
-tolerance. Integrands are written with complex log1p/expm1 equivalents
-so they stay accurate near the origin, where the naive quotient forms
-cancel.
+the best dominant are both int_0^1 h e^G ds along the radial segment to
+z, with G(s) = int_0^s g, and `_nested_integral` computes both integrals
+in one left-to-right pass over Gauss-Legendre panels. Integrands are
+written with complex log1p/expm1 equivalents so they stay accurate near
+the origin, where the naive quotient forms cancel.
 """
 
 from __future__ import annotations
@@ -137,18 +132,18 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return x, w, cumulative, to_coef[-2:]
 
 
-def _nested_integral(
-    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], tol: float
-) -> tuple[complex, complex]:
+def _nested_integral(f: Callable[[np.ndarray], tuple], tol: float) -> tuple[complex, complex]:
     """(int_0^1 h(s) e^G(s) ds, G(1)) with G(s) = int_0^s g, where f(s)
     returns (g(s), h(s)) on an array of s in (0, 1).
 
-    Panels are taken left to right, so G is known at the left end of each.
-    A panel is bisected while its half-width times the last two Legendre
-    coefficients of g or of h e^G exceeds `tol` (or is not finite); the
-    width factor lets values with a rounding floor, such as g next to a
-    singularity just beyond s = 1, pass once their panel is small enough.
-    Raises QuadratureFailureError after _MAX_PANELS panels.
+    Panels are taken left to right, so G is known at the left end of each
+    and at its nodes by spectral cumulative integration (Greengard, SIAM J.
+    Numer. Anal. 28, 1991). A panel is bisected while its half-width times
+    the last two Legendre coefficients of g or of h e^G exceeds `tol` (or
+    is not finite); the width factor lets values with a rounding floor,
+    such as g next to a singularity just beyond s = 1, pass once their
+    panel is small enough. Raises QuadratureFailureError after _MAX_PANELS
+    panels.
     """
     x, w, cumulative, tail = _panel_rule()
     total, G = 0j, 0j
