@@ -31,7 +31,7 @@ from .envelope import (
     sector_image,
     tilt_angle,
 )
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require_index
 from .moebius import JanowskiParams, canonicalize, contains, eval_map, image_disk, origin_position
 from .oracle import THEOREM_IDS, empirical_bounds, implication_trial
 from .radii import (
@@ -195,7 +195,8 @@ def _drift(compute: Callable[[argparse.Namespace, float], complex]):
 
 def _verify(a) -> dict:
     ids = list(THEOREM_IDS) if a.theorem_id == "all" else [a.theorem_id]
-    reports = [implication_trial(tid, seed=seed) for tid in ids for seed in range(a.seed, a.seed + a.seeds)]
+    seeds = range(a.seed, a.seed + require_index("seeds", a.seeds, 1))
+    reports = [implication_trial(tid, seed=seed) for tid in ids for seed in seeds]
     return {
         "trials": len(reports),
         "unsound": sum(not rep.sound for rep in reports),

@@ -43,6 +43,7 @@ from .errors import (
     NoConvergenceError,
     OutOfRangeError,
     require_finite_args,
+    require_index,
 )
 from .moebius import JanowskiParams, image_disk
 
@@ -126,7 +127,8 @@ class EnvelopeCurve:
 
 
 def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
-    """Uniform n-point sampling of the boundary envelope at radius r."""
+    """Uniform n-point sampling (n >= 1) of the boundary envelope at radius r."""
+    n = require_index("n", n, 1)
     C, R = _circle_geometry(p, r)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     w = C + R * np.exp(1j * t)
@@ -395,6 +397,7 @@ def alpha_nesting(A: complex, B: complex, a1: float, a2: float) -> bool:
     Valid for |A| <= 1, |B| <= 1, where the powered images grow with the
     exponent and the maps stay subordination-comparable.
     """
+    require_finite_args("alpha_nesting", A=A, B=B)
     if abs(A) > 1.0 + _EPS or abs(B) > 1.0 + _EPS:
         raise OutOfRangeError("nesting requires |A| <= 1 and |B| <= 1")
     for a in (a1, a2):

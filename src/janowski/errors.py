@@ -8,6 +8,7 @@ maps the first family to exit code 2 and the second to exit code 3.
 
 import cmath
 import dataclasses
+import operator
 
 
 class JanowskiError(Exception):
@@ -28,6 +29,23 @@ def require_finite_args(owner: str, /, **args) -> None:
     bad = [name for name, value in args.items() if not cmath.isfinite(complex(value))]
     if bad:
         raise ParameterError(f"{owner}: {', '.join(bad)} must be finite")
+
+
+def require_index(name: str, value, lo: int, hi: int | None = None) -> int:
+    """`value` as an int in [lo, hi), or in [lo, inf) when hi is None.
+
+    Raises OutOfRangeError for an integer outside the range and for any
+    non-integer, floats included even when integral: a count or seed that
+    arrives as 1.5 or NaN is a caller's mistake, not something to round.
+    """
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
+    if index < lo or (hi is not None and index >= hi):
+        span = f"in [{lo}, {hi})" if hi is not None else f">= {lo}"
+        raise OutOfRangeError(f"{name} must be an integer {span}, got {index}")
+    return index
 
 
 class DegenerateMapError(ParameterError):

@@ -32,7 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMapError, OutOfRangeError, ParameterError, PoleOnBoundaryError, require_finite
+from .errors import (
+    DegenerateMapError,
+    OutOfRangeError,
+    ParameterError,
+    PoleOnBoundaryError,
+    require_finite,
+    require_finite_args,
+    require_index,
+)
 
 _EPS = 1e-12
 
@@ -105,7 +113,8 @@ class DiskGeometry:
         return self.offset * self.normal
 
     def boundary_points(self, n: int = 1024) -> np.ndarray:
-        """n points on the boundary (circle for disks, a symmetric span of the line)."""
+        """n >= 1 points on the boundary (circle for disks, a symmetric span of the line)."""
+        n = require_index("n", n, 1)
         if self.is_disk:
             t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
             return self.center + self.radius * np.exp(1j * t)
@@ -206,6 +215,7 @@ def contains(outer: DiskGeometry, inner: DiskGeometry, tol: float = 1e-12) -> bo
     signed-distance test; half-plane in half-plane to equal normals with
     the inner boundary at least as deep. A half-plane never fits in a disk.
     """
+    require_finite_args("contains", tol=tol)
     if inner.is_disk and outer.is_disk:
         return abs(inner.center - outer.center) + inner.radius <= outer.radius + tol
     if inner.is_disk and not outer.is_disk:

@@ -17,15 +17,18 @@ Honesty conventions used throughout:
 * Reports are plain data with one-line JSON serialization so long runs
   can be streamed and audited.
 
-Trial contract: a trial samples its test function through
-`_effective_schwarz` and returns only its evidence, the tuple
-(hypothesis, conclusion, margin, detail); `implication_trial` records the
-sampling mode in `detail` and builds the one `TrialReport`.
+Trial contract: a trial is a function of its seed alone.  The seed picks
+the trial's parameters from fixed tables and its test function through
+`_effective_schwarz`; the trial returns only its evidence, the tuple
+(hypothesis, conclusion, margin, detail).  `implication_trial` checks the
+seed, records the sampling mode in `detail` and builds the one
+`TrialReport`, so a report depends only on (theorem id, seed).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -43,6 +46,8 @@ from .errors import (
     InvalidTheoremIdError,
     OutOfRangeError,
     ParameterError,
+    require_finite_args,
+    require_index,
 )
 from .moebius import JanowskiParams, image_disk
 from .sectors import eta_infimum, ratio_sector_params, reciprocal_order_sector, weighted_sector_params
@@ -62,15 +67,22 @@ __all__ = [
 _HEADROOM = 1.0 - 1e-6
 _N_SAMPLES = 4096  # unit-grid points on which a trial samples its test function
 _SAFETY = 1e-5  # interior margin a sampled supremum must clear before a claim
-_GRID_CACHE: dict[int, np.ndarray] = {}
+_SEED_END = 2**64  # seeds are Philox key words, integers in [0, 2^64)
 
 
+@functools.cache
 def _unit_grid(n: int) -> np.ndarray:
-    pts = _GRID_CACHE.get(n)
-    if pts is None:
-        pts = np.exp(2j * np.pi * np.arange(n) / n)
-        _GRID_CACHE[n] = pts
+    """The n-th roots of unity, shared read-only by every caller."""
+    pts = np.exp(2j * np.pi * np.arange(n) / n)
+    pts.setflags(write=False)
     return pts
+
+
+def _rng(seed: int, stream: int) -> Generator:
+    """Counter-based generator for one (seed, stream) pair.  The key is built
+    as uint64 so that every seed below 2^64 gets its own key; a plain list
+    would pass through float64 and merge seeds above 2^53."""
+    return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +165,11 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     normalized polynomial is rigorously Schwarz.  Degree 1 is the
     deterministic near-identity w(z) = (1 - 1e-6) z.
     """
-    if seed < 0:
-        raise OutOfRangeError(f"seed must be nonnegative, got {seed}")
-    if not 1 <= degree <= 16:
-        raise OutOfRangeError(f"degree must lie in 1..16, got {degree}")
+    seed = require_index("seed", seed, 0, _SEED_END)
+    degree = require_index("degree", degree, 1, 17)
     if degree == 1:
         return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
-    rng = Generator(Philox(key=[seed, 0]))
+    rng = _rng(seed, 0)
     raw = rng.random((degree, 2))
     coef = raw[:, 0] + 1j * raw[:, 1]
     z = _unit_grid(65536)
@@ -176,7 +186,7 @@ def _effective_schwarz(
     on the grid z, by default the unit grid.  Even seeds take a rotation-
     dilation (exact identities available), odd seeds a dilated random
     polynomial."""
-    rng = Generator(Philox(key=[seed, 2]))
+    rng = _rng(seed, 2)
     if seed % 2 == 0:
         u, v = rng.random(2)
         c = c_max * (0.25 + 0.75 * u) * cmath.exp(2j * math.pi * v)
@@ -217,10 +227,13 @@ def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol:
     univalent with a globally defined inverse; membership then reduces to
     a pullback modulus test.
     """
+    require_finite_args("verify_subordination", tol=tol)
     if not target.argument_safe:
         raise ParameterError("target must be argument-safe so the inverse map is single-valued")
     if not 0.0 < r <= 1.0:
         raise OutOfRangeError(f"r must lie in (0, 1], got {r}")
+    if np.size(p_samples) == 0:
+        raise ParameterError("p_samples must not be empty")
     return bool(np.max(subordination_pullback(p_samples, target)) <= r + tol)
 
 
@@ -293,9 +306,7 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     involved, so this is an independent oracle for the analytic path.
     The critical-point block is absent by construction.
     """
-    if n < 16:
-        raise OutOfRangeError(f"need at least 16 samples, got {n}")
-    curve = sample_curve(p, r, n)
+    curve = sample_curve(p, r, require_index("n", n, 16))
     re = curve.M * np.cos(curve.N)
     im = curve.M * np.sin(curve.N)
     g = complex(p.gamma)
@@ -345,15 +356,7 @@ class TrialReport:
         return not (self.hypothesis_holds and not self.conclusion_holds)
 
     def to_json(self) -> str:
-        payload = {
-            "theorem_id": self.theorem_id,
-            "seed": self.seed,
-            "hypothesis_holds": bool(self.hypothesis_holds),
-            "conclusion_holds": bool(self.conclusion_holds),
-            "margin": float(self.margin),
-            "detail": jsonable(self.detail),
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(jsonable(asdict(self)), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +385,15 @@ def _max_pullback(p: np.ndarray, A: complex, B: complex, alpha: float) -> float:
     return float(np.max(subordination_pullback(p, JanowskiParams(A, B, alpha))))
 
 
-def _trial_ratio_sector(seed: int, prm: dict) -> _Evidence:
+def _trial_ratio_sector(seed: int) -> _Evidence:
     """Sector transfer for quotients: derivative-quotient sector bound forces
     the function-quotient sector bound, with the comparison pole drawn at
     random inside an annulus."""
-    alpha = float(prm.get("alpha", (0.3, 0.5, 0.75, 1.0)[seed % 4]))
-    m = float(prm.get("m", (0.0, -0.4, 0.3, 0.55)[(seed // 4) % 4]))
-    rng = Generator(Philox(key=[seed, 1]))
-    u = rng.random(2)
-    default_pole = (0.1 + 0.2 * u[0]) * cmath.exp(2j * math.pi * u[1])
-    cg = complex(prm.get("g_pole", default_pole))
-    beta = float(prm.get("beta", 0.98 * (1.0 - abs(cg))))
+    alpha = (0.3, 0.5, 0.75, 1.0)[seed % 4]
+    m = (0.0, -0.4, 0.3, 0.55)[(seed // 4) % 4]
+    u = _rng(seed, 1).random(2)
+    cg = complex((0.1 + 0.2 * u[0]) * cmath.exp(2j * math.pi * u[1]))
+    beta = 0.98 * (1.0 - abs(cg))
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
     a = cmath.exp(1j * math.pi * m)
@@ -433,19 +434,19 @@ def _trial_ratio_sector(seed: int, prm: dict) -> _Evidence:
     }
 
 
-def _trial_weighted_sector(seed: int, prm: dict) -> _Evidence:
+def _trial_weighted_sector(seed: int) -> _Evidence:
     """Sector transfer for the weighted product p^a (1 + lambda z p'/p)^g."""
-    alpha = float(prm.get("alpha", (0.5, 0.8, 1.0)[seed % 3]))
-    beta = float(prm.get("beta", (0.45, 0.7, 1.0)[(seed // 3) % 3]))
-    gamma = float(prm.get("gamma", (0.3, 0.6, 1.0)[(seed // 9) % 3]))
-    m = float(prm.get("m", (0.0, -0.35, 0.25)[(seed // 27) % 3]))
+    alpha = (0.5, 0.8, 1.0)[seed % 3]
+    beta = (0.45, 0.7, 1.0)[(seed // 3) % 3]
+    gamma = (0.3, 0.6, 1.0)[(seed // 9) % 3]
+    m = (0.0, -0.35, 0.25)[(seed // 27) % 3]
     weights: tuple[Callable, ...] = (
         lambda z: np.full_like(np.asarray(z, dtype=complex), 1.0 + 0.0j),
         lambda z: np.full_like(np.asarray(z, dtype=complex), 1.2 + 0.45j),
         lambda z: 1.0 + 0.4 * np.asarray(z, dtype=complex),
     )
-    lam = prm.get("weight", weights[(seed // 81) % 3])
-    eta = float(prm.get("eta", 0.999 * eta_infimum(lam, beta)))
+    lam = weights[(seed // 81) % 3]
+    eta = 0.999 * eta_infimum(lam, beta)
     sp = weighted_sector_params(alpha, beta, gamma, m, eta)
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.35, c_max=0.5)
@@ -474,14 +475,14 @@ def _trial_weighted_sector(seed: int, prm: dict) -> _Evidence:
     }
 
 
-def _trial_inverse_coefficient(seed: int, prm: dict) -> _Evidence:
+def _trial_inverse_coefficient(seed: int) -> _Evidence:
     """Coefficient-criterion inclusion: small z p'/p^2 plus the printed
     parameter inequality force the powered tilted-disk bound."""
-    A = complex(prm.get("A", (1.0, 0.85, 0.5 + 0.3j, 0.65 - 0.25j)[seed % 4]))
-    b = float(prm.get("b", (1.0, 0.7, 0.35, 0.9)[(seed // 4) % 4]))
-    alpha = float(prm.get("alpha", (1.0, 0.8, 0.5)[(seed // 16) % 3]))
+    A = complex((1.0, 0.85, 0.5 + 0.3j, 0.65 - 0.25j)[seed % 4])
+    b = (1.0, 0.7, 0.35, 0.9)[(seed // 4) % 4]
+    alpha = (1.0, 0.8, 0.5)[(seed // 16) % 3]
     cap = alpha * abs(A + b) / ((1.0 + b) ** (alpha - 1.0) * (1.0 + abs(A)) ** (alpha + 1.0))
-    beta = float(prm.get("beta", 0.98 * min(1.0, cap)))
+    beta = 0.98 * min(1.0, cap)
 
     _, _, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
     logbase, dlog = _log_ratio(A, -b, w)
@@ -504,12 +505,11 @@ def _trial_inverse_coefficient(seed: int, prm: dict) -> _Evidence:
     }
 
 
-def _trial_reciprocal_sector(seed: int, prm: dict) -> _Evidence:
+def _trial_reciprocal_sector(seed: int) -> _Evidence:
     """Reciprocal-order criterion: a small-derivative affine part pins the
     argument of p inside the arcsine sector."""
-    order = float(prm.get("order", (0.0, 0.25, 0.5)[seed % 3]))
-    kappa = float(prm.get("kappa", (0.5, 0.8, 0.98)[(seed // 3) % 3]))
-    beta = float(prm.get("beta", kappa * (1.0 - order)))
+    order = (0.0, 0.25, 0.5)[seed % 3]
+    beta = (0.5, 0.8, 0.98)[(seed // 3) % 3] * (1.0 - order)
     coef = beta / (1.0 - order)
 
     _, _, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.9)
@@ -592,20 +592,11 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     return hypothesis, margin >= -1e-4, margin, detail
 
 
-def _trial_operator_dominant(seed: int, prm: dict) -> _Evidence:
+def _trial_operator_dominant(seed: int) -> _Evidence:
     """T5.7: the operator trial on a seed-chosen row of the operator tables."""
     table = _OPERATOR_TABLE_A if seed % 2 == 0 else _OPERATOR_TABLE_B
-    row = table[(seed // 2) % 4]
-    spec = DominantSpec(
-        A=complex(prm.get("A", row[0])),
-        b=float(prm.get("b", row[1])),
-        alpha=float(prm.get("alpha", row[2])),
-        gamma=float(prm.get("gamma", row[3])),
-        mu=complex(prm.get("mu", row[4])),
-        eta=complex(prm.get("eta", row[5])),
-        delta=complex(prm.get("delta", row[6])),
-        rho=complex(prm.get("rho", row[7])),
-    )
+    A, b, alpha, gamma, mu, eta, delta, rho = table[(seed // 2) % 4]
+    spec = DominantSpec(complex(A), b, alpha, gamma, complex(mu), complex(eta), complex(delta), complex(rho))
     return _operator_trial(seed, spec, asdict(spec))
 
 
@@ -624,15 +615,11 @@ _COMBO_TABLE_B = (
 )
 
 
-def _trial_convex_combination(seed: int, prm: dict) -> _Evidence:
+def _trial_convex_combination(seed: int) -> _Evidence:
     """C5.12: the affine combination (1-l) p + l z p', which is the operator
     trial at A = e^{i m pi}, alpha = delta = 1, mu = 1 - l, eta = l, rho = 0."""
     table = _COMBO_TABLE_A if seed % 2 == 0 else _COMBO_TABLE_B
-    row = table[(seed // 2) % 4]
-    m = float(prm.get("m", row[0]))
-    b = float(prm.get("b", row[1]))
-    lam = float(prm.get("lam", row[2]))
-    gamma = float(prm.get("gamma", row[3]))
+    m, b, lam, gamma = table[(seed // 2) % 4]
     spec = DominantSpec(
         A=cmath.exp(1j * math.pi * m), b=b, alpha=1.0, gamma=gamma, mu=1.0 - lam, eta=lam, delta=1.0, rho=0.0
     )
@@ -649,21 +636,17 @@ _BRIOT_TABLE = (
 )
 
 
-def _trial_first_order(seed: int, prm: dict) -> _Evidence:
+def _trial_first_order(seed: int) -> _Evidence:
     """Weighted first-order perturbation p + lambda z p'/(beta p + gamma)
     subordinate to the powered bilinear map implies the same for p."""
-    row = _BRIOT_TABLE[seed % 4]
-    A = complex(prm.get("A", row[0]))
-    B = complex(prm.get("B", row[1]))
-    alpha = float(prm.get("alpha", row[2]))
-    beta = complex(prm.get("beta", row[3]))
-    gamma = complex(prm.get("gamma", row[4]))
+    A, B, alpha, beta, gamma = _BRIOT_TABLE[seed % 4]
+    A, B, beta, gamma = complex(A), complex(B), complex(beta), complex(gamma)
     weights: tuple[Callable, ...] = (
         lambda z: np.full_like(np.asarray(z, dtype=complex), 1.0 + 0.0j),
         lambda z: 1.0 + 0.6 * np.asarray(z, dtype=complex),
         lambda z: (1.0 + 0.4 * np.asarray(z, dtype=complex)) / (1.0 - 0.4 * np.asarray(z, dtype=complex)),
     )
-    lam = prm.get("weight", weights[(seed // 4) % 3])
+    lam = weights[(seed // 4) % 3]
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.3, c_max=0.45)
     logbase, dlog = _log_ratio(A, B, w)
@@ -693,7 +676,7 @@ def _trial_first_order(seed: int, prm: dict) -> _Evidence:
     }
 
 
-_TRIALS: dict[str, Callable[[int, dict], _Evidence]] = {
+_TRIALS: dict[str, Callable[[int], _Evidence]] = {
     "T3.3": _trial_ratio_sector,
     "T3.6": _trial_weighted_sector,
     "T5.4": _trial_inverse_coefficient,
@@ -706,19 +689,16 @@ _TRIALS: dict[str, Callable[[int, dict], _Evidence]] = {
 THEOREM_IDS: tuple[str, ...] = tuple(_TRIALS)
 
 
-def implication_trial(theorem_id: str, params: Mapping[str, object] | None = None, seed: int = 0) -> TrialReport:
+def implication_trial(theorem_id: str, seed: int = 0) -> TrialReport:
     """Run one seeded implication trial for the given registry id.
 
-    `params` may override the seed-derived defaults; keys follow each
-    trial's detail block.  Trials are deterministic functions of
-    (theorem_id, params, seed).
+    Trials are deterministic functions of (theorem_id, seed): the seed, an
+    integer in [0, 2^64), picks every parameter and the test function.
     """
     fn = _TRIALS.get(theorem_id)
     if fn is None:
         raise InvalidTheoremIdError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(_TRIALS)}")
-    if seed < 0:
-        raise OutOfRangeError(f"seed must be nonnegative, got {seed}")
-    seed = int(seed)
-    hypothesis, conclusion, margin, detail = fn(seed, dict(params or {}))
+    seed = require_index("seed", seed, 0, _SEED_END)
+    hypothesis, conclusion, margin, detail = fn(seed)
     detail["mode"] = "identity" if seed % 2 == 0 else "poly"
     return TrialReport(theorem_id, seed, hypothesis, conclusion, margin, detail)

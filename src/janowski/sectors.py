@@ -25,6 +25,8 @@ from .errors import (
     DegenerateMapError,
     NegativeRealPartError,
     OutOfRangeError,
+    ParameterError,
+    require_finite_args,
 )
 
 
@@ -110,6 +112,7 @@ def weighted_sector_params(
     nonnegative value). The smallest admissible beta is
     beta0 = max(0, -2 gamma atan(eta) / (alpha pi (1 - m))).
     """
+    require_finite_args("weighted_sector_params", alpha=alpha, beta=beta, eta=eta)
     if alpha <= 0.0:
         raise OutOfRangeError(f"alpha must be positive, got {alpha}")
     if not 0.0 <= gamma <= 1.0:
@@ -144,14 +147,17 @@ def eta_infimum(weight: Callable[[np.ndarray], np.ndarray], beta: float) -> floa
 
     Sampled on a 32 x 128 radial-angular grid reaching radius 0.999. The weight
     must keep a nonnegative real part; a negative sample raises
-    NegativeRealPartError.
+    NegativeRealPartError and a non-finite one ParameterError.
     """
+    require_finite_args("eta_infimum", beta=beta)
     if beta <= 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta}")
     r = np.linspace(1e-3, 0.999, _ETA_RADII)
     t = np.linspace(0.0, 2.0 * np.pi, _ETA_ANGLES, endpoint=False)
     z = r[:, None] * np.exp(1j * t[None, :])
     lam = np.asarray(weight(z), dtype=complex)
+    if not np.isfinite(lam).all():
+        raise ParameterError("weight must be finite on the grid")
     if np.min(lam.real) < 0.0:
         raise NegativeRealPartError("weight has negative real part on the grid")
     vals = beta * lam.real / (1.0 + beta * np.abs(lam.imag))
@@ -207,6 +213,7 @@ def double_subordination_tilt(
     for name, val in (("l", l), ("m", m)):
         if not -1.0 <= val <= 1.0:
             raise OutOfRangeError(f"{name} must lie in [-1, 1], got {val}")
+    require_finite_args("double_subordination_tilt", alpha=alpha)
     if alpha <= 0.0:
         raise OutOfRangeError(f"alpha must be positive, got {alpha}")
     cos_m, cos_l = math.cos(math.pi * m), math.cos(math.pi * l)

@@ -212,6 +212,24 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["kind"] == "parameter"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "plot csv --A 0.5 --B 0 --n -5",
+            "plot svg --A 0.5 --B 0 --n 0",
+            f"verify --seed {2**64} --theorem-id T5.5",
+            "verify --seeds 0",
+            "bounds eta-inf --weight 1 --beta nan",
+            "geometry contains --A 1 --B=-1 --inner-A 0.5 --inner-B=-0.5 --tol nan",
+        ],
+    )
+    def test_out_of_domain_input_is_parameter_failure(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv.split(), "--out", str(tmp_path / "artifact"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "parameter"
+        assert not (tmp_path / "artifact").exists()
+
     def test_divergent_series_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "special", "3f2",

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from janowski import (
     BranchUndefinedError,
+    DominantSpec,
     InvalidTheoremIdError,
     JanowskiParams,
     OutOfRangeError,
@@ -166,17 +167,24 @@ class TestImplicationTrials:
         assert isinstance(data["detail"], dict)
 
     def test_convex_combination_is_the_operator_trial_specialized(self):
-        # C5.12 is T5.7 at A = e^{i m pi}, alpha = delta = 1, mu = 1 - lam, eta = lam, rho = 0
+        # C5.12 is the T5.7 operator trial at A = e^{i m pi}, alpha = delta = 1,
+        # mu = 1 - lam, eta = lam, rho = 0
         for seed in range(16):
             combo = implication_trial("C5.12", seed=seed)
             m, b, lam, gamma = (combo.detail[k] for k in ("m", "b", "lam", "gamma"))
-            spec = dict(A=cmath.exp(1j * math.pi * m), b=b, alpha=1.0, gamma=gamma,
-                        mu=1.0 - lam, eta=lam, delta=1.0, rho=0.0)
-            op = implication_trial("T5.7", params=spec, seed=seed)
-            assert (op.hypothesis_holds, op.conclusion_holds, op.margin) == (
+            spec = DominantSpec(A=cmath.exp(1j * math.pi * m), b=b, alpha=1.0, gamma=gamma,
+                                mu=1.0 - lam, eta=lam, delta=1.0, rho=0.0)
+            hypothesis, conclusion, margin, detail = oracle._operator_trial(seed, spec, {})
+            assert (hypothesis, conclusion, margin) == (
                 combo.hypothesis_holds, combo.conclusion_holds, combo.margin)
             for key in ("max_pullback", "identity_gap" if seed % 2 == 0 else "contained_fraction"):
-                assert op.detail[key] == combo.detail[key], (seed, key)
+                assert detail[key] == combo.detail[key], (seed, key)
+
+    def test_shared_unit_grid_is_read_only(self):
+        grid = oracle._unit_grid(64)
+        assert grid is oracle._unit_grid(64)
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
     def test_reports_are_deterministic(self):
         a = implication_trial("T5.5", seed=12).to_json()

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -89,7 +90,6 @@ def test_alpha_star_solves_its_equation():
 
 
 def test_alpha_star_matches_a_30_digit_root():
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         root = mp.findroot(lambda a: 2 * a + (2 / mp.pi) * mp.atan(a) - 1, 0.38)
         assert abs(mp.mpf(alpha_star()) - root) < 1e-16

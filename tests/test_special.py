@@ -3,10 +3,10 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import spence
 
 from janowski import (
     DominantSpec,
@@ -35,8 +35,7 @@ LN2 = math.log(2.0)
 
 
 def dilog(x: float) -> float:
-    # scipy's spence uses the complementary argument convention
-    return float(spence(1.0 - x))
+    return float(mp.polylog(2, x))
 
 
 class TestHyper3F2:
@@ -115,7 +114,6 @@ class TestKernelIntegral:
         ],
     )
     def test_fractional_power_matches_25_digit_quadrature(self, A, b, alpha, z):
-        mp = pytest.importorskip("mpmath")
         got = kernel_integral(A, b, alpha, z)
         with mp.workdps(25):
             A_, b_, z_ = mp.mpc(A), mp.mpf(b), mp.mpc(z)
@@ -209,7 +207,6 @@ class TestOperatorDominant:
 
     @pytest.mark.parametrize("row", _OPERATOR_TABLE_A + _OPERATOR_TABLE_B)
     def test_array_matches_30_digit_evaluation(self, row):
-        mp = pytest.importorskip("mpmath")
         spec = DominantSpec(*row)
         z = np.outer([0.0, 0.3, 0.7, 0.95, 0.99], np.exp(2j * np.pi * np.arange(16) / 16)).ravel()
         got = operator_dominant(spec, z)
@@ -312,7 +309,6 @@ class TestBestDominant:
         ],
     )
     def test_matches_25_digit_quadrature(self, A, B, alpha, z):
-        mp = pytest.importorskip("mpmath")
         p = JanowskiParams(A, B, alpha)
         got = best_dominant(lambda t: complex(eval_powered(p, t)), lambda t: 1.0 + 0.4 * t, z)
         with mp.workdps(25):
