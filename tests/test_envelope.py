@@ -2,10 +2,14 @@
 angles, extreme Re/Im/modulus/argument, and the sector picture."""
 
 import cmath
+import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +28,63 @@ from janowski import (
     sector_image,
     tilt_angle,
 )
+from janowski._json import jsonable
 from tests.conftest import safe_params
 
 SQRT2 = math.sqrt(2.0)
+GOLDEN_ENVELOPE = Path(__file__).parent / "golden" / "envelope.jsonl"
+ENVELOPE_GROUPS = ("gamma0", "shifted", "touch", "zero_inside")
+
+
+def envelope_corpus_draws(per_group: int = 8) -> list[tuple[str, JanowskiParams, float]]:
+    """Seeded acceptance-criterion-4 draws (|A| in [0.2, 1], |B| in [0, 0.9],
+    |A - B| > 0.05, alpha in [0.3, 1], r in [0.2, 0.95]) in four groups:
+    gamma = 0, a shift gamma with parts in [-0.9, 0.9], the origin touch
+    A / |A| at r = 1, and (half as many) a shift that puts a zero of h at a
+    point z0 inside |z| < r, so that h winds about 0."""
+    rng = np.random.default_rng(20261018)
+    draws = []
+    for group in ENVELOPE_GROUPS:
+        for _ in range(per_group // 2 if group == "zero_inside" else per_group):
+            while True:
+                A = complex(rng.uniform(0.2, 1.0) * np.exp(2j * np.pi * rng.uniform()))
+                B = complex(rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform()))
+                if abs(A - B) > 0.05:
+                    break
+            alpha, r, gamma = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.2, 0.95)), 0j
+            if group == "shifted":
+                gamma = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+            elif group == "touch":
+                A, r = A / abs(A), 1.0
+            elif group == "zero_inside":
+                z0 = rng.uniform(0.3, 0.8) * r * np.exp(2j * np.pi * rng.uniform())
+                w0 = ((1.0 + A * z0) / (1.0 + B * z0)) ** alpha
+                gamma = complex(w0 / (w0 - 1.0))  # (1 - gamma) w0 + gamma = 0
+            draws.append((group, JanowskiParams(A, B, alpha, gamma), r))
+    return draws
+
+
+def golden_envelope_line(group: str, p: JanowskiParams, r: float) -> str:
+    """The corpus line of one draw: both range reports and the sha256 of the
+    bytes of the 4096-point curve's N and M."""
+    curve = sample_curve(p, r, 4096)
+    return json.dumps({
+        "group": group,
+        "params": jsonable(asdict(p)),
+        "r": r,
+        "envelope_bounds": jsonable(asdict(envelope_bounds(p, r))),
+        "empirical_bounds": jsonable(asdict(empirical_bounds(p, r, 200_000))),
+        "curve_N_sha256": hashlib.sha256(curve.N.tobytes()).hexdigest(),
+        "curve_M_sha256": hashlib.sha256(curve.M.tobytes()).hexdigest(),
+    }, sort_keys=True)
+
+
+def test_golden_envelope_corpus():
+    golden = GOLDEN_ENVELOPE.read_text().splitlines()
+    draws = envelope_corpus_draws()
+    assert len(golden) == len(draws)
+    for i, (draw, line) in enumerate(zip(draws, golden)):
+        assert golden_envelope_line(*draw) == line, f"{GOLDEN_ENVELOPE.name} line {i + 1} ({draw[0]}) differs"
 
 
 @pytest.fixture(scope="module")
