@@ -42,6 +42,7 @@ from .errors import (
     DegenerateMapError,
     NoConvergenceError,
     OutOfRangeError,
+    ParameterError,
     require_finite_args,
     require_index,
 )
@@ -68,12 +69,16 @@ def _power(w, a: float) -> np.ndarray:
 def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     """Value of the powered, shifted map at z (principal branch, anchored at 1).
 
-    Requires the argument-safe flag plus |A| |z| <= 1 so the origin is not
-    interior to the first-order image at the working radius and a
-    single-valued power exists.
+    Requires a scalar or non-empty array z of finite points, the
+    argument-safe flag and |A| |z| <= 1, so the origin is not interior to
+    the first-order image at the working radius and a single-valued power
+    exists.
     """
     z = np.asarray(z, dtype=complex)
-    _branch_guard(p, float(np.max(np.abs(z))) if z.size else 0.0)
+    radius = float(np.max(np.abs(z))) if z.size else math.nan  # NaN or inf: a non-finite point
+    if not math.isfinite(radius):
+        raise ParameterError("z must be a non-empty set of finite points")
+    _branch_guard(p, radius)
     out = (1.0 - p.gamma) * _power((1.0 + p.A * z) / (1.0 + p.B * z), p.alpha) + p.gamma
     return complex(out) if out.ndim == 0 else out
 
@@ -127,16 +132,42 @@ class EnvelopeCurve:
 
 
 def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
-    """Uniform n-point sampling (n >= 1) of the boundary envelope at radius r."""
+    """Uniform n-point sampling (n >= 1) of the boundary envelope at radius r.
+
+    The curve avoids the cut, so principal arguments are already
+    continuous; `_unwrap` (np.unwrap bit for bit) corrects the rare jump
+    between samples straddling an origin touch.
+    """
     n = require_index("n", n, 1)
     C, R = _circle_geometry(p, r)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    w = C + R * np.exp(1j * t)
+    w = np.empty(n, dtype=complex)  # e^{it} from real cos and sin, then C + R e^{it}
+    w.real, w.imag = np.cos(t), np.sin(t)
+    w *= R
+    w += C
     M = np.abs(w) ** p.alpha
-    # The curve avoids the cut, so principal arguments are already
-    # continuous; unwrap guards the samples straddling an origin touch.
-    N = p.alpha * np.unwrap(np.angle(w))
+    N = p.alpha * _unwrap(np.angle(w))
     return EnvelopeCurve(r=r, t=t, u=w.real, v=w.imag, M=M, N=N)
+
+
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """np.unwrap(p) bit for bit for a 1-d float array, computing numpy's
+    correction only at the jumps |p[i+1] - p[i]| >= pi (NaN counts as one).
+    Every other correction is +0.0, so a jump-free p costs one diff."""
+    dd = np.diff(p)
+    jumps = np.flatnonzero(~(np.abs(dd) < math.pi))
+    out = np.empty_like(p)
+    out[:1] = p[:1]
+    if not jumps.size:
+        np.add(p[1:], 0.0, out=out[1:])  # numpy adds +0.0 too: -0.0 turns to +0.0
+        return out
+    d = dd[jumps]
+    ddmod = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
+    ddmod[(ddmod == -math.pi) & (d > 0.0)] = math.pi
+    step = np.zeros_like(dd)
+    step[jumps] = ddmod - d
+    np.add(p[1:], np.cumsum(step), out=out[1:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +325,7 @@ def envelope_bounds(p: JanowskiParams, r: float) -> BoundReport:
 def _unwrapped_turns(h: np.ndarray) -> tuple[np.ndarray, int]:
     """Continuous argument along a closed sampled curve h and its turns
     about 0: by the argument principle, the zeros of h inside the circle."""
-    args = np.unwrap(np.angle(h))
+    args = _unwrap(np.angle(h))
     closing = np.angle(h[0] / h[-1])
     return args, int(round((args[-1] + closing - args[0]) / (2.0 * math.pi)))
 

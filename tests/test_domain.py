@@ -18,6 +18,7 @@ from janowski import (
     JanowskiError,
     JanowskiParams,
     OutOfRangeError,
+    ParameterError,
     RadiusProblem,
     SchwarzPoly,
     alpha_nesting,
@@ -31,6 +32,7 @@ from janowski import (
     envelope_bounds,
     eta_infimum,
     eval_map,
+    eval_powered,
     hyper_3f2,
     image_disk,
     implication_trial,
@@ -67,6 +69,7 @@ SCALAR_CALLS = {
     "JanowskiParams": (JanowskiParams, (), dict(A=0.8, B=-0.3, alpha=0.6, gamma=0.1j)),
     "image_disk": (image_disk, (P,), dict(r=0.7)),
     "eval_map": (eval_map, (P,), dict(z=0.3 + 0.2j)),
+    "eval_powered": (eval_powered, (P,), dict(z=0.3 + 0.2j)),
     "contains": (contains, (DISK, DISK), dict(tol=1e-12)),
     "sample_curve": (sample_curve, (P,), dict(r=0.9, n=64)),
     "critical_points": (critical_points, (P,), dict(r=0.9)),
@@ -126,6 +129,21 @@ def test_valid_base_calls_return(name):
 @pytest.mark.parametrize("fn, fixed, kwargs", _cases())
 def test_non_finite_scalars_raise(fn, fixed, kwargs):
     with pytest.raises(JanowskiError):
+        fn(*fixed, **kwargs)
+
+
+# point evaluators take a scalar or a non-empty array of finite points
+POINT_CASES = {
+    f"{fn.__name__}-{label}": (fn, fixed, dict(z=z))
+    for fn, fixed in ((eval_map, (P,)), (eval_powered, (P,)), (operator_dominant, (SPEC,)))
+    for label, z in (("nan", math.nan), ("inf-in-array", [0.1, math.inf]), ("empty", []))
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, fixed, kwargs", POINT_CASES.values(), ids=POINT_CASES.keys())
+def test_points_must_be_finite_and_non_empty(fn, fixed, kwargs):
+    with pytest.raises(ParameterError, match="finite points"):
         fn(*fixed, **kwargs)
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import janowski
 from janowski import (
     BranchUndefinedError,
+    JanowskiError,
     JanowskiParams,
     alpha_nesting,
     critical_points,
@@ -29,6 +30,7 @@ from janowski import (
     tilt_angle,
 )
 from janowski._json import jsonable
+from janowski.envelope import _power, _unwrap
 from tests.conftest import safe_params
 
 SQRT2 = math.sqrt(2.0)
@@ -135,6 +137,90 @@ def test_sample_curve_polar_fields():
     assert np.abs(np.exp(1j * curve.N / 0.6) - w / np.abs(w)).max() < 1e-12
     # N is unwrapped, no 2 pi jumps between neighbors
     assert np.abs(np.diff(curve.N)).max() < 1.0
+
+
+def _winding_shifted_h() -> np.ndarray:
+    """The 4096-point grid values of h for a shift that puts a zero of h at
+    z0 = -0.6 inside |z| < 0.8, so h winds once about 0."""
+    A, B, alpha, r = 0.9, 0.3j, 0.7, 0.8
+    w0 = ((1.0 + A * -0.6) / (1.0 + B * -0.6)) ** alpha
+    g = w0 / (w0 - 1.0)
+    geo = image_disk(JanowskiParams(A, B, alpha, g), r)
+    t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    return (1.0 - g) * _power(geo.center + geo.radius * np.exp(1j * t), alpha) + g
+
+
+def _random_walk(seed: int, n: int = 5000) -> np.ndarray:
+    # principal arguments of a walk with steps of about 1.5 rad: many 2 pi jumps
+    rng = np.random.default_rng(seed)
+    return np.angle(np.exp(1j * np.cumsum(rng.normal(0.0, 1.5, n))))
+
+
+UNWRAP_CASES = {
+    "smooth-line": np.linspace(-1.0, 3.0, 1000),
+    "smooth-sine": 2.0 * np.sin(np.linspace(0.0, 20.0, 4096)),
+    "walk-1": _random_walk(1),
+    "walk-2": _random_walk(2),
+    "uniform-wide": np.random.default_rng(3).uniform(-40.0, 40.0, 3000),
+    "exact-plus-minus-pi": math.pi * np.array([0.0, 1.0, 2.0, 1.0, 0.0, -1.0, -2.0, 0.0, 3.0, -3.0]),
+    "nan-inside": np.array([0.1, 0.2, 3.5, np.nan, -3.0, 0.4, 3.9]),
+    "inf-inside": np.array([0.1, np.inf, 0.3, -np.inf, 0.5]),
+    "minus-zero": np.array([-0.0, 0.1, -0.0, 3.5, -0.0, -0.0, -3.5]),
+    "length-0": np.array([]),
+    "length-1": np.array([-0.0]),
+    "length-1-finite": np.array([2.5]),
+    "length-2": np.array([-0.0, -0.0]),
+    "length-2-jump": np.array([3.0, -3.0]),
+    "winding-shifted-h": np.angle(_winding_shifted_h()),
+}
+
+
+@pytest.mark.parametrize("x", UNWRAP_CASES.values(), ids=UNWRAP_CASES.keys())
+def test_unwrap_matches_numpy_bit_for_bit(x):
+    assert _unwrap(x).tobytes() == np.unwrap(x).tobytes()
+
+
+def test_unwrap_cases_have_jumps():
+    # the walks and the winding h exercise the correction path
+    for name in ("walk-1", "walk-2", "winding-shifted-h", "exact-plus-minus-pi"):
+        assert (np.abs(np.diff(UNWRAP_CASES[name])) >= math.pi).any(), name
+    assert (np.abs(np.diff(UNWRAP_CASES["walk-1"])) >= math.pi).sum() > 500
+
+
+@pytest.mark.parametrize("A,r", [(0.5 + 0.3j, 0.8), ((0.6 - 0.8j), 1.0)], ids=["gamma0", "touch"])
+def test_sample_curve_circle_matches_complex_exp(A, r):
+    # e^{it} is built from real cos and sin; it must equal exp(1j t) bit for bit
+    p = JanowskiParams(A, -0.2 + 0.1j, 0.7)
+    curve = sample_curve(p, r, n=200_000)
+    geo = image_disk(p, r)
+    w = geo.center + geo.radius * np.exp(1j * curve.t)
+    assert curve.u.tobytes() == w.real.tobytes()
+    assert curve.v.tobytes() == w.imag.tobytes()
+
+
+@given(
+    mag_a=st.floats(0.0, 1.0), th_a=st.floats(0.0, 2.0 * math.pi),
+    mag_b=st.floats(0.0, 0.9), th_b=st.floats(0.0, 2.0 * math.pi),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    g_re=st.floats(-0.9, 0.9), g_im=st.floats(-0.9, 0.9),
+    r=st.floats(0.0, 1.0, exclude_min=True), n=st.integers(16, 4096),
+)
+@settings(max_examples=60, deadline=settings.get_profile("default").deadline)
+def test_sampled_reports_are_finite_or_raise(mag_a, th_a, mag_b, th_b, alpha, g_re, g_im, r, n):
+    """Argument-safe finite inputs give all-finite sampled fields, or a
+    JanowskiError; the sampled argument N never steps by pi or more."""
+    try:
+        p = JanowskiParams(mag_a * cmath.exp(1j * th_a), mag_b * cmath.exp(1j * th_b), alpha, complex(g_re, g_im))
+        curve = sample_curve(p, r, n)
+        report = empirical_bounds(p, r, n)
+    except JanowskiError:
+        return
+    for field in (curve.t, curve.u, curve.v, curve.M, curve.N):
+        assert np.isfinite(field).all()
+    assert (np.abs(np.diff(curve.N)) < math.pi).all()
+    intervals = [report.arg, report.mod, report.re, report.im, *vars(report.shifted).values()]
+    assert report.shifted.arg is None or report.shifted.mod[0] > 0.0
+    assert all(math.isfinite(x) for iv in intervals if iv is not None for x in iv)
 
 
 @pytest.mark.parametrize(
