@@ -177,7 +177,8 @@ UNWRAP_CASES = {
 
 @pytest.mark.parametrize("x", UNWRAP_CASES.values(), ids=UNWRAP_CASES.keys())
 def test_unwrap_matches_numpy_bit_for_bit(x):
-    assert _unwrap(x).tobytes() == np.unwrap(x).tobytes()
+    with np.errstate(invalid="ignore"):  # inf - inf in the differences of "inf-inside"
+        assert _unwrap(x).tobytes() == np.unwrap(x).tobytes()
 
 
 def test_unwrap_cases_have_jumps():
