@@ -28,7 +28,6 @@ seed, records the sampling mode in `detail` and builds the one
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 from collections.abc import Mapping
@@ -40,7 +39,17 @@ from numpy.polynomial import polynomial as npoly
 from numpy.random import Generator, Philox
 
 from ._json import jsonable
-from .envelope import BoundReport, ShiftedView, _unwrapped_turns, invert_powered, sample_curve, tilt_angle
+from .envelope import (
+    BoundReport,
+    ShiftedView,
+    _log,
+    _power,
+    _unit_circle,
+    _unwrapped_turns,
+    invert_powered,
+    sample_curve,
+    tilt_angle,
+)
 from .errors import (
     BranchUndefinedError,
     InvalidTheoremIdError,
@@ -70,12 +79,9 @@ _SAFETY = 1e-5  # interior margin a sampled supremum must clear before a claim
 _SEED_END = 2**64  # seeds are Philox key words, integers in [0, 2^64)
 
 
-@functools.cache
 def _unit_grid(n: int) -> np.ndarray:
-    """The n-th roots of unity, shared read-only by every caller."""
-    pts = np.exp(2j * np.pi * np.arange(n) / n)
-    pts.setflags(write=False)
-    return pts
+    """The n-th roots of unity of the shared read-only `_unit_circle`."""
+    return _unit_circle(n)[1]
 
 
 def _rng(seed: int, stream: int) -> Generator:
@@ -372,12 +378,13 @@ class TrialReport:
 _Evidence = tuple[bool, bool, float, dict]
 
 
-def _log_ratio(A: complex, B: complex, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log(1 + A w) - log(1 + B w), a log of (1 + A w)/(1 + B w) that stays
-    principal for |arg| < pi, and its w-derivative A/(1 + A w) - B/(1 + B w)."""
+def _log_ratio(A: complex, B: complex, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base q = (1 + A w)/(1 + B w), log(1 + A w) - log(1 + B w), a log
+    of q that stays principal for |arg| < pi, and its w-derivative
+    A/(1 + A w) - B/(1 + B w). Powers of q are principal `_power`s."""
     num = 1.0 + A * w
     den = 1.0 + B * w
-    return np.log(num) - np.log(den), A / num - B / den
+    return num / den, _log(num) - _log(den), A / num - B / den
 
 
 def _max_pullback(p: np.ndarray, A: complex, B: complex, alpha: float) -> float:
@@ -397,8 +404,8 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
     a = cmath.exp(1j * math.pi * m)
-    logbase, dlog = _log_ratio(a, -1.0, w)
-    p = np.exp(alpha * logbase)
+    base, logbase, dlog = _log_ratio(a, -1.0, w)
+    p = _power(base, alpha)
     zdp = alpha * p * dlog * zdw
     gratio = 1.0 - cg * z  # g/(z g') for the comparison g(z) = z/(1 - cg z)
     quotient = p + zdp * gratio  # f'/g' when f = g p
@@ -451,7 +458,7 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.35, c_max=0.5)
     a = cmath.exp(1j * math.pi * m)
-    logbase, dlog = _log_ratio(a, -1.0, w)
+    base, logbase, dlog = _log_ratio(a, -1.0, w)
     # z p'/p for p = base^beta, evaluated without forming p first
     x = lam(z) * beta * (dlog * zdw)
     shifted = 1.0 + x
@@ -461,7 +468,7 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
     hypothesis = safe and hyp_margin > _SAFETY
 
     con_margin = _sector_margin(beta * logbase.imag, -beta * (1.0 - m) * math.pi / 2.0, beta * (1.0 + m) * math.pi / 2.0)
-    max_pull = _max_pullback(np.exp(beta * logbase), a, -1.0, beta)
+    max_pull = _max_pullback(_power(base, beta), a, -1.0, beta)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, {
         "alpha": alpha,
@@ -485,8 +492,8 @@ def _trial_inverse_coefficient(seed: int) -> _Evidence:
     beta = 0.98 * min(1.0, cap)
 
     _, _, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
-    logbase, dlog = _log_ratio(A, -b, w)
-    p = np.exp(alpha * logbase)
+    base, _, dlog = _log_ratio(A, -b, w)
+    p = _power(base, alpha)
     coeff = alpha * dlog * zdw / p  # z p'/p^2
     criterion = silverman_inclusion(A, b, alpha, beta)
     sup_coeff = float(np.max(np.abs(coeff)))
@@ -560,11 +567,11 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     """
     z = _unit_grid(512) if seed % 2 == 0 else np.concatenate([r * _unit_grid(512) for r in (0.35, 0.65, 0.9, 1.0)])
     omega, z, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.88, z=z)
-    logbase, dlog = _log_ratio(complex(spec.A), -spec.b, w)
-    p = np.exp(spec.gamma * logbase)
+    base, _, dlog = _log_ratio(complex(spec.A), -spec.b, w)
+    p = _power(base, spec.gamma)
     zdp = spec.gamma * p * dlog * zdw
-    p_alpha = np.exp(spec.alpha * spec.gamma * logbase)
-    p_alpha_m1 = np.exp((spec.alpha - 1.0) * spec.gamma * logbase)
+    p_alpha = _power(base, spec.alpha * spec.gamma)
+    p_alpha_m1 = _power(base, (spec.alpha - 1.0) * spec.gamma)
     e_samples = complex(spec.mu) * p_alpha * (complex(spec.delta) + complex(spec.rho) * p) + complex(spec.eta) * zdp * p_alpha_m1
     if seed % 2 == 0:
         reference = operator_dominant(spec, omega.linear_coefficient * z)
@@ -649,8 +656,8 @@ def _trial_first_order(seed: int) -> _Evidence:
     lam = weights[(seed // 4) % 3]
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.3, c_max=0.45)
-    logbase, dlog = _log_ratio(A, B, w)
-    p = np.exp(alpha * logbase)
+    base, _, dlog = _log_ratio(A, B, w)
+    p = _power(base, alpha)
     zdp = alpha * p * dlog * zdw
     denom = beta * p + gamma
     denom_clear = float(np.min(np.abs(denom)))

@@ -20,6 +20,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable
 
+from .envelope import _log
 from .errors import (
     BranchUndefinedError,
     DegenerateMapError,
@@ -88,7 +89,9 @@ def hyper_3f2(
 
 def _clog1p_arr(x: np.ndarray) -> np.ndarray:
     """log(1 + x) for complex x (array or scalar) without cancellation at
-    small |x| (Kahan)."""
+    small |x| (Kahan). Keeps np.log, not `envelope._log`: the trick
+    log(u) x / (u - 1) needs a correctly rounded complex log, and
+    log(hypot) loses the relative accuracy of Re log u near |u| = 1."""
     u = 1.0 + x
     plain = u == 1.0
     safe = np.where(plain, 2.0, u)
@@ -99,7 +102,7 @@ def _clog1p_arr(x: np.ndarray) -> np.ndarray:
 
 def _cexpm1_arr(y: np.ndarray) -> np.ndarray:
     """exp(y) - 1 for complex y (array or scalar) without cancellation at
-    small |y| (Kahan)."""
+    small |y| (Kahan). Keeps np.log for the reason given at `_clog1p_arr`."""
     u = np.exp(y)
     plain = u == 1.0
     safe = np.where(plain, 2.0, u)
@@ -268,7 +271,7 @@ def operator_dominant(spec: DominantSpec, z) -> complex | np.ndarray:
     den = 1.0 - spec.b * z
     if np.min(np.abs(den)) < 1e-14 or np.min(np.abs(num)) < 1e-14:
         raise PoleOnBoundaryError("evaluation point hits a zero or pole of the base map")
-    q_log = np.log(num) - np.log(den)
+    q_log = _log(num) - _log(den)  # sum of principal logs: its powers keep that branch
     bracket = (
         complex(spec.mu) * complex(spec.delta)
         + complex(spec.mu) * complex(spec.rho) * np.exp(spec.gamma * q_log)

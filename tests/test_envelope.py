@@ -11,6 +11,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,7 @@ from janowski import (
     tilt_angle,
 )
 from janowski._json import jsonable
-from janowski.envelope import _power, _unwrap
+from janowski.envelope import _log, _power, _refined_range, _unit_circle, _unwrap
 from tests.conftest import safe_params
 
 SQRT2 = math.sqrt(2.0)
@@ -197,6 +198,126 @@ def test_sample_curve_circle_matches_complex_exp(A, r):
     w = geo.center + geo.radius * np.exp(1j * curve.t)
     assert curve.u.tobytes() == w.real.tobytes()
     assert curve.v.tobytes() == w.imag.tobytes()
+
+
+# exponents alpha, roots 1/alpha down to alpha = 0.3, and the trials'
+# negative (alpha - 1) gamma
+HELPER_EXPONENTS = (0.3, 0.6, 1.0, 1.0 / 0.6, 1.0 / 0.3, -0.4, (0.5 - 1.0) * 0.6)
+ULP = np.finfo(float).eps
+
+
+def _helper_points() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(1318)
+    mag = 10.0 ** rng.uniform(-6.0, 6.0, 600)
+    near = 10.0 ** rng.uniform(-15.0, -3.0, 200)  # distance of arg w from +-pi
+    cut = np.array([1e-6, 0.5, 1.0, 3.0, 1e6])
+    return {
+        "modulus-1e-6-to-1e6": mag[:400] * np.exp(1j * rng.uniform(-math.pi, math.pi, 400)),
+        "arg-near-plus-minus-pi": -mag[400:] + 1j * mag[400:] * near * rng.choice([-1.0, 1.0], 200),
+        "cut-plus-zero": -cut + 0.0j,
+        "cut-minus-zero": np.array([complex(-x, -0.0) for x in cut]),
+    }
+
+
+HELPER_POINTS = _helper_points()
+
+
+def _mp_log(w: complex) -> mp.mpc:
+    """30-digit principal log; on the cut the sign of a zero imaginary part
+    picks the side, as in np.log (mpmath has no signed zero)."""
+    ref = mp.log(mp.mpc(w.real, w.imag))
+    return mp.conj(ref) if w.imag == 0.0 and math.copysign(1.0, w.imag) < 0.0 and w.real < 0.0 else ref
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", HELPER_EXPONENTS)
+@pytest.mark.parametrize("name", HELPER_POINTS)
+def test_power_matches_30_digit_principal_power(name, a):
+    w = HELPER_POINTS[name]
+    got = _power(w, a)
+    with mp.workdps(30):
+        for wi, gi in zip(w, got):
+            want = mp.exp(a * _mp_log(wi))
+            assert abs(mp.mpc(gi) - want) <= 8 * ULP * abs(want), (wi, a)
+    if name.startswith("cut"):  # the side of the cut follows np.log
+        assert (np.signbit(got.imag) == np.signbit(np.exp(a * np.log(w)).imag)).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", HELPER_POINTS)
+def test_log_matches_30_digit_principal_log(name):
+    w = HELPER_POINTS[name]
+    got = _log(w)
+    with mp.workdps(30):
+        for wi, gi in zip(w, got):
+            want = _mp_log(wi)
+            assert abs(mp.mpc(gi) - want) <= 4 * np.spacing(max(1.0, float(abs(want)))), wi
+    assert (np.signbit(got.imag) == np.signbit(np.log(w).imag)).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [a for a in HELPER_EXPONENTS if a > 0.0])
+def test_power_of_zero_is_exactly_zero(a):
+    zeros = np.array([0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)])
+    assert (_power(zeros, a) == 0.0).all()
+    assert _power(0j, a) == 0.0
+
+
+def test_unit_circle_is_shared_read_only_and_exact():
+    # one cache for the shifted view and the trials; its points are the
+    # n-th roots of unity exp(2 pi i k / n) bit for bit
+    for n in (512, 4096, 16384):
+        t, z = _unit_circle(n)
+        assert _unit_circle(n)[1] is z
+        assert not t.flags.writeable and not z.flags.writeable
+        assert z.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+        assert t.tobytes() == np.linspace(0.0, 2.0 * np.pi, n, endpoint=False).tobytes()
+
+
+def _dense_shifted_draws() -> list[tuple[JanowskiParams, float]]:
+    """Five shifted corpus draws and a shifted near-touch draw (|A| r = 0.999)."""
+    draws = envelope_corpus_draws()
+    shifted = [(p, r) for group, p, r in draws if group == "shifted"][:5]
+    p = next(p for group, p, _ in draws if group == "touch")
+    return shifted + [(JanowskiParams(p.A, p.B, p.alpha, 0.3 - 0.2j), 0.999)]
+
+
+@pytest.mark.parametrize("p,r", _dense_shifted_draws())
+def test_shifted_view_matches_two_million_samples(p, r):
+    closed = envelope_bounds(p, r).shifted
+    sampled = empirical_bounds(p, r, 2_000_000).shifted
+    for name in ("mod", "arg"):
+        (lo, hi), (slo, shi) = getattr(closed, name), getattr(sampled, name)
+        assert abs(lo - slo) <= 1e-10 and abs(hi - shi) <= 1e-10, name
+        assert slo >= lo - 1e-12 and shi <= hi + 1e-12, name
+
+
+@pytest.mark.parametrize("p,r", _dense_shifted_draws())
+def test_joint_polish_matches_one_polish_per_objective(p, r):
+    """The shifted view polishes modulus and argument in one pass; that pass
+    gives the same intervals, bit for bit, as one `_refined_range` each."""
+    geo, g = image_disk(p, r), p.gamma
+    grid, circle = _unit_circle(4096)
+
+    def h_of(t):
+        return (1.0 - g) * _power(geo.center + geo.radius * np.exp(1j * t), p.alpha) + g
+
+    hv = (1.0 - g) * _power(geo.center + geo.radius * circle, p.alpha) + g
+    args = _unwrap(np.angle(hv))
+
+    def mod_of(t):
+        return np.abs(h_of(t))
+
+    def arg_of(t):
+        i = np.rint(t / grid[1]).astype(int) % grid.size
+        return args[i] + np.angle(h_of(t) / hv[i])
+
+    joint = _refined_range(lambda t: np.concatenate([mod_of(t[:2]), arg_of(t[2:])]),
+                           grid, np.stack([np.abs(hv), args]))
+    single = _refined_range(mod_of, grid, np.abs(hv)[None]) + _refined_range(arg_of, grid, args[None])
+    assert np.array(joint).tobytes() == np.array(single).tobytes()
+    shifted = envelope_bounds(p, r).shifted
+    assert np.array([shifted.mod, shifted.arg]).tobytes() == np.array(joint).tobytes()
 
 
 @given(
