@@ -70,7 +70,7 @@ def _power(w, a: float) -> np.ndarray:
     complex log and are accurate to a few ulps, where exp(a log w) loses
     up to about 30 ulps at large |a log w|.
     """
-    phi = a * np.angle(w)
+    phi = a * np.arctan2(w.imag, w.real)  # np.angle's own kernel, without its wrapper
     mod = np.abs(w) ** a
     out = np.empty(np.shape(phi), dtype=complex)
     np.multiply(mod, np.cos(phi), out=out.real)
@@ -111,7 +111,7 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     exists.
     """
     z = np.asarray(z, dtype=complex)
-    radius = float(np.max(np.abs(z))) if z.size else math.nan  # NaN or inf: a non-finite point
+    radius = float(np.abs(z).max()) if z.size else math.nan  # NaN or inf: a non-finite point
     if not math.isfinite(radius):
         raise ParameterError("z must be a non-empty set of finite points")
     _branch_guard(p, radius)
@@ -379,9 +379,15 @@ def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedVie
     grid, circle = _unit_circle(4096)
     hv = h_at(circle)
     mods = np.abs(hv)
+    # At an origin touch h has a cusp at the value g, which polishing in t
+    # only approaches (w^a is still about dt^a at distance dt), so g is a
+    # candidate for both ends of the modulus and argument ranges.
+    touch = _touch_parameter(C, R)
     args, turns = (None, 0) if np.min(mods) < 1e-9 else _unwrapped_turns(hv)
     if args is None or turns:
         (mod,) = _refined_range(lambda t: np.abs(h_at(np.exp(1j * t))), grid, mods[None])
+        if touch is not None:
+            mod = _widened(mod, abs(g))
         return ShiftedView(re=re, im=im, mod=(0.0, mod[1]) if turns else mod, arg=None)
 
     def mod_arg(t: np.ndarray) -> np.ndarray:
@@ -392,7 +398,15 @@ def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedVie
         return np.concatenate([np.abs(h[:2]), args[i] + np.angle(h[2:] / hv[i])])
 
     mod, arg = _refined_range(mod_arg, grid, np.stack([mods, args]))
+    if touch is not None:
+        i = int(np.rint(touch / grid[1])) % grid.size  # arg g on the branch of the nearest sample
+        mod, arg = _widened(mod, abs(g)), _widened(arg, float(args[i] + np.angle(g / hv[i])))
     return ShiftedView(re=re, im=im, mod=mod, arg=arg)
+
+
+def _widened(iv: tuple[float, float], v: float) -> tuple[float, float]:
+    """The smallest interval holding iv and v."""
+    return (min(iv[0], v), max(iv[1], v))
 
 
 def _refined_range(fun, grid: np.ndarray, vals: np.ndarray) -> list[tuple[float, float]]:

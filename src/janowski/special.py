@@ -2,6 +2,12 @@
 the extremal dominants of the differential-subordination results, and the
 closed-form order/criterion helpers that accompany them.
 
+`hyper_3f2` sums its series by a block recurrence: numpy arrays hold the
+term ratios of a block, built with CPython's own complex arithmetic, and
+sequential accumulations turn them into terms and partial sums. It sums
+the same terms in the same order with the same stop rule as a scalar
+term loop, so its values are that loop's to the last bit.
+
 Everything here is scalar-analytic on the open unit disk. The kernel and
 the best dominant are both int_0^1 h e^G ds along the radial segment to
 z, with G(s) = int_0^s g, and `_nested_integral` computes both integrals
@@ -15,6 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 
 import numpy as np
 from dataclasses import dataclass
@@ -36,6 +43,8 @@ from .errors import (
 
 
 _MAX_TERMS = 100_000  # 3F2 terms summed before NoConvergenceError
+_FIRST_BLOCK = 32  # fewest 3F2 terms in a first block
+_MAX_BLOCK = 8192  # most 3F2 terms in one block
 _PANEL_NODES = 16  # Gauss-Legendre nodes per panel of _nested_integral
 _MAX_PANELS = 1000  # panels evaluated before QuadratureFailureError
 
@@ -50,6 +59,64 @@ def _near_nonpositive_int(x: complex) -> bool:
     return abs(xr.imag) < 1e-12 and xr.real < 0.5 and abs(xr.real - round(xr.real)) < 1e-12
 
 
+def _parts(v) -> tuple[float, float | None]:
+    """(re, im) of a scalar; im is None for a real one."""
+    if isinstance(v, numbers.Real):
+        return float(v), None
+    v = complex(v)
+    return v.real, v.imag
+
+
+def _shifted(v: tuple, n: np.ndarray) -> tuple:
+    """v + n as Python adds an int: a complex v gets im + 0.0."""
+    re, im = v
+    return re + n, None if im is None else im + 0.0
+
+
+def _product(p: tuple, q: tuple) -> tuple:
+    """p * q for (re, im) pairs as CPython 3.10-3.13 multiply: two reals
+    as floats; otherwise a real is promoted to im = 0.0 and the product is
+    (pr qr - pi qi, pr qi + pi qr)."""
+    (pr, pi), (qr, qi) = p, q
+    if pi is None and qi is None:
+        return pr * qr, None
+    pi = 0.0 if pi is None else pi
+    qi = 0.0 if qi is None else qi
+    return pr * qr - pi * qi, pr * qi + pi * qr
+
+
+def _quotient(p: tuple, q: tuple) -> tuple:
+    """p / q for (re, im) pairs of arrays as CPython divides: two reals as
+    floats; otherwise as _Py_c_quot, which divides through by the larger
+    part of q (a NaN takes the second branch and gives NaN in either).
+    Only the branches that entries take are computed."""
+    (pr, pi), (qr, qi) = p, q
+    if pi is None and qi is None:
+        return pr / qr, None
+    pi = 0.0 if pi is None else pi
+    if qi is None:  # promoted to im = 0.0: every entry takes the first branch
+        return _quotient_by_re(pr, pi, qr, 0.0)
+    by_re = np.abs(qr) >= np.abs(qi)
+    if by_re.all():
+        return _quotient_by_re(pr, pi, qr, qi)
+    if not by_re.any():
+        return _quotient_by_im(pr, pi, qr, qi)
+    (re1, im1), (re2, im2) = _quotient_by_re(pr, pi, qr, qi), _quotient_by_im(pr, pi, qr, qi)
+    return np.where(by_re, re1, re2), np.where(by_re, im1, im2)
+
+
+def _quotient_by_re(pr, pi, qr, qi) -> tuple:
+    ratio = qi / qr
+    denom = qr + qi * ratio
+    return (pr + pi * ratio) / denom, (pi - pr * ratio) / denom
+
+
+def _quotient_by_im(pr, pi, qr, qi) -> tuple:
+    ratio = qr / qi
+    denom = qr * ratio + qi
+    return (pr * ratio + pi) / denom, (pi * ratio - pr) / denom
+
+
 def hyper_3f2(
     a1: complex,
     a2: complex,
@@ -60,30 +127,59 @@ def hyper_3f2(
     tol: float = 1e-15,
 ) -> complex:
     """Generalized hypergeometric sum 3F2(a1, a2, a3; b1, b2; x) by direct
-    term recurrence.
+    term recurrence, t_0 = 1 and t_{n+1} = t_n (a1+n)(a2+n)(a3+n) x /
+    ((b1+n)(b2+n)(1+n)).
 
-    Terms are accumulated until three consecutive terms are below
-    `tol` relative to the running sum; exceeding 100k terms raises
-    NoConvergenceError (the series diverges for |x| > 1 and converges
-    slowly near |x| = 1).
+    The sum stops at the first term that completes a run of three
+    consecutive terms with |t| < tol max(|sum|, 1e-300); exceeding 100k
+    terms raises NoConvergenceError (the series diverges for |x| > 1 and
+    converges slowly near |x| = 1).
+
+    Terms are summed in blocks: the term ratios of a block come from real
+    arrays by CPython's own complex product and quotient, and sequential
+    `multiply.accumulate` and `add.accumulate` give its terms and partial
+    sums. These are the same terms, summed in the same order, as the
+    scalar loop `term *= ratio; total += term`, bit for bit; real
+    parameters (ints and numpy reals too) count as Python floats. The
+    first block has about log(tol)/log|x| terms (at least 32), and each
+    next one twice as many, up to 8192.
     """
     require_finite_args("hyper_3f2", a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, x=x)
     _require_tol("hyper_3f2", tol)
     for b in (b1, b2):
         if _near_nonpositive_int(b):
             raise ParameterError(f"lower parameter {b} is a nonpositive integer")
-    total = complex(1.0)
-    term = complex(1.0)
-    small_run = 0
-    for n in range(_MAX_TERMS):
-        term *= (a1 + n) * (a2 + n) * (a3 + n) * x / ((b1 + n) * (b2 + n) * (1 + n))
-        total += term
-        if abs(term) < tol * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 3:
-                return total
-        else:
-            small_run = 0
+    tops, bottoms, xp = [_parts(v) for v in (a1, a2, a3)], [_parts(v) for v in (b1, b2)], _parts(x)
+    size = _FIRST_BLOCK
+    x_abs = math.hypot(xp[0], xp[1] or 0.0)
+    if 0.0 < x_abs < 1.0:
+        size = min(_MAX_BLOCK, max(size, math.ceil(math.log(tol) / math.log(x_abs))))
+    term = total = complex(1.0)
+    start, carry = 0, np.zeros(0, dtype=bool)  # terms summed; small-term flags of the last two
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while start < _MAX_TERMS:
+            n = np.arange(start, min(start + size, _MAX_TERMS), dtype=float)
+            num = functools.reduce(_product, [_shifted(v, n) for v in tops] + [xp])
+            den = functools.reduce(_product, [_shifted(v, n) for v in bottoms] + [(n + 1.0, None)])
+            ratio_re, ratio_im = _quotient(num, den)
+            terms = np.empty(n.size + 1, dtype=complex)
+            terms[0] = term
+            terms.real[1:] = ratio_re
+            terms.imag[1:] = 0.0 if ratio_im is None else ratio_im
+            terms = np.multiply.accumulate(terms)
+            sums = terms.copy()
+            sums[0] = total
+            sums = np.add.accumulate(sums)
+            # np.hypot, not np.abs: it is the libm hypot of Python's abs
+            bound = tol * np.maximum(np.hypot(sums.real[1:], sums.imag[1:]), 1e-300)
+            small = np.concatenate((carry, np.hypot(terms.real[1:], terms.imag[1:]) < bound))
+            hit = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+            if hit.size:
+                return complex(sums[hit[0] + 3 - carry.size])
+            carry = small[-2:]
+            term, total = complex(terms[-1]), complex(sums[-1])
+            start += n.size
+            size = min(2 * size, _MAX_BLOCK)
     raise NoConvergenceError(f"3F2 series did not settle within {_MAX_TERMS} terms at x={x}")
 
 

@@ -394,6 +394,28 @@ def test_origin_touch_keeps_the_minimum_beside_the_cusp():
     assert closed.arg == pytest.approx((0.982 * (tau - math.pi / 2), 0.982 * (tau + math.pi / 2)), abs=1e-14)
 
 
+def test_shifted_touch_reaches_the_cusp_value():
+    """|A| r = 1 with gamma != 0: h = gamma at the touch, a cusp that the
+    polish in t only approaches (it stopped at -0.5879969 on this draw).
+    At 30 digits arg h stays above arg gamma on both sides of the touch
+    and round the circle, so arg gamma is the argument minimum."""
+    p = [p for group, p, _ in envelope_corpus_draws() if group == "touch"][1]
+    p = JanowskiParams(p.A, p.B, p.alpha, 0.3 - 0.2j)
+    shifted = envelope_bounds(p, 1.0).shifted
+    with mp.workdps(30):
+        A, B, g = (mp.mpc(v.real, v.imag) for v in (p.A, p.B, p.gamma))
+        want, touch = mp.arg(g), mp.arg(-1 / A)
+
+        def arg_h(t):
+            z = mp.expj(t)
+            return mp.arg((1 - g) * ((1 + A * z) / (1 + B * z)) ** p.alpha + g)
+
+        near = [touch + s * mp.mpf(10) ** -k for s in (-1, 1) for k in range(1, 13)]
+        assert all(arg_h(t) > want for t in near + [2 * mp.pi * k / 256 for k in range(256)])
+        assert shifted.arg[0] == pytest.approx(float(want), abs=4e-16)
+    assert shifted.mod[0] <= abs(p.gamma) <= shifted.mod[1]
+
+
 def test_zero_inside_the_disk_has_no_argument_range():
     """gamma puts the zero of h at z = -0.6, inside |z| < 0.8."""
     A, B, alpha, r = 0.9, 0.3j, 0.7, 0.8

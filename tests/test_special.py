@@ -78,6 +78,110 @@ class TestHyper3F2:
         assert abs(left - right) < 1e-12
 
 
+def _hyper_3f2_loop(a1, a2, a3, b1, b2, x, tol=1e-15):
+    """The scalar term loop that `hyper_3f2` sums in blocks, kept as the
+    reference its values must match bit for bit: (value, terms summed)."""
+    total = complex(1.0)
+    term = complex(1.0)
+    small_run = 0
+    for n in range(100_000):
+        term *= (a1 + n) * (a2 + n) * (a3 + n) * x / ((b1 + n) * (b2 + n) * (1 + n))
+        total += term
+        if abs(term) < tol * max(abs(total), 1e-300):
+            small_run += 1
+            if small_run >= 3:
+                return total, n + 1
+        else:
+            small_run = 0
+    raise NoConvergenceError(f"3F2 series did not settle within 100000 terms at x={x}")
+
+
+def _bits(v: complex) -> tuple[str, str]:
+    return v.real.hex(), v.imag.hex()
+
+
+def _hyper_3f2_table(kind: str, count: int = 60) -> list[tuple]:
+    """Seeded draws of (a1, a2, a3, b1, b2, x, tol): parameters with parts in
+    [-2.5, 3] (real b kept 0.05 from the nonpositive integers), |x| in
+    [0, 0.99]. `kind` makes every parameter and x real, complex, complex
+    with a zero imaginary part, or each one of those at random ("mixed")."""
+    rng = np.random.default_rng(["real", "complex", "zero_imag", "mixed"].index(kind))
+    kinds = ["real", "complex", "zero_imag"]
+
+    def value(re: float, im: float):
+        k = kinds[rng.integers(3)] if kind == "mixed" else kind
+        return float(re) if k == "real" else complex(re, im if k == "complex" else 0.0)
+
+    table = []
+    while len(table) < count:
+        a = [value(*rng.uniform(-2.5, 3.0, 2)) for _ in range(3)]
+        b = [value(*rng.uniform(-2.5, 3.0, 2)) for _ in range(2)]
+        if any(complex(v).imag == 0.0 and complex(v).real < 0.5
+               and abs(complex(v).real - round(complex(v).real)) < 0.05 for v in b):
+            continue
+        x = 0.99 * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
+        table.append((*a, *b, value(x.real, x.imag), float(rng.choice([1e-15, 1e-12, 1e-9]))))
+    return table
+
+
+def _first_block(x: complex, tol: float) -> int:
+    """Terms in the first block `hyper_3f2` sums, as its docstring sets it."""
+    return max(32, math.ceil(math.log(tol) / math.log(abs(x))))
+
+
+# (args, first term of the stopping run's block): runs of three small terms
+# that start one or two terms before a block ends, at the first and at the
+# second block boundary (blocks of B and 2B terms)
+_STRADDLES = {
+    "two-carried": ((1.0, 1.5, 1.2, 1.5, 1.2, 0.5, 1e-15), 51),
+    "one-carried": ((1.0, 1.5, 1.2, 1.5, 1.2, 0.7j, 1e-14), 92),
+    "second-boundary": ((4.0, 4.0, 4.0, 1.0, 1.5, -0.6, 1e-8), 112),
+}
+
+
+class TestHyper3F2Blocks:
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero_imag", "mixed"])
+    def test_blocks_match_the_term_loop_bit_for_bit(self, kind):
+        for args in _hyper_3f2_table(kind):
+            want, _ = _hyper_3f2_loop(*args)
+            assert _bits(hyper_3f2(*args)) == _bits(want), args
+
+    @pytest.mark.parametrize("args, block_start", _STRADDLES.values(), ids=_STRADDLES.keys())
+    def test_run_straddling_a_block_boundary(self, args, block_start):
+        want, terms = _hyper_3f2_loop(*args)
+        x, tol = args[-2:]
+        first = _first_block(x, tol)
+        assert block_start in (first + 1, 3 * first + 1)  # first term of the second or third block
+        assert block_start <= terms < block_start + 2  # the run began in the block before
+        assert _bits(hyper_3f2(*args)) == _bits(want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        (0.5, 1.0, 1.0, 1.5, 2.2, 0.0),
+        (0.5 + 1j, 1.0, 1.0, 1.5, 2.2j, 0j),
+        (-2.0, 1.0, 1.0, 2.0, 2.0, 0.7),
+        (-2.0, 1.0, 0.5j, 2.0, 1.5, -0.7 + 0.2j),
+    ], ids=["x-0", "x-0j", "terminating", "terminating-complex"])
+    def test_short_sums_keep_their_values(self, args):
+        want, _ = _hyper_3f2_loop(*args)
+        assert _bits(hyper_3f2(*args)) == _bits(want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        (0.5, 1.0, 1.0, 1.5, 2.2, 1.0),
+        (0.5, 1.0, 1.0, 1.5, 2.2, -1.0),
+        (1e300, 1e300, 1.0, 2.0, 2.0, 1.0),
+        (1e300, 1e300, 1.0, 2.0, 2.0, -1.0),
+        (1e300, 1e300, 1.0, 2.0, 2.0, 0.5j),
+    ], ids=["x-1", "x-minus-1", "overflow-x-1", "overflow-x-minus-1", "overflow-x-0.5j"])
+    def test_failures_keep_their_message_and_warn_nothing(self, args):
+        with pytest.raises(NoConvergenceError) as old:
+            _hyper_3f2_loop(*args)
+        with pytest.raises(NoConvergenceError) as new:
+            hyper_3f2(*args)
+        assert str(new.value) == str(old.value) == f"3F2 series did not settle within 100000 terms at x={args[-1]}"
+
+
 class TestKernelIntegral:
     def test_geometric_closed_form(self):
         # alpha = 1, A = 1, b = 1 integrates to z/(1-z)
