@@ -54,6 +54,7 @@ _NEWTON_TOL = 1e-13  # final step length of a critical-parameter solve
 _NEWTON_CAP = 100
 _POLISH_POINTS = 33  # local grid per polishing round, two coarse steps wide
 _POLISH_ROUNDS = 5  # each round shrinks the spacing 16-fold
+_BLOCK = 1 << 14  # samples per block of a streamed curve, 256 KiB of complex values
 
 
 # ---------------------------------------------------------------------------
@@ -170,38 +171,73 @@ def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
 
     The curve avoids the cut, so principal arguments are already
     continuous; `_unwrap` (np.unwrap bit for bit) corrects the rare jump
-    between samples straddling an origin touch.
+    between samples straddling an origin touch. The samples are the
+    blocks of `_curve_blocks` joined, the same bytes as one whole-array pass.
     """
     n = require_index("n", n, 1)
-    C, R = _circle_geometry(p, r)
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    w = np.empty(n, dtype=complex)  # e^{it} from real cos and sin, then C + R e^{it}
-    w.real, w.imag = np.cos(t), np.sin(t)
-    w *= R
-    w += C
-    M = np.abs(w) ** p.alpha
-    N = p.alpha * _unwrap(np.angle(w))
+    t, w, M, N = (np.concatenate(parts) for parts in zip(*_curve_blocks(p, r, n)))
     return EnvelopeCurve(r=r, t=t, u=w.real, v=w.imag, M=M, N=N)
 
 
-def _unwrap(p: np.ndarray) -> np.ndarray:
+def _curve_blocks(p: JanowskiParams, r: float, n: int):
+    """The n-point curve of `sample_curve` as blocks (t, w, M, N) of up to
+    _BLOCK consecutive samples, so a consumer never holds a full-length array.
+
+    Each sample depends on its index k alone, t_k = k (2 pi / n) + 0.0 as
+    np.linspace builds it, except the unwrapped argument, which carries the
+    last raw argument and running correction across block boundaries. The
+    bytes therefore do not depend on the block size.
+    """
+    C, R = _circle_geometry(p, r)
+    step = 2.0 * np.pi / n
+    prev, carry = None, 0.0
+    for k0 in range(0, n, _BLOCK):
+        t = np.arange(k0, min(k0 + _BLOCK, n)) * step + 0.0
+        w = np.empty(t.size, dtype=complex)  # e^{it} from real cos and sin, then C + R e^{it}
+        w.real, w.imag = np.cos(t), np.sin(t)
+        w *= R
+        w += C
+        arg = np.angle(w)
+        N, carry = _unwrap(arg, prev, carry)
+        prev = arg[-1]
+        yield t, w, np.abs(w) ** p.alpha, p.alpha * N
+
+
+def _unwrap(p: np.ndarray, prev: float | None = None, carry: float = 0.0) -> tuple[np.ndarray, float]:
     """np.unwrap(p) bit for bit for a 1-d float array, computing numpy's
     correction only at the jumps |p[i+1] - p[i]| >= pi (NaN counts as one).
-    Every other correction is +0.0, so a jump-free p costs one diff."""
-    dd = np.diff(p)
-    jumps = np.flatnonzero(~(np.abs(dd) < math.pi))
+    Every other correction is +0.0, so a jump-free p costs one diff.
+
+    Returns the unwrapped p and the running correction after it. An array
+    unwrapped in pieces, each passed with prev, the last raw value of the
+    piece before, and carry, the correction that piece returned, joins to
+    np.unwrap of the whole array: numpy's cumulative sum is sequential, so
+    continuing it from carry adds in the same order.
+    """
     out = np.empty_like(p)
-    out[:1] = p[:1]
+    if prev is None:  # the first value of the whole array stays as it is
+        if not p.size:
+            return out, carry
+        out[0], prev = p[0], p[0]
+        p, rest = p[1:], out[1:]
+    else:
+        rest = out
+    dd = np.empty_like(p)  # differences from prev on
+    dd[:1] = p[:1] - prev
+    np.subtract(p[1:], p[:-1], out=dd[1:])
+    jumps = np.flatnonzero(~(np.abs(dd) < math.pi))
     if not jumps.size:
-        np.add(p[1:], 0.0, out=out[1:])  # numpy adds +0.0 too: -0.0 turns to +0.0
-        return out
+        np.add(p, carry, out=rest)  # numpy adds the correction, +0.0 too: -0.0 turns to +0.0
+        return out, carry
     d = dd[jumps]
     ddmod = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
     ddmod[(ddmod == -math.pi) & (d > 0.0)] = math.pi
     step = np.zeros_like(dd)
     step[jumps] = ddmod - d
-    np.add(p[1:], np.cumsum(step), out=out[1:])
-    return out
+    step[0] += carry  # corrections are never -0.0, so carry 0.0 leaves step[0] as it is
+    np.cumsum(step, out=step)
+    np.add(p, step, out=rest)
+    return out, float(step[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +395,15 @@ def envelope_bounds(p: JanowskiParams, r: float) -> BoundReport:
 def _unwrapped_turns(h: np.ndarray) -> tuple[np.ndarray, int]:
     """Continuous argument along a closed sampled curve h and its turns
     about 0: by the argument principle, the zeros of h inside the circle."""
-    args = _unwrap(np.angle(h))
-    closing = np.angle(h[0] / h[-1])
-    return args, int(round((args[-1] + closing - args[0]) / (2.0 * math.pi)))
+    args, _ = _unwrap(np.arctan2(h.imag, h.real))  # np.angle's kernel, without its wrapper
+    return args, _turns(h[0], h[-1], args[0], args[-1])
+
+
+def _turns(h_first, h_last, arg_first, arg_last) -> int:
+    """Turns about 0 of a closed sampled curve from its first and last
+    samples and their continuous arguments."""
+    closing = np.angle(h_first / h_last)
+    return int(round((arg_last + closing - arg_first) / (2.0 * math.pi)))
 
 
 def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedView:

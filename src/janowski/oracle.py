@@ -36,18 +36,18 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from numpy.random import Generator, Philox
 
 from ._json import jsonable
 from .envelope import (
     BoundReport,
     ShiftedView,
+    _curve_blocks,
     _log,
     _power,
+    _turns,
     _unit_circle,
-    _unwrapped_turns,
+    _unwrap,
     invert_powered,
-    sample_curve,
     tilt_angle,
 )
 from .errors import (
@@ -77,6 +77,7 @@ _HEADROOM = 1.0 - 1e-6
 _N_SAMPLES = 4096  # unit-grid points on which a trial samples its test function
 _SAFETY = 1e-5  # interior margin a sampled supremum must clear before a claim
 _SEED_END = 2**64  # seeds are Philox key words, integers in [0, 2^64)
+_PEAK_CHUNK = 4096  # grid points per chunk of the Schwarz normalization, 64 KiB of complex values
 
 
 def _unit_grid(n: int) -> np.ndarray:
@@ -84,10 +85,13 @@ def _unit_grid(n: int) -> np.ndarray:
     return _unit_circle(n)[1]
 
 
-def _rng(seed: int, stream: int) -> Generator:
+def _rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream) pair.  The key is built
     as uint64 so that every seed below 2^64 gets its own key; a plain list
-    would pass through float64 and merge seeds above 2^53."""
+    would pass through float64 and merge seeds above 2^53.  numpy.random
+    is imported here, by the first trial, so the CLI starts without it."""
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
@@ -179,7 +183,12 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     raw = rng.random((degree, 2))
     coef = raw[:, 0] + 1j * raw[:, 1]
     z = _unit_grid(65536)
-    peak = float(np.abs(z * npoly.polyval(z, coef)).max())
+    peak = 0.0
+    for k in range(0, z.size, _PEAK_CHUNK):
+        zc = z[k:k + _PEAK_CHUNK]
+        v = npoly.polyval(zc, coef)
+        np.multiply(v, zc, out=v)  # the order numpy's temporary elision gave z * polyval(z) on the whole grid
+        peak = max(peak, float(np.abs(v).max()))
     if peak < 1e-12:
         return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
     return SchwarzPoly(tuple(coef), _HEADROOM / peak)
@@ -311,34 +320,44 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     Estimates every interval from n boundary samples; no root finding is
     involved, so this is an independent oracle for the analytic path.
     The critical-point block is absent by construction.
+
+    The samples stream through `_curve_blocks`: each block updates running
+    minima and maxima, and the first and last samples of h and of its
+    continuous argument give the turns about 0, so no full-length array is
+    held. h = (1 - g) w^a + g is formed as (w^a) * (1 - g) + g with
+    explicit in-place ops, the order numpy's temporary elision gave the
+    whole-array expression from 16384 samples on; with FMA the other
+    operand order of the complex product can differ in the last bit.
     """
-    curve = sample_curve(p, r, require_index("n", n, 16))
-    re = curve.M * np.cos(curve.N)
-    im = curve.M * np.sin(curve.N)
+    n = require_index("n", n, 16)
     g = complex(p.gamma)
-    h = (1.0 - g) * (re + 1j * im) + g
-    hmod = np.abs(h)
-    hmin, harg = float(hmod.min()), None
+    lo, hi = np.full(8, np.inf), np.full(8, -np.inf)
+    prev, carry = None, 0.0
+    for _, _, M, N in _curve_blocks(p, r, n):
+        re = M * np.cos(N)
+        im = M * np.sin(N)
+        h = np.empty(N.size, dtype=complex)
+        h.real, h.imag = re, im
+        np.multiply(h, 1.0 - g, out=h)
+        np.add(h, g, out=h)
+        raw = np.angle(h)
+        args, carry = _unwrap(raw, prev, carry)
+        if prev is None:
+            first = h[0], args[0]
+        prev = raw[-1]
+        # arg, mod, re, im of the normalized map, then re, im, mod, arg of h
+        ranges = (N, M, re, im, h.real, h.imag, np.abs(h), args)
+        np.minimum(lo, [x.min() for x in ranges], out=lo)
+        np.maximum(hi, [x.max() for x in ranges], out=hi)
+    hmin, harg = float(lo[6]), None
     if hmin >= 1e-9:
-        unwrapped, turns = _unwrapped_turns(h)
-        if turns:  # a zero of h inside the disk: no argument, modulus down to 0
-            hmin = 0.0
+        if _turns(first[0], h[-1], first[1], args[-1]):
+            hmin = 0.0  # a zero of h inside the disk: no argument, modulus down to 0
         else:
-            harg = (float(unwrapped.min()), float(unwrapped.max()))
-    shifted = ShiftedView(
-        re=(float(h.real.min()), float(h.real.max())),
-        im=(float(h.imag.min()), float(h.imag.max())),
-        mod=(hmin, float(hmod.max())),
-        arg=harg,
-    )
-    return BoundReport(
-        arg=(float(curve.N.min()), float(curve.N.max())),
-        mod=(float(curve.M.min()), float(curve.M.max())),
-        re=(float(re.min()), float(re.max())),
-        im=(float(im.min()), float(im.max())),
-        critical=None,
-        shifted=shifted,
-    )
+            harg = (float(lo[7]), float(hi[7]))
+    iv = [(float(a), float(b)) for a, b in zip(lo, hi)]
+    shifted = ShiftedView(re=iv[4], im=iv[5], mod=(hmin, iv[6][1]), arg=harg)
+    return BoundReport(arg=iv[0], mod=iv[1], re=iv[2], im=iv[3], critical=None, shifted=shifted)
 
 
 # ---------------------------------------------------------------------------

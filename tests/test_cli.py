@@ -4,6 +4,8 @@ artifact files."""
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -343,3 +345,12 @@ def test_every_action_prints_strict_json(capsys, tmp_path, command, action):
     assert set(data["params"]) == set(f"{entry.required} {entry.optional}".split())
     golden = {json.loads(line)["command"]: line for line in GOLDEN_CLI.read_text().splitlines()}
     assert golden_cli_line(command, action, data["result"]) == golden[data["command"]]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """numpy.random (with secrets and hmac) loads with the first trial,
+    not with the CLI."""
+    code = "import sys, janowski.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent.parent / "src",
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -31,7 +31,17 @@ from janowski import (
     tilt_angle,
 )
 from janowski._json import jsonable
-from janowski.envelope import _log, _power, _refined_range, _unit_circle, _unwrap
+from janowski.envelope import (
+    _BLOCK,
+    BoundReport,
+    ShiftedView,
+    _curve_blocks,
+    _log,
+    _power,
+    _refined_range,
+    _unit_circle,
+    _unwrap,
+)
 from tests.conftest import safe_params
 
 SQRT2 = math.sqrt(2.0)
@@ -179,7 +189,35 @@ UNWRAP_CASES = {
 @pytest.mark.parametrize("x", UNWRAP_CASES.values(), ids=UNWRAP_CASES.keys())
 def test_unwrap_matches_numpy_bit_for_bit(x):
     with np.errstate(invalid="ignore"):  # inf - inf in the differences of "inf-inside"
-        assert _unwrap(x).tobytes() == np.unwrap(x).tobytes()
+        assert _unwrap(x)[0].tobytes() == np.unwrap(x).tobytes()
+
+
+def _unwrap_in_pieces(x: np.ndarray, cuts) -> np.ndarray:
+    """x unwrapped piece by piece, carrying the last raw value and the
+    running correction across each cut."""
+    out, prev, carry = [], None, 0.0
+    for piece in np.split(x, cuts):
+        unwrapped, carry = _unwrap(piece, prev, carry)
+        out.append(unwrapped)
+        if piece.size:
+            prev = piece[-1]
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("x", UNWRAP_CASES.values(), ids=UNWRAP_CASES.keys())
+def test_unwrap_in_pieces_joins_to_numpy(x):
+    """Cuts at a jump (the jump is the first difference of a piece), just
+    before and after one, at every point of the short cases (exact +-pi
+    steps, NaN, inf, -0.0), into single values, and at random points."""
+    with np.errstate(invalid="ignore"):
+        want = np.unwrap(x).tobytes()
+        jumps = np.flatnonzero(~(np.abs(np.diff(x)) < math.pi))[:40]
+        near = sorted({int(k) for j in jumps for k in (j, j + 1, j + 2) if k <= x.size})
+        every = list(range(x.size + 1)) if x.size <= 16 else []
+        random_cuts = sorted(np.random.default_rng(x.size).integers(0, x.size + 1, 7).tolist())
+        cut_sets = [[k] for k in near + every] + [near, every, random_cuts, [0, 0, x.size, x.size]]
+        for cuts in cut_sets:
+            assert _unwrap_in_pieces(x, cuts).tobytes() == want, cuts
 
 
 def test_unwrap_cases_have_jumps():
@@ -198,6 +236,99 @@ def test_sample_curve_circle_matches_complex_exp(A, r):
     w = geo.center + geo.radius * np.exp(1j * curve.t)
     assert curve.u.tobytes() == w.real.tobytes()
     assert curve.v.tobytes() == w.imag.tobytes()
+
+
+def _whole_array_curve(p: JanowskiParams, r: float, n: int):
+    """t, w, M, N of the n-point curve in one whole-array pass."""
+    geo = image_disk(p, r)
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    w = np.empty(n, dtype=complex)
+    w.real, w.imag = np.cos(t), np.sin(t)
+    w *= geo.radius
+    w += geo.center
+    return t, w, np.abs(w) ** p.alpha, p.alpha * np.unwrap(np.angle(w))
+
+
+def _whole_array_empirical_bounds(p: JanowskiParams, r: float, n: int) -> BoundReport:
+    """The sampled oracle as one whole-array pass, the reference for the
+    streamed `empirical_bounds`. From 16384 samples on numpy elides the
+    temporary of (re + 1j im), so the product runs as (re + 1j im) * (1 - g)."""
+    _, _, M, N = _whole_array_curve(p, r, n)
+    re = M * np.cos(N)
+    im = M * np.sin(N)
+    g = complex(p.gamma)
+    h = (1.0 - g) * (re + 1j * im) + g
+    hmod = np.abs(h)
+    hmin, harg = float(hmod.min()), None
+    if hmin >= 1e-9:
+        args = np.unwrap(np.angle(h))
+        if round((args[-1] + np.angle(h[0] / h[-1]) - args[0]) / (2.0 * math.pi)):
+            hmin = 0.0
+        else:
+            harg = (float(args.min()), float(args.max()))
+    shifted = ShiftedView(
+        re=(float(h.real.min()), float(h.real.max())),
+        im=(float(h.imag.min()), float(h.imag.max())),
+        mod=(hmin, float(hmod.max())),
+        arg=harg,
+    )
+    return BoundReport(
+        arg=(float(N.min()), float(N.max())),
+        mod=(float(M.min()), float(M.max())),
+        re=(float(re.min()), float(re.max())),
+        im=(float(im.min()), float(im.max())),
+        critical=None,
+        shifted=shifted,
+    )
+
+
+@pytest.mark.parametrize("n", [16, 2048, 16385, 200_000])
+def test_curve_blocks_join_to_the_whole_array_curve(n):
+    # a touch draw: the argument turns by about pi where the circle meets the origin
+    p = next(p for group, p, _ in envelope_corpus_draws() if group == "touch")
+    blocks = list(_curve_blocks(p, 1.0, n))
+    assert all(b[0].size <= _BLOCK for b in blocks) and len(blocks) == -(-n // _BLOCK)
+    t, w, M, N = (np.concatenate(parts) for parts in zip(*blocks))
+    assert t.tobytes() == np.linspace(0.0, 2.0 * np.pi, n, endpoint=False).tobytes()
+    want = _whole_array_curve(p, 1.0, n)
+    assert [x.tobytes() for x in (t, w, M, N)] == [x.tobytes() for x in want]
+    curve = sample_curve(p, 1.0, n)
+    got = (curve.t, curve.u, curve.v, curve.M, curve.N)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in (t, w.real, w.imag, M, N)]
+
+
+def _report_bytes(report: BoundReport, **fields) -> str:
+    """The report as its JSON line, floats by repr, with `fields` replaced."""
+    return json.dumps(jsonable(asdict(report) | fields))
+
+
+@pytest.mark.parametrize("n", [16384, 16385, 2 * _BLOCK + 1, 100_000, 200_000])
+def test_streamed_oracle_is_bit_identical(n):
+    for group, p, r in envelope_corpus_draws():
+        want = _whole_array_empirical_bounds(p, r, n)
+        assert _report_bytes(empirical_bounds(p, r, n)) == _report_bytes(want), group
+
+
+@pytest.mark.parametrize("n", [16, 1000, 4096, 16383])
+def test_streamed_oracle_below_the_elision_size(n):
+    """Below 16384 samples numpy did not elide, so the whole-array oracle
+    formed (1 - g) * T where the streamed one forms T * (1 - g); with FMA
+    the two can differ in the last bit. Only the shifted view of h moves,
+    by at most 4e-16 of the size |1 - g| max M + |g| of the terms of h (the
+    argument by that over min |h|); every other field keeps its bytes."""
+    for group, p, r in envelope_corpus_draws():
+        got, want = empirical_bounds(p, r, n), _whole_array_empirical_bounds(p, r, n)
+        if p.gamma == 0.0:
+            assert _report_bytes(got) == _report_bytes(want), group
+            continue
+        assert _report_bytes(got, shifted=None) == _report_bytes(want, shifted=None), group
+        size = abs(1.0 - p.gamma) * got.mod[1] + abs(p.gamma)
+        for name in ("re", "im", "mod", "arg"):
+            a, b = getattr(got.shifted, name), getattr(want.shifted, name)
+            assert (a is None) == (b is None), (group, name)
+            if a is not None:
+                bound = 4e-16 * size / (got.shifted.mod[0] if name == "arg" else 1.0)
+                assert np.abs(np.subtract(a, b)).max() <= bound, (group, name)
 
 
 # exponents alpha, roots 1/alpha down to alpha = 0.3, and the trials'
@@ -303,7 +434,7 @@ def test_joint_polish_matches_one_polish_per_objective(p, r):
         return (1.0 - g) * _power(geo.center + geo.radius * np.exp(1j * t), p.alpha) + g
 
     hv = (1.0 - g) * _power(geo.center + geo.radius * circle, p.alpha) + g
-    args = _unwrap(np.angle(hv))
+    args, _ = _unwrap(np.angle(hv))
 
     def mod_of(t):
         return np.abs(h_of(t))

@@ -9,10 +9,12 @@ and is sound exactly when no trial lands hypothesis-true/conclusion-false.
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from janowski import (
     BranchUndefinedError,
@@ -30,8 +32,8 @@ from janowski import (
     subordination_pullback,
     verify_subordination,
 )
-from janowski import oracle
-from janowski.oracle import _winding_contains
+from janowski import empirical_bounds, oracle
+from janowski.oracle import _HEADROOM, _rng, _unit_grid, _winding_contains
 from tests.conftest import safe_params
 
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
@@ -63,6 +65,18 @@ class TestSchwarzPoly:
         assert a.coefficients == b.coefficients
         assert a.scale == b.scale
         assert random_schwarz(43, 7).coefficients != a.coefficients
+
+    def test_scale_matches_the_one_shot_peak(self):
+        """The 65536-point peak taken in chunks equals the whole-grid
+        z * polyval(z, c), where numpy elides the temporary of polyval and
+        multiplies it by z in place."""
+        z = _unit_grid(65536)
+        for seed in range(1000):
+            degree = 2 + seed % 15
+            raw = _rng(seed, 0).random((degree, 2))
+            coef = raw[:, 0] + 1j * raw[:, 1]
+            peak = float(np.abs(z * npoly.polyval(z, coef)).max())
+            assert random_schwarz(seed, degree).scale == _HEADROOM / peak, (seed, degree)
 
     def test_degree_one_draw_is_near_rotation(self):
         s = random_schwarz(9, 1)
@@ -270,3 +284,20 @@ class TestWindingContains:
         got = _winding_contains(points, curve)
         assert got.tolist() == [False, False, False, True]
         assert np.array_equal(got, _angle_sum_contains(points, curve))
+
+
+@pytest.mark.parametrize("call,limit", [
+    (lambda: empirical_bounds(JanowskiParams(0.7 + 0.3j, -0.4, 0.6, 0.2 - 0.3j), 0.8, 200_000), 4 << 20),
+    (lambda: random_schwarz(5, 16), 1 << 19),
+], ids=["empirical_bounds-200k", "random_schwarz"])
+def test_working_memory_stays_small(call, limit):
+    """The oracle streams cache-sized blocks and the Schwarz peak takes
+    its grid in chunks, so neither holds a full-length array."""
+    call()  # fills the shared unit-circle caches
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
