@@ -184,11 +184,15 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     coef = raw[:, 0] + 1j * raw[:, 1]
     z = _unit_grid(65536)
     peak = 0.0
+    v, a = np.empty(_PEAK_CHUNK, dtype=complex), np.empty(_PEAK_CHUNK)
     for k in range(0, z.size, _PEAK_CHUNK):
         zc = z[k:k + _PEAK_CHUNK]
-        v = npoly.polyval(zc, coef)
+        v.fill(coef[-1])  # Horner in place, npoly.polyval's own order: c_k + v z
+        for c in coef[-2::-1]:
+            np.multiply(v, zc, out=v)
+            np.add(v, c, out=v)
         np.multiply(v, zc, out=v)  # the order numpy's temporary elision gave z * polyval(z) on the whole grid
-        peak = max(peak, float(np.abs(v).max()))
+        peak = max(peak, float(np.abs(v, out=a).max()))
     if peak < 1e-12:
         return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
     return SchwarzPoly(tuple(coef), _HEADROOM / peak)
@@ -321,41 +325,53 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     involved, so this is an independent oracle for the analytic path.
     The critical-point block is absent by construction.
 
-    The samples stream through `_curve_blocks`: each block updates running
+    The samples stream through `_curve_blocks`, whose points beyond the
+    first 16384 are rotated copies of the first block, as close to the
+    exact circle points as cos and sin of t_k are. Each block updates running
     minima and maxima, and the first and last samples of h and of its
     continuous argument give the turns about 0, so no full-length array is
     held. h = (1 - g) w^a + g is formed as (w^a) * (1 - g) + g with
     explicit in-place ops, the order numpy's temporary elision gave the
     whole-array expression from 16384 samples on; with FMA the other
     operand order of the complex product can differ in the last bit.
+
+    With g = 0, h is w^a itself, which has no zero inside the disk (the
+    branch guard keeps the origin out of the open image disk), so h is not
+    formed: the shifted view restates the primary ranges, with no argument
+    range once the modulus falls below 1e-9, as for any h.
     """
     n = require_index("n", n, 16)
     g = complex(p.gamma)
-    lo, hi = np.full(8, np.inf), np.full(8, -np.inf)
+    shift = g != 0.0
+    size = 8 if shift else 4
+    lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
     prev, carry = None, 0.0
-    for _, _, M, N in _curve_blocks(p, r, n):
+    for _, M, N in _curve_blocks(p, r, n):
         re = M * np.cos(N)
         im = M * np.sin(N)
-        h = np.empty(N.size, dtype=complex)
-        h.real, h.imag = re, im
-        np.multiply(h, 1.0 - g, out=h)
-        np.add(h, g, out=h)
-        raw = np.angle(h)
-        args, carry = _unwrap(raw, prev, carry)
-        if prev is None:
-            first = h[0], args[0]
-        prev = raw[-1]
-        # arg, mod, re, im of the normalized map, then re, im, mod, arg of h
-        ranges = (N, M, re, im, h.real, h.imag, np.abs(h), args)
+        ranges = [N, M, re, im]  # arg, mod, re, im of the normalized map
+        if shift:
+            h = np.empty(N.size, dtype=complex)
+            h.real, h.imag = re, im
+            np.multiply(h, 1.0 - g, out=h)
+            np.add(h, g, out=h)
+            raw = np.angle(h)
+            args, carry = _unwrap(raw, prev, carry)
+            if prev is None:
+                first = h[0], args[0]
+            prev = raw[-1]
+            ranges += [h.real, h.imag, np.abs(h), args]  # re, im, mod, arg of h
         np.minimum(lo, [x.min() for x in ranges], out=lo)
         np.maximum(hi, [x.max() for x in ranges], out=hi)
-    hmin, harg = float(lo[6]), None
+    iv = [(float(a), float(b)) for a, b in zip(lo, hi)]
+    if not shift:
+        iv += [iv[2], iv[3], iv[1], iv[0]]
+    hmin, harg = iv[6][0], None
     if hmin >= 1e-9:
-        if _turns(first[0], h[-1], first[1], args[-1]):
+        if shift and _turns(first[0], h[-1], first[1], args[-1]):
             hmin = 0.0  # a zero of h inside the disk: no argument, modulus down to 0
         else:
-            harg = (float(lo[7]), float(hi[7]))
-    iv = [(float(a), float(b)) for a, b in zip(lo, hi)]
+            harg = iv[7]
     shifted = ShiftedView(re=iv[4], im=iv[5], mod=(hmin, iv[6][1]), arg=harg)
     return BoundReport(arg=iv[0], mod=iv[1], re=iv[2], im=iv[3], critical=None, shifted=shifted)
 

@@ -14,6 +14,7 @@ alpha_star is the root of 2 a + (2/pi) atan(a) = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,8 @@ INCLUSION_ORIENTATION_NOTE = (
 class RadiusProblem:
     """Subordination-radius instance: source (C, D, beta, delta) into target
     (A, B, alpha, gamma), each a powered, shifted first-order map; every
-    field must be finite."""
+    field must be finite, and |B|, |D| <= 1 keep each pole off the open
+    unit disk, as `JanowskiParams` requires."""
 
     A: complex
     B: complex
@@ -48,8 +50,11 @@ class RadiusProblem:
     def __post_init__(self):
         require_finite(self)
         for hi, lo, name in ((self.A, self.B, "target"), (self.C, self.D, "source")):
-            if abs(complex(hi) - complex(lo)) <= 1e-12:
+            if cmath.isclose(complex(hi), complex(lo), rel_tol=0.0, abs_tol=1e-12):  # abs() overflows near 1.7e308
                 raise DegenerateMapError(f"{name} map has equal parameters")
+        for b, name in ((complex(self.B), "B"), (complex(self.D), "D")):
+            if math.hypot(b.real, b.imag) > 1.0 + 1e-12:
+                raise OutOfRangeError(f"|{name}| must be <= 1, got {math.hypot(b.real, b.imag)}")
         for a, name in ((self.alpha, "alpha"), (self.beta, "beta")):
             if not 0.0 < a <= 1.0:
                 raise OutOfRangeError(f"{name} must lie in (0, 1], got {a}")

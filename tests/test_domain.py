@@ -7,6 +7,7 @@ Point evaluators that map non-finite points on purpose (`invert_powered`,
 `subordination_pullback`) are left out.
 """
 
+import cmath
 import functools
 import math
 
@@ -170,6 +171,29 @@ INDEX_CASES = {
 def test_seeds_and_counts_must_be_integers_in_range(fn, fixed, kwargs):
     with pytest.raises(OutOfRangeError):
         fn(*fixed, **kwargs)
+
+
+# poles stay off the open unit disk: |B| <= 1 and |D| <= 1, as in JanowskiParams
+RADIUS_FIELDS = dict(A=1.0, B=-1.0, alpha=0.8, gamma=0.1j, C=0.5, D=-0.5, beta=0.6, delta=0.2)
+POLE_CASES = {
+    # poles at |z| = 1/3 and 0.4, where subordination_radius once returned 0.847
+    "B-3-D-2.5": dict(A=0.5, B=3, alpha=1, gamma=0, C=0.2, D=2.5, beta=1, delta=0),
+    "B-just-outside": dict(B=-(1.0 + 1e-9)),
+    "B-huge-complex": dict(B=1.7e308 + 1.7e308j),
+    "D-2.5": dict(D=2.5),
+    "D-just-outside": dict(D=(1.0 + 1e-9) * 1j),
+}
+
+
+@pytest.mark.parametrize("fields", POLE_CASES.values(), ids=POLE_CASES.keys())
+def test_radius_problem_rejects_a_pole_inside_the_disk(fields):
+    with pytest.raises(OutOfRangeError, match=r"\|[BD]\| must be <= 1"):
+        RadiusProblem(**{**RADIUS_FIELDS, **fields})
+
+
+def test_radius_problem_accepts_poles_on_the_circle():
+    for B, D in ((-1.0, 1j), (-1.0 - 1e-13, -1.0), (cmath.exp(0.3j), cmath.exp(2j))):
+        RadiusProblem(**{**RADIUS_FIELDS, "B": B, "D": D})
 
 
 def test_largest_seeds_get_distinct_streams():

@@ -227,36 +227,66 @@ def test_unwrap_cases_have_jumps():
     assert (np.abs(np.diff(UNWRAP_CASES["walk-1"])) >= math.pi).sum() > 500
 
 
+def _circle_check_indices(n: int) -> np.ndarray:
+    """Both sides of every block boundary, the first and last samples, and
+    random indices: at least 2000 of them."""
+    starts = np.arange(0, n, _BLOCK)
+    edges = np.concatenate([starts, starts - 1, starts + 1, [n - 1]])
+    rng = np.random.default_rng(n)
+    return np.unique(np.concatenate([edges[(edges >= 0) & (edges < n)], rng.integers(0, n, 2000)]))
+
+
 @pytest.mark.parametrize("A,r", [(0.5 + 0.3j, 0.8), ((0.6 - 0.8j), 1.0)], ids=["gamma0", "touch"])
-def test_sample_curve_circle_matches_complex_exp(A, r):
-    # e^{it} is built from real cos and sin; it must equal exp(1j t) bit for bit
+def test_sample_curve_circle_matches_30_digit_roots_of_unity(A, r):
+    # rotated blocks beyond the first stay as close to C + R e^{2 pi i k / n}
+    # as real cos and sin of t_k are
+    n = 200_000
     p = JanowskiParams(A, -0.2 + 0.1j, 0.7)
-    curve = sample_curve(p, r, n=200_000)
+    curve = sample_curve(p, r, n=n)
     geo = image_disk(p, r)
-    w = geo.center + geo.radius * np.exp(1j * curve.t)
-    assert curve.u.tobytes() == w.real.tobytes()
-    assert curve.v.tobytes() == w.imag.tobytes()
+    ks = _circle_check_indices(n)
+    assert ks.size >= 2000 and n - 1 in ks
+    bound = 2e-15 * (abs(geo.center) + geo.radius)
+    with mp.workdps(30):
+        C, R = mp.mpc(geo.center.real, geo.center.imag), mp.mpf(geo.radius)
+        for k in ks:
+            want = C + R * mp.expjpi(mp.mpf(2 * int(k)) / n)
+            assert abs(mp.mpc(curve.u[k], curve.v[k]) - want) <= bound, k
 
 
 def _whole_array_curve(p: JanowskiParams, r: float, n: int):
-    """t, w, M, N of the n-point curve in one whole-array pass."""
+    """w, M, N of the n-point curve in one whole-array pass. The first
+    min(n, _BLOCK) points of e^{it} come from real cos and sin; point k is
+    the base point k mod _BLOCK times R e^{i k0 s}, k0 the start of its block."""
     geo = image_disk(p, r)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    w = np.empty(n, dtype=complex)
-    w.real, w.imag = np.cos(t), np.sin(t)
-    w *= geo.radius
-    w += geo.center
-    return t, w, np.abs(w) ** p.alpha, p.alpha * np.unwrap(np.angle(w))
+    base = np.empty(min(n, _BLOCK), dtype=complex)
+    base.real, base.imag = np.cos(t[:base.size]), np.sin(t[:base.size])
+    s = 2.0 * np.pi / n
+    rot = [geo.radius * complex(math.cos(k0 * s), math.sin(k0 * s)) for k0 in range(0, n, _BLOCK)]
+    w = np.resize(base, n) * np.repeat(rot, _BLOCK)[:n] + geo.center
+    return w, np.abs(w) ** p.alpha, p.alpha * np.unwrap(np.angle(w))
 
 
 def _whole_array_empirical_bounds(p: JanowskiParams, r: float, n: int) -> BoundReport:
     """The sampled oracle as one whole-array pass, the reference for the
     streamed `empirical_bounds`. From 16384 samples on numpy elides the
-    temporary of (re + 1j im), so the product runs as (re + 1j im) * (1 - g)."""
-    _, _, M, N = _whole_array_curve(p, r, n)
+    temporary of (re + 1j im), so the product runs as (re + 1j im) * (1 - g).
+    With g = 0, h = w^a: the shifted view restates the primary ranges."""
+    _, M, N = _whole_array_curve(p, r, n)
     re = M * np.cos(N)
     im = M * np.sin(N)
     g = complex(p.gamma)
+    primary = dict(
+        arg=(float(N.min()), float(N.max())),
+        mod=(float(M.min()), float(M.max())),
+        re=(float(re.min()), float(re.max())),
+        im=(float(im.min()), float(im.max())),
+    )
+    if g == 0.0:
+        arg = None if primary["mod"][0] < 1e-9 else primary["arg"]
+        shifted = ShiftedView(re=primary["re"], im=primary["im"], mod=primary["mod"], arg=arg)
+        return BoundReport(**primary, critical=None, shifted=shifted)
     h = (1.0 - g) * (re + 1j * im) + g
     hmod = np.abs(h)
     hmin, harg = float(hmod.min()), None
@@ -272,14 +302,7 @@ def _whole_array_empirical_bounds(p: JanowskiParams, r: float, n: int) -> BoundR
         mod=(hmin, float(hmod.max())),
         arg=harg,
     )
-    return BoundReport(
-        arg=(float(N.min()), float(N.max())),
-        mod=(float(M.min()), float(M.max())),
-        re=(float(re.min()), float(re.max())),
-        im=(float(im.min()), float(im.max())),
-        critical=None,
-        shifted=shifted,
-    )
+    return BoundReport(**primary, critical=None, shifted=shifted)
 
 
 @pytest.mark.parametrize("n", [16, 2048, 16385, 200_000])
@@ -288,11 +311,11 @@ def test_curve_blocks_join_to_the_whole_array_curve(n):
     p = next(p for group, p, _ in envelope_corpus_draws() if group == "touch")
     blocks = list(_curve_blocks(p, 1.0, n))
     assert all(b[0].size <= _BLOCK for b in blocks) and len(blocks) == -(-n // _BLOCK)
-    t, w, M, N = (np.concatenate(parts) for parts in zip(*blocks))
-    assert t.tobytes() == np.linspace(0.0, 2.0 * np.pi, n, endpoint=False).tobytes()
+    w, M, N = (np.concatenate(parts) for parts in zip(*blocks))
     want = _whole_array_curve(p, 1.0, n)
-    assert [x.tobytes() for x in (t, w, M, N)] == [x.tobytes() for x in want]
+    assert [x.tobytes() for x in (w, M, N)] == [x.tobytes() for x in want]
     curve = sample_curve(p, 1.0, n)
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     got = (curve.t, curve.u, curve.v, curve.M, curve.N)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in (t, w.real, w.imag, M, N)]
 
@@ -329,6 +352,16 @@ def test_streamed_oracle_below_the_elision_size(n):
             if a is not None:
                 bound = 4e-16 * size / (got.shifted.mod[0] if name == "arg" else 1.0)
                 assert np.abs(np.subtract(a, b)).max() <= bound, (group, name)
+
+
+def test_oracle_at_gamma0_restates_the_primary_ranges():
+    # with g = 0, h = w^a has no zero inside the disk, so its view is the primary one
+    draws = [(group, p, r) for group, p, r in envelope_corpus_draws() if group in ("gamma0", "touch")]
+    assert len(draws) == 16
+    for group, p, r in draws:
+        rep = empirical_bounds(p, r, 200_000)
+        assert rep.mod[0] >= 1e-9, group
+        assert asdict(rep.shifted) == asdict(ShiftedView(re=rep.re, im=rep.im, mod=rep.mod, arg=rep.arg)), group
 
 
 # exponents alpha, roots 1/alpha down to alpha = 0.3, and the trials'

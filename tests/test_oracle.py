@@ -288,8 +288,9 @@ class TestWindingContains:
 
 @pytest.mark.parametrize("call,limit", [
     (lambda: empirical_bounds(JanowskiParams(0.7 + 0.3j, -0.4, 0.6, 0.2 - 0.3j), 0.8, 200_000), 4 << 20),
+    (lambda: empirical_bounds(JanowskiParams(0.7 + 0.3j, -0.4, 0.6), 0.8, 200_000), 4 << 20),
     (lambda: random_schwarz(5, 16), 1 << 19),
-], ids=["empirical_bounds-200k", "random_schwarz"])
+], ids=["empirical_bounds-200k", "empirical_bounds-200k-gamma0", "random_schwarz"])
 def test_working_memory_stays_small(call, limit):
     """The oracle streams cache-sized blocks and the Schwarz peak takes
     its grid in chunks, so neither holds a full-length array."""

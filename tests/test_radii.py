@@ -54,8 +54,12 @@ def test_huge_parameters_give_finite_radii():
     assert uralegaddi_radius(1e308, -1e308, 1.0, 2.0) == 0.5  # 2e308 / 4e308
     assert reciprocal_radius(1.5e308, -1.5e308, 1.0, 0.999) == 1.0
     assert uralegaddi_radius(1.7e308 + 1.7e308j, -1.0, 1.0, 2.0) == 1.0
-    # the cross term vanishes and |A - B| = |C - D|
-    assert subordination_radius(RadiusProblem(1e308, -1e308, 1.0, 0, 1e308, -1e308, 1.0, 0)) == 1.0
+    # the cross term vanishes and |A - B| = |C - D|, which overflows unscaled;
+    # the poles stay on the unit circle (|B|, |D| > 1 are out of range)
+    A = 1.7e308 + 1.7e308j
+    assert subordination_radius(RadiusProblem(A, -1.0, 1.0, 0, A, -1.0, 1.0, 0)) == 1.0
+    with pytest.raises(OutOfRangeError):
+        RadiusProblem(1e308, -1e308, 1.0, 0, 1e308, -1e308, 1.0, 0)
 
 
 @pytest.mark.parametrize("scale", [3.0, 1e5, 2.0**600])
@@ -68,9 +72,9 @@ def test_scaled_radii_match_the_unscaled_formula(scale):
     for beta2 in (0.0, 0.4, 0.9):
         den = 2.0 * beta2 + abs(A - B * (2.0 * beta2 - 1.0))
         assert reciprocal_radius(A, B, 0.7, beta2) == min(0.7 * abs(A - B) / den, 1.0)
-    # the scaled pair as target, then as source
-    for prob in (RadiusProblem(A, B, 0.7, 0.2j, 0.5, -0.5 + 0.1j, 0.6, 0.3),
-                 RadiusProblem(0.5, -0.5 + 0.1j, 0.6, 0.3, A, B, 0.7, 0.2j)):
+    # the scaled A with B = -0.6 (|B| <= 1), as target, then as source
+    for prob in (RadiusProblem(A, -0.6, 0.7, 0.2j, 0.5, -0.5 + 0.1j, 0.6, 0.3),
+                 RadiusProblem(0.5, -0.5 + 0.1j, 0.6, 0.3, A, -0.6, 0.7, 0.2j)):
         a, b, al, g, c, d, be, de = (getattr(prob, f) for f in "A B alpha gamma C D beta delta".split())
         cross = a * d * (g - 1.0) + b * (c * (1.0 - de) + d * (de - g))
         num = al * abs(a - b) * abs(1.0 - g) ** (1.0 / al)
