@@ -67,10 +67,15 @@ class JanowskiParams:
         object.__setattr__(self, "B", complex(self.B))
         object.__setattr__(self, "gamma", complex(self.gamma))
         require_finite(self)
-        if abs(self.A - self.B) <= _EPS:
+        # math.hypot, not abs(): abs raises OverflowError for huge finite parts
+        gap = math.hypot((self.A - self.B).real, (self.A - self.B).imag)
+        if gap <= _EPS:
             raise DegenerateMapError("A and B must differ")
-        if abs(self.B) > 1.0 + _EPS:
-            raise OutOfRangeError(f"|B| must be <= 1, got {abs(self.B)}")
+        if gap == math.inf:
+            raise OutOfRangeError("|A - B| overflows a double")
+        b_abs = math.hypot(self.B.real, self.B.imag)
+        if b_abs > 1.0 + _EPS:
+            raise OutOfRangeError(f"|B| must be <= 1, got {b_abs}")
         if not 0.0 < self.alpha <= 1.0:
             raise OutOfRangeError(f"alpha must lie in (0, 1], got {self.alpha}")
         if abs(self.gamma - 1.0) <= _EPS:

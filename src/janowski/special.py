@@ -3,10 +3,11 @@ the extremal dominants of the differential-subordination results, and the
 closed-form order/criterion helpers that accompany them.
 
 `hyper_3f2` sums its series by a block recurrence: numpy arrays hold the
-term ratios of a block, built with CPython's own complex arithmetic, and
-sequential accumulations turn them into terms and partial sums. It sums
-the same terms in the same order with the same stop rule as a scalar
-term loop, so its values are that loop's to the last bit.
+term ratios of a block, and sequential accumulations turn them into terms
+and partial sums, in the order and with the stop rule of a scalar term
+loop. All-real input gives that loop's values to the last bit; complex
+input moves them in the last bits only, because numpy divides complex
+numbers differently from CPython.
 
 Everything here is scalar-analytic on the open unit disk. The kernel and
 the best dominant are both int_0^1 h e^G ds along the radial segment to
@@ -21,7 +22,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 
 import numpy as np
 from dataclasses import dataclass
@@ -59,64 +59,6 @@ def _near_nonpositive_int(x: complex) -> bool:
     return abs(xr.imag) < 1e-12 and xr.real < 0.5 and abs(xr.real - round(xr.real)) < 1e-12
 
 
-def _parts(v) -> tuple[float, float | None]:
-    """(re, im) of a scalar; im is None for a real one."""
-    if isinstance(v, numbers.Real):
-        return float(v), None
-    v = complex(v)
-    return v.real, v.imag
-
-
-def _shifted(v: tuple, n: np.ndarray) -> tuple:
-    """v + n as Python adds an int: a complex v gets im + 0.0."""
-    re, im = v
-    return re + n, None if im is None else im + 0.0
-
-
-def _product(p: tuple, q: tuple) -> tuple:
-    """p * q for (re, im) pairs as CPython 3.10-3.13 multiply: two reals
-    as floats; otherwise a real is promoted to im = 0.0 and the product is
-    (pr qr - pi qi, pr qi + pi qr)."""
-    (pr, pi), (qr, qi) = p, q
-    if pi is None and qi is None:
-        return pr * qr, None
-    pi = 0.0 if pi is None else pi
-    qi = 0.0 if qi is None else qi
-    return pr * qr - pi * qi, pr * qi + pi * qr
-
-
-def _quotient(p: tuple, q: tuple) -> tuple:
-    """p / q for (re, im) pairs of arrays as CPython divides: two reals as
-    floats; otherwise as _Py_c_quot, which divides through by the larger
-    part of q (a NaN takes the second branch and gives NaN in either).
-    Only the branches that entries take are computed."""
-    (pr, pi), (qr, qi) = p, q
-    if pi is None and qi is None:
-        return pr / qr, None
-    pi = 0.0 if pi is None else pi
-    if qi is None:  # promoted to im = 0.0: every entry takes the first branch
-        return _quotient_by_re(pr, pi, qr, 0.0)
-    by_re = np.abs(qr) >= np.abs(qi)
-    if by_re.all():
-        return _quotient_by_re(pr, pi, qr, qi)
-    if not by_re.any():
-        return _quotient_by_im(pr, pi, qr, qi)
-    (re1, im1), (re2, im2) = _quotient_by_re(pr, pi, qr, qi), _quotient_by_im(pr, pi, qr, qi)
-    return np.where(by_re, re1, re2), np.where(by_re, im1, im2)
-
-
-def _quotient_by_re(pr, pi, qr, qi) -> tuple:
-    ratio = qi / qr
-    denom = qr + qi * ratio
-    return (pr + pi * ratio) / denom, (pi - pr * ratio) / denom
-
-
-def _quotient_by_im(pr, pi, qr, qi) -> tuple:
-    ratio = qr / qi
-    denom = qr * ratio + qi
-    return (pr * ratio + pi) / denom, (pi * ratio - pr) / denom
-
-
 def hyper_3f2(
     a1: complex,
     a2: complex,
@@ -135,23 +77,23 @@ def hyper_3f2(
     terms raises NoConvergenceError (the series diverges for |x| > 1 and
     converges slowly near |x| = 1).
 
-    Terms are summed in blocks: the term ratios of a block come from real
-    arrays by CPython's own complex product and quotient, and sequential
-    `multiply.accumulate` and `add.accumulate` give its terms and partial
-    sums. These are the same terms, summed in the same order, as the
-    scalar loop `term *= ratio; total += term`, bit for bit; real
-    parameters (ints and numpy reals too) count as Python floats. The
-    first block has about log(tol)/log|x| terms (at least 32), and each
-    next one twice as many, up to 8192.
+    Terms are summed in blocks: numpy arithmetic gives the term ratios of
+    a block, in float when every parameter and x is real and in complex
+    otherwise, and sequential `multiply.accumulate` and `add.accumulate`
+    give its terms and partial sums, in the order of the scalar loop
+    `term *= ratio; total += term`. All-real input gives that loop's values
+    bit for bit. Other input may differ from it by up to 4 eps W, with
+    W = sum (n+1)|t_n| over the summed terms, since numpy's complex
+    quotient is not CPython's. The first block has about log(tol)/log|x|
+    terms (at least 32), and each next one twice as many, up to 8192.
     """
     require_finite_args("hyper_3f2", a1=a1, a2=a2, a3=a3, b1=b1, b2=b2, x=x)
     _require_tol("hyper_3f2", tol)
     for b in (b1, b2):
         if _near_nonpositive_int(b):
             raise ParameterError(f"lower parameter {b} is a nonpositive integer")
-    tops, bottoms, xp = [_parts(v) for v in (a1, a2, a3)], [_parts(v) for v in (b1, b2)], _parts(x)
     size = _FIRST_BLOCK
-    x_abs = math.hypot(xp[0], xp[1] or 0.0)
+    x_abs = math.hypot(x.real, x.imag)  # abs(complex(x)) overflows for huge finite x
     if 0.0 < x_abs < 1.0:
         size = min(_MAX_BLOCK, max(size, math.ceil(math.log(tol) / math.log(x_abs))))
     term = total = complex(1.0)
@@ -159,13 +101,9 @@ def hyper_3f2(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while start < _MAX_TERMS:
             n = np.arange(start, min(start + size, _MAX_TERMS), dtype=float)
-            num = functools.reduce(_product, [_shifted(v, n) for v in tops] + [xp])
-            den = functools.reduce(_product, [_shifted(v, n) for v in bottoms] + [(n + 1.0, None)])
-            ratio_re, ratio_im = _quotient(num, den)
             terms = np.empty(n.size + 1, dtype=complex)
             terms[0] = term
-            terms.real[1:] = ratio_re
-            terms.imag[1:] = 0.0 if ratio_im is None else ratio_im
+            terms[1:] = (a1 + n) * (a2 + n) * (a3 + n) * x / ((b1 + n) * (b2 + n) * (n + 1.0))
             terms = np.multiply.accumulate(terms)
             sums = terms.copy()
             sums[0] = total

@@ -196,6 +196,23 @@ def test_radius_problem_accepts_poles_on_the_circle():
         RadiusProblem(**{**RADIUS_FIELDS, "B": B, "D": D})
 
 
+@pytest.mark.parametrize("A, B", [
+    (1.7e308 + 1.7e308j, -1.0),
+    (0.5, 1.7e308 + 1.7e308j),
+    (1.7e308, -1.7e308),
+], ids=["A-huge-complex", "B-huge-complex", "A-minus-B-overflows"])
+def test_janowski_params_reject_an_overflowing_gap(A, B):
+    # |A - B| is inf although every part is finite
+    with pytest.raises(OutOfRangeError, match=r"\|A - B\| overflows"):
+        JanowskiParams(A, B)
+
+
+def test_janowski_params_keep_a_huge_finite_gap():
+    # R = |A - B| r / (1 - |B|^2 r^2) stays below the largest double
+    disk = image_disk(JanowskiParams(1.2e308 + 1.2e308j, -1.0), 0.5)
+    assert disk.radius == pytest.approx(math.hypot(1.2e308, 1.2e308) * 0.5 / 0.75)
+
+
 def test_largest_seeds_get_distinct_streams():
     # keys above 2^53 would merge if they passed through float64
     top = random_schwarz(2**64 - 1, 4).coefficients
