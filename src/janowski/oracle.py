@@ -80,11 +80,6 @@ _SEED_END = 2**64  # seeds are Philox key words, integers in [0, 2^64)
 _PEAK_CHUNK = 4096  # grid points per chunk of the Schwarz normalization, 64 KiB of complex values
 
 
-def _unit_grid(n: int) -> np.ndarray:
-    """The n-th roots of unity of the shared read-only `_unit_circle`."""
-    return _unit_circle(n)[1]
-
-
 def _rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream) pair.  The key is built
     as uint64 so that every seed below 2^64 gets its own key; a plain list
@@ -117,7 +112,7 @@ class SchwarzPoly:
             raise OutOfRangeError("degree above 16 is not supported")
         if not 0.0 < self.scale:
             raise OutOfRangeError(f"scale must be positive, got {self.scale}")
-        sup = float(np.abs(self.value(_unit_grid(4096))).max())
+        sup = float(np.abs(self.value(_unit_circle(4096))).max())
         if sup >= 1.0:
             raise ParameterError(f"not a Schwarz function: boundary modulus reaches {sup}")
 
@@ -182,7 +177,7 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     rng = _rng(seed, 0)
     raw = rng.random((degree, 2))
     coef = raw[:, 0] + 1j * raw[:, 1]
-    z = _unit_grid(65536)
+    z = _unit_circle(65536)
     peak = 0.0
     v, a = np.empty(_PEAK_CHUNK, dtype=complex), np.empty(_PEAK_CHUNK)
     for k in range(0, z.size, _PEAK_CHUNK):
@@ -214,7 +209,7 @@ def _effective_schwarz(
         degree = 2 + int(rng.random() * 12.0)
         omega = random_schwarz(seed, degree).dilated(rho)
     if z is None:
-        z = _unit_grid(_N_SAMPLES)
+        z = _unit_circle(_N_SAMPLES)
     return omega, z, omega.value(z), z * omega.deriv(z)
 
 
@@ -600,7 +595,7 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     `detail` holds the calling id's own parameters; the trial adds its
     evidence to it.
     """
-    z = _unit_grid(512) if seed % 2 == 0 else np.concatenate([r * _unit_grid(512) for r in (0.35, 0.65, 0.9, 1.0)])
+    z = _unit_circle(512) if seed % 2 == 0 else np.concatenate([r * _unit_circle(512) for r in (0.35, 0.65, 0.9, 1.0)])
     omega, z, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.88, z=z)
     base, _, dlog = _log_ratio(complex(spec.A), -spec.b, w)
     p = _power(base, spec.gamma)
@@ -616,11 +611,11 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
         detail["identity_gap"] = identity_gap
     else:
         rho_curve = 0.99
-        sup_omega = float(np.max(np.abs(omega.value(_unit_grid(16384)))))
+        sup_omega = float(np.max(np.abs(omega.value(_unit_circle(16384)))))
         base = JanowskiParams(spec.A, -spec.b)
         disks = (image_disk(base, rho_curve), image_disk(base, sup_omega))
         clearance = min(_ray_clearance(g.center, g.radius) for g in disks)
-        contained = _winding_contains(e_samples, operator_dominant(spec, rho_curve * _unit_grid(_N_SAMPLES)))
+        contained = _winding_contains(e_samples, operator_dominant(spec, rho_curve * _unit_circle(_N_SAMPLES)))
         hypothesis = bool(np.all(contained)) and clearance > 1e-9
         detail["contained_fraction"] = float(np.mean(contained))
         detail["cut_clearance"] = clearance

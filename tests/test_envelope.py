@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from operator import attrgetter
 from pathlib import Path
 
 import mpmath as mp
@@ -21,6 +22,7 @@ from janowski import (
     BranchUndefinedError,
     JanowskiError,
     JanowskiParams,
+    NoConvergenceError,
     alpha_nesting,
     critical_points,
     empirical_bounds,
@@ -33,12 +35,13 @@ from janowski import (
 from janowski._json import jsonable
 from janowski.envelope import (
     _BLOCK,
+    _NEWTON_CAP,
     BoundReport,
     ShiftedView,
     _curve_blocks,
     _log,
+    _newton,
     _power,
-    _refined_range,
     _unit_circle,
     _unwrap,
 )
@@ -431,11 +434,10 @@ def test_unit_circle_is_shared_read_only_and_exact():
     # one cache for the shifted view and the trials; its points are the
     # n-th roots of unity exp(2 pi i k / n) bit for bit
     for n in (512, 4096, 16384):
-        t, z = _unit_circle(n)
-        assert _unit_circle(n)[1] is z
-        assert not t.flags.writeable and not z.flags.writeable
+        z = _unit_circle(n)
+        assert _unit_circle(n) is z
+        assert not z.flags.writeable
         assert z.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
-        assert t.tobytes() == np.linspace(0.0, 2.0 * np.pi, n, endpoint=False).tobytes()
 
 
 def _dense_shifted_draws() -> list[tuple[JanowskiParams, float]]:
@@ -457,31 +459,66 @@ def test_shifted_view_matches_two_million_samples(p, r):
 
 
 @pytest.mark.parametrize("p,r", _dense_shifted_draws())
-def test_joint_polish_matches_one_polish_per_objective(p, r):
-    """The shifted view polishes modulus and argument in one pass; that pass
-    gives the same intervals, bit for bit, as one `_refined_range` each."""
-    geo, g = image_disk(p, r), p.gamma
-    grid, circle = _unit_circle(4096)
-
-    def h_of(t):
-        return (1.0 - g) * _power(geo.center + geo.radius * np.exp(1j * t), p.alpha) + g
-
-    hv = (1.0 - g) * _power(geo.center + geo.radius * circle, p.alpha) + g
-    args, _ = _unwrap(np.angle(hv))
-
-    def mod_of(t):
-        return np.abs(h_of(t))
-
-    def arg_of(t):
-        i = np.rint(t / grid[1]).astype(int) % grid.size
-        return args[i] + np.angle(h_of(t) / hv[i])
-
-    joint = _refined_range(lambda t: np.concatenate([mod_of(t[:2]), arg_of(t[2:])]),
-                           grid, np.stack([np.abs(hv), args]))
-    single = _refined_range(mod_of, grid, np.abs(hv)[None]) + _refined_range(arg_of, grid, args[None])
-    assert np.array(joint).tobytes() == np.array(single).tobytes()
+def test_shifted_extremes_match_30_digit_mpmath(p, r):
+    """Each shifted modulus and argument end lies within 4e-15 max(1, |ref|)
+    of the 30-digit value at the root, next to the grid extremum, of the
+    derivative of log|h| or arg h in t, along w = C + R e^{it}."""
     shifted = envelope_bounds(p, r).shifted
-    assert np.array([shifted.mod, shifted.arg]).tobytes() == np.array(joint).tobytes()
+    geo, t_grid = image_disk(p, r), 2.0 * np.pi * np.arange(4096) / 4096
+    hv = (1.0 - p.gamma) * _power(geo.center + geo.radius * _unit_circle(4096), p.alpha) + p.gamma
+    args, _ = _unwrap(np.angle(hv))
+    mods = np.abs(hv)
+    with mp.workdps(30):
+        A, B, g = (mp.mpc(v.real, v.imag) for v in (p.A, p.B, p.gamma))
+        denom = 1 - abs(B) ** 2 * r * r
+        C, R = (1 - A * mp.conj(B) * r * r) / denom, abs(A - B) * r / denom
+
+        def h(t):
+            return (1 - g) * (C + R * mp.expj(t)) ** p.alpha + g
+
+        def stationary(part, i):  # the root of d/dt part(log h) next to the sample i
+            h0, t0 = h(t_grid[i]), mp.mpf(t_grid[i])
+            return mp.findroot(lambda t: mp.diff(lambda s: part(mp.log(h(s) / h0)), t), t0)
+
+        for got, i in zip(shifted.mod, (np.argmin(mods), np.argmax(mods))):
+            ref = abs(h(stationary(mp.re, i)))
+            assert abs(got - ref) <= 4e-15 * max(1, ref), ("mod", got, ref)
+        for got, i in zip(shifted.arg, (np.argmin(args), np.argmax(args))):
+            t = stationary(mp.im, i)
+            ref = args[i] + mp.im(mp.log(h(t) / h(t_grid[i])))  # the branch of the sample i
+            assert abs(got - ref) <= 4e-15 * max(1, abs(ref)), ("arg", got, ref)
+
+
+def test_newton_converges_where_plain_newton_cycles():
+    """x^3 - 2x + 2 from 0: plain Newton alternates 0, 1, 0, ...; the
+    safeguarded solve bisects out of the cycle to the root -1.7692923542."""
+    def f(x):
+        return x ** 3 - 2.0 * x + 2.0, 3.0 * x * x - 2.0
+
+    x = 0.0
+    for _ in range(4):
+        x -= f(x)[0] / f(x)[1]
+    assert x == 0.0
+    root = _newton(f, 0.0, -3.0, 3.0, f(-3.0)[0], f(3.0)[0])
+    assert -3.0 <= root <= 3.0
+    assert abs(f(root)[0]) <= 8 * ULP * abs(root) ** 3
+    assert root == pytest.approx(-1.7692923542386314, abs=1e-15)
+
+
+def test_newton_raises_without_sign_change_or_at_the_cap():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.atan(x - 1.0), 0.0  # a zero slope makes every step bisect
+
+    with pytest.raises(NoConvergenceError):
+        _newton(f, 0.5, 2.0, 3.0, f(2.0)[0], f(3.0)[0])
+    assert len(calls) == 2  # no step is taken
+    # bisection from a bracket 1e30 wide needs about 142 halvings to step 1e-13
+    with pytest.raises(NoConvergenceError):
+        _newton(f, 0.0, -1e30, 1e30, -1.0, 1.0)
+    assert len(calls) == 2 + _NEWTON_CAP
 
 
 @given(
@@ -580,6 +617,19 @@ def test_shifted_touch_reaches_the_cusp_value():
     assert shifted.mod[0] <= abs(p.gamma) <= shifted.mod[1]
 
 
+def test_argument_next_to_a_zero_just_outside_the_circle():
+    """gamma puts the zero of h at |z0| = (1 + 1e-6) r, so arg h turns by
+    nearly pi within a fraction of a grid spacing. The argument ends hold
+    every one of 2M samples and lie within 1e-8 of them; from the grid
+    spacing alone the polish misses the maximum by 1.3e-4."""
+    p = JanowskiParams(-0.6925636731280066 - 0.6812789077995847j, 0.5368768000662942 - 0.10046256313462143j,
+                       0.8296261710310169, -0.07065011420497062 + 1.0984318000832407j)
+    r = 0.7924381070664157
+    (lo, hi), (slo, shi) = envelope_bounds(p, r).shifted.arg, empirical_bounds(p, r, 2_000_000).shifted.arg
+    assert lo <= slo + 1e-12 and shi <= hi + 1e-12
+    assert slo - lo <= 1e-8 and hi - shi <= 1e-8
+
+
 def test_zero_inside_the_disk_has_no_argument_range():
     """gamma puts the zero of h at z = -0.6, inside |z| < 0.8."""
     A, B, alpha, r = 0.9, 0.3j, 0.7, 0.8
@@ -597,6 +647,56 @@ def test_import_does_not_load_scipy():
     code = "import sys, janowski; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _ulps(x: float, y: float) -> float:
+    """|x - y| in ulps of the scale max(1, |x|)."""
+    return abs(x - y) / (ULP * max(1.0, abs(x)))
+
+
+def test_metamorphic_relations_of_the_envelope():
+    """Exact symmetries of the maps, checked without sampling on seeded
+    draws of the probe distribution (A, B with |.| < 0.95, r in [0.2, 0.99],
+    alpha in [0.2, 1], half of them with gamma parts in [-0.9, 0.9]):
+
+    - conjugation (A, B, gamma) -> conj mirrors arg and im and keeps re and
+      mod, of the primary report and of the shifted view;
+    - rotation (A, B) -> (uA, uB), |u| = 1, keeps the primary arg and mod;
+    - at alpha = 1, gamma = 0 the re and im boxes are image_disk's centre
+      -/+ radius.
+
+    The bounds are in ulps of max(1, |value|); the largest moves over
+    5000 + 5000 probe draws were 4.0 (conjugation, primary), 5.5 (shifted
+    re/im), 9.0 (shifted mod/arg: grid samples and Newton roots of the
+    mirrored map are rounded apart), 14 (rotation, from the rounding of
+    A conj(B) in the image circle) and 1.0 (alpha = 1)."""
+    rng = np.random.default_rng(20261019)
+    bounds = {"re": 8, "im": 8, "mod": 8, "arg": 8, "shifted.re": 8, "shifted.im": 8,
+              "shifted.mod": 16, "shifted.arg": 16}
+    for k in range(400):
+        A, B = (complex(rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.uniform())) for _ in range(2))
+        alpha, r = float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 0.99))
+        gamma = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)) if k % 2 else 0j
+        u = complex(np.exp(2j * np.pi * rng.uniform()))
+        b = envelope_bounds(JanowskiParams(A, B, alpha, gamma), r)
+        c = envelope_bounds(JanowskiParams(A.conjugate(), B.conjugate(), alpha, gamma.conjugate()), r)
+        for name, bound in bounds.items():
+            iv, civ = attrgetter(name)(b), attrgetter(name)(c)
+            if name.endswith(("im", "arg")):
+                if iv is None or civ is None:  # no argument range: a zero of h
+                    assert iv is None and civ is None, (k, name)
+                    continue
+                civ = (-civ[1], -civ[0])
+            assert max(map(_ulps, iv, civ)) <= bound, ("conjugation", k, name, iv, civ)
+        rot = envelope_bounds(JanowskiParams(u * A, u * B, alpha, gamma), r)
+        for name in ("arg", "mod"):
+            assert max(map(_ulps, getattr(b, name), getattr(rot, name))) <= 24, ("rotation", k, name)
+        if k % 2 == 0:
+            p = JanowskiParams(A, B, 1.0)
+            b, geo = envelope_bounds(p, r), image_disk(p, r)
+            C, R = geo.center, geo.radius
+            box = (C.real - R, C.real + R, C.imag - R, C.imag + R)
+            assert max(map(_ulps, b.re + b.im, box)) <= 2, ("alpha = 1", k)
 
 
 @given(safe_params(), st.floats(0.1, 0.9))

@@ -33,7 +33,7 @@ from janowski import (
     verify_subordination,
 )
 from janowski import empirical_bounds, oracle
-from janowski.oracle import _HEADROOM, _rng, _unit_grid, _winding_contains
+from janowski.oracle import _HEADROOM, _rng, _unit_circle, _winding_contains
 from tests.conftest import safe_params
 
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
@@ -70,7 +70,7 @@ class TestSchwarzPoly:
         """The 65536-point peak taken in chunks equals the whole-grid
         z * polyval(z, c), where numpy elides the temporary of polyval and
         multiplies it by z in place."""
-        z = _unit_grid(65536)
+        z = _unit_circle(65536)
         for seed in range(1000):
             degree = 2 + seed % 15
             raw = _rng(seed, 0).random((degree, 2))
@@ -195,8 +195,8 @@ class TestImplicationTrials:
                 assert detail[key] == combo.detail[key], (seed, key)
 
     def test_shared_unit_grid_is_read_only(self):
-        grid = oracle._unit_grid(64)
-        assert grid is oracle._unit_grid(64)
+        grid = oracle._unit_circle(64)
+        assert grid is oracle._unit_circle(64)
         with pytest.raises(ValueError):
             grid[0] = 0.0
 
