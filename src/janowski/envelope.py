@@ -182,28 +182,38 @@ def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
     return EnvelopeCurve(r=r, t=t, u=w.real, v=w.imag, M=M, N=N)
 
 
-def _curve_blocks(p: JanowskiParams, r: float, n: int):
-    """The n-point curve of `sample_curve` as blocks (w, M, N) of up to
-    _BLOCK consecutive samples, so a consumer never holds a full-length array.
+@functools.lru_cache(maxsize=8)
+def _base_block(n: int) -> np.ndarray:
+    """e^{ijs}, s = 2 pi / n and j < min(n, _BLOCK), from real cos and sin; shared read-only."""
+    t = np.arange(min(n, _BLOCK)) * (2.0 * np.pi / n) + 0.0
+    base = np.empty(t.size, dtype=complex)
+    base.real, base.imag = np.cos(t), np.sin(t)
+    base.setflags(write=False)
+    return base
 
-    One base block e^{ijs}, s = 2 pi / n and j < min(n, _BLOCK), is built
-    from real cos and sin; the block from index k0 on is that base times
-    the scalar R e^{i k0 s} (math.cos and math.sin), plus C. The first
-    block is thus C + R e^{it} itself. At n = 200000 the rotated e^{it}
-    lies within 1.14e-15 of e^{2 pi i k / n} (cos and sin of t_k: 1.26e-15,
-    over 2028 indices with every block boundary); the tests bound each
-    sample's distance from C + R e^{2 pi i k / n} by 2e-15 (|C| + R). The
-    unwrapped argument carries the last raw argument and running
-    correction across block boundaries.
+
+def _curve_blocks(p: JanowskiParams, r: float, n: int, keep: np.ndarray | None = None):
+    """The n-point curve of `sample_curve` as blocks (w, M, N) of up to
+    _BLOCK consecutive samples, so a consumer never holds a full-length array;
+    with `keep`, sorted indices, only those samples, with their full bits.
+
+    The block from index k0 on is `_base_block(n)` (at the kept indices)
+    times the scalar R e^{i k0 s} (math.cos and math.sin), plus C. The first
+    block is thus C + R e^{it} itself. At n = 200000 the rotated e^{it} lies
+    within 1.14e-15 of e^{2 pi i k / n} (cos and sin of t_k: 1.26e-15, over
+    2028 indices with every block boundary); the tests bound each sample's
+    distance from C + R e^{2 pi i k / n} by 2e-15 (|C| + R). The unwrapped
+    argument carries the last raw argument and running correction across
+    block boundaries and gaps between kept samples.
     """
     C, R = _circle_geometry(p, r)
     step = 2.0 * np.pi / n
-    t = np.arange(min(n, _BLOCK)) * step + 0.0
-    base = np.empty(t.size, dtype=complex)
-    base.real, base.imag = np.cos(t), np.sin(t)
     prev, carry = None, 0.0
     for k0 in range(0, n, _BLOCK):
-        w = base[:n - k0] * (R * complex(math.cos(k0 * step), math.sin(k0 * step)))
+        at = slice(0, n - k0) if keep is None else keep[np.searchsorted(keep, k0):np.searchsorted(keep, k0 + _BLOCK)] - k0
+        w = _base_block(n)[at] * (R * complex(math.cos(k0 * step), math.sin(k0 * step)))
+        if not w.size:
+            continue
         w += C
         arg = np.angle(w)
         N, carry = _unwrap(arg, prev, carry)
@@ -396,28 +406,19 @@ def envelope_bounds(p: JanowskiParams, r: float) -> BoundReport:
     return BoundReport(arg=arg_iv, mod=mod_iv, re=re_iv, im=im_iv, critical=crit, shifted=shifted)
 
 
-def _unwrapped_turns(h: np.ndarray) -> tuple[np.ndarray, int]:
-    """Continuous argument along a closed sampled curve h and its turns
-    about 0: by the argument principle, the zeros of h inside the circle."""
-    args, _ = _unwrap(np.arctan2(h.imag, h.real))  # np.angle's kernel, without its wrapper
-    return args, _turns(h[0], h[-1], args[0], args[-1])
-
-
-def _turns(h_first, h_last, arg_first, arg_last) -> int:
-    """Turns about 0 of a closed sampled curve from its first and last
-    samples and their continuous arguments."""
-    closing = np.angle(h_first / h_last)
-    return int(round((arg_last + closing - arg_first) / (2.0 * math.pi)))
-
-
 def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedView:
     """Ranges of h: Re/Im from the extremes lo, hi at phases arg(1 - g) and
     arg(1 - g) - pi/2, modulus and argument from a 4096-point grid plus a
-    Newton root of the closed-form derivative next to each best sample. A zero
-    of h inside the disk gives min |h| = 0, one inside or on the circle no arg."""
+    Newton root of the closed-form derivative next to each best sample. As
+    h = (1 - g)(w^a - c), c = -g / (1 - g), and w^a is one to one onto |arg| <
+    a pi, h has a zero in the closed disk iff |arg c| < a pi and |w0 - C| <= R
+    for w0 = |c|^{1/a} e^{i arg c / a}: then min |h| = 0 and no arg. As in
+    the oracle, min |h| < 1e-9 on the circle gives no arg either."""
     g, a, scale = p.gamma, p.alpha, abs(1.0 - p.gamma)
     re = (g.real + scale * lo[0], g.real + scale * hi[0])
     im = (g.imag + scale * lo[1], g.imag + scale * hi[1])
+    c = -g / (1.0 - g)
+    zero = abs(cmath.phase(c)) < a * math.pi and abs(cmath.rect(abs(c) ** (1.0 / a), cmath.phase(c) / a) - C) <= R
 
     def h_at(t: float) -> complex:
         return (1.0 - g) * (C + cmath.rect(R, t)) ** a + g
@@ -439,11 +440,11 @@ def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedVie
     hv = (1.0 - g) * _power(C + R * _unit_circle(4096), a) + g
     mods = np.abs(hv)
     touch = _touch_parameter(C, R)  # where h has a cusp at the value g
-    args, turns = (None, 0) if np.min(mods) < 1e-9 else _unwrapped_turns(hv)
     mod = _polished_range(mods, lambda t: slope(t, False), lambda t: abs(h_at(t)),
                           None if touch is None else abs(g))
-    if args is None or turns:
-        return ShiftedView(re=re, im=im, mod=(0.0, mod[1]) if turns else mod, arg=None)
+    if zero or mod[0] < 1e-9:
+        return ShiftedView(re=re, im=im, mod=(0.0, mod[1]) if zero else mod, arg=None)
+    args, _ = _unwrap(np.arctan2(hv.imag, hv.real))  # np.angle's kernel, without its wrapper
 
     def arg_at(t: float, h: complex) -> float:  # arg h on the branch of the grid sample nearest t
         i = round(t / (2.0 * math.pi) * hv.size) % hv.size

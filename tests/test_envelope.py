@@ -32,7 +32,9 @@ from janowski import (
     sector_image,
     tilt_angle,
 )
+from janowski import oracle
 from janowski._json import jsonable
+from janowski.oracle import _STRIDE, _screened
 from janowski.envelope import (
     _BLOCK,
     _NEWTON_CAP,
@@ -328,11 +330,72 @@ def _report_bytes(report: BoundReport, **fields) -> str:
     return json.dumps(jsonable(asdict(report) | fields))
 
 
-@pytest.mark.parametrize("n", [16384, 16385, 2 * _BLOCK + 1, 100_000, 200_000])
+def _screen_edge_draws() -> list[tuple[str, JanowskiParams, float]]:
+    """gamma = 0 draws at the edge of the oracle's screen: |A| = 1 with
+    r = 1 (a touch, where the screen declines), r = 1 - 10^-u for u in
+    [9, 16] (at and just past the point where it declines), and
+    r = 1 - 10^-u for u in [6, 7], a disk about 1e-6 from the cut; alpha
+    down to 0.05."""
+    rng = np.random.default_rng(20261021)
+    draws = []
+    for k in range(18):
+        while True:
+            A = complex(np.exp(2j * np.pi * rng.uniform()))
+            B = complex(rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform()))
+            if abs(A - B) > 0.05:
+                break
+        gap = (0.0, 10.0 ** -rng.uniform(9.0, 16.0), 10.0 ** -rng.uniform(6.0, 7.0))[k % 3]
+        draws.append(("screen-edge", JanowskiParams(A, B, float(rng.uniform(0.05, 1.0))), 1.0 - gap))
+    return draws
+
+
+@pytest.mark.parametrize("n", [16, 16384, 16385, 2 * _BLOCK + 1, 100_000, 200_000])
 def test_streamed_oracle_is_bit_identical(n):
-    for group, p, r in envelope_corpus_draws():
+    """The streamed and screened oracle against the whole-array pass on the
+    corpus draws, the screen-edge draws and, at 200k samples, 300 more
+    criterion-4 draws with gamma = 0. Below 16384 samples only gamma = 0
+    is compared: there the whole-array pass forms (1 - g) * T (see the next
+    test)."""
+    draws = envelope_corpus_draws() + _screen_edge_draws()
+    if n == 200_000:
+        draws += [draw for draw in envelope_corpus_draws(300) if draw[0] == "gamma0"]
+    for group, p, r in draws:
+        if n < 16384 and p.gamma != 0.0:
+            continue
         want = _whole_array_empirical_bounds(p, r, n)
-        assert _report_bytes(empirical_bounds(p, r, n)) == _report_bytes(want), group
+        assert _report_bytes(empirical_bounds(p, r, n)) == _report_bytes(want), (group, p, r)
+
+
+def test_screen_bounds_hold_in_every_window(monkeypatch):
+    """The premise of the gamma = 0 screen on the whole 200k grid: in every
+    window, each sample of arg, mod, Re and Im (and of their negatives) is
+    at most the subgrid value plus the window's bound. Near an extreme the
+    bound has room to spare, so this sees a bound that is too small where
+    the bit-identity test cannot."""
+    seen = []
+    band = oracle._band
+    monkeypatch.setattr(oracle, "_band", lambda n, bounded: seen.append(bounded) or band(n, bounded))
+    edge = [(p, r) for _, p, r in _screen_edge_draws() if r < 1.0]
+    for p, r in [(p, r) for group, p, r in envelope_corpus_draws() if group == "gamma0"] + edge:
+        seen.clear()
+        if _screened(p, r, 200_000) is None:
+            continue
+        _, M, N = _whole_array_curve(p, r, 200_000)
+        full = [N, M, M * np.cos(N), M * np.sin(N)]
+        for (q, rise), f in zip(seen[0], [s * f for f in full for s in (1.0, -1.0)]):
+            windows = np.roll(f, _STRIDE // 2).reshape(-1, _STRIDE)  # row j: samples j _STRIDE - 8 ... j _STRIDE + 7
+            assert (windows.max(axis=1) <= q + rise).all(), (p, r)
+    assert seen
+
+
+def test_screen_keeps_few_samples():
+    """The gamma = 0 oracle forms under a quarter of its 200k samples on
+    criterion-4 draws (about 5 % at the median), and all of them at an
+    origin touch, where the arguments can jump by 2 pi."""
+    draws = [(p, r) for group, p, r in envelope_corpus_draws(100) if group == "gamma0"]
+    kept = [_screened(p, r, 200_000).size / 200_000 for p, r in draws]
+    assert max(kept) < 0.25, max(kept)
+    assert all(_screened(p, 1.0, 200_000) is None for group, p, _ in envelope_corpus_draws() if group == "touch")
 
 
 @pytest.mark.parametrize("n", [16, 1000, 4096, 16383])
@@ -639,6 +702,38 @@ def test_zero_inside_the_disk_has_no_argument_range():
         assert report.shifted.mod[0] == 0.0
         assert report.shifted.mod[1] == pytest.approx(2.2533020596, abs=1e-8)
         assert report.shifted.arg is None
+
+
+def test_zero_beside_the_origin_touch_is_inside():
+    """|A| r = 1 with the zero of h at |w0 - C| - R = -1.3e-4: a 4096-point
+    turn count missed it and reported arg (-3.71, 2.57) and min |h| 0.056."""
+    p = JanowskiParams(0.7436027003180046 + 0.6686217346749745j, -0.5592426799859913 + 0.6113114320861754j,
+                       0.20957216207645546, -0.17943650545157386 - 0.027796381886563637j)
+    closed, sampled = envelope_bounds(p, 1.0).shifted, empirical_bounds(p, 1.0, 2_000_000).shifted
+    assert closed.arg is None and sampled.arg is None
+    assert closed.mod[0] == 0.0 and sampled.mod[0] == 0.0
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-12, 1.0 + 1e-12], ids=["inside", "outside"])
+def test_zero_next_to_the_circle(side):
+    """gamma puts the zero of h at w0 = C + side R e^{i t_k}, on the ray of a
+    sample t_k of the 2M-point grid. That sample has |h| about 1e-12, below
+    the oracle's 1e-9, so neither report has an argument range; min |h| is 0
+    with the zero inside and agrees with the sampled one outside. (Off the
+    sample rays 2M samples cannot see such a zero: their polygon cuts the
+    circle by up to 1.2e-12 R.)"""
+    rng = np.random.default_rng(20261022)
+    n = 2_000_000
+    for p, r in [(p, r) for group, p, r in envelope_corpus_draws() if group == "gamma0"][:2]:
+        geo = image_disk(p, r)
+        w0 = geo.center + side * geo.radius * cmath.exp(2j * math.pi * int(rng.integers(n)) / n)
+        c = w0 ** p.alpha
+        p = JanowskiParams(p.A, p.B, p.alpha, c / (c - 1.0))  # (1 - gamma)(w^alpha - c)
+        closed, sampled = envelope_bounds(p, r).shifted, empirical_bounds(p, r, n).shifted
+        assert closed.arg is None and sampled.arg is None
+        assert (closed.mod[0] == 0.0) == (side < 1.0)
+        assert abs(closed.mod[0] - sampled.mod[0]) <= 1e-11
+        assert closed.mod[1] == pytest.approx(sampled.mod[1], abs=1e-10)
 
 
 def test_import_does_not_load_scipy():

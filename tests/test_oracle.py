@@ -67,7 +67,7 @@ class TestSchwarzPoly:
         assert random_schwarz(43, 7).coefficients != a.coefficients
 
     def test_scale_matches_the_one_shot_peak(self):
-        """The 65536-point peak taken in chunks equals the whole-grid
+        """The screened 65536-point peak equals the whole-grid
         z * polyval(z, c), where numpy elides the temporary of polyval and
         multiplies it by z in place."""
         z = _unit_circle(65536)
@@ -77,6 +77,24 @@ class TestSchwarzPoly:
             coef = raw[:, 0] + 1j * raw[:, 1]
             peak = float(np.abs(z * npoly.polyval(z, coef)).max())
             assert random_schwarz(seed, degree).scale == _HEADROOM / peak, (seed, degree)
+
+    def test_peak_screen_bounds_hold_in_every_window(self, monkeypatch):
+        """The premise of the peak screen on the whole 65536-point grid: in
+        every window, each |z p(z)| is at most its subgrid value plus the
+        Bernstein bound, which near the peak has room to spare."""
+        seen = []
+        band = oracle._band
+        monkeypatch.setattr(oracle, "_band", lambda n, bounded: seen.append(bounded) or band(n, bounded))
+        z = _unit_circle(65536)
+        for seed in range(60):
+            degree = 2 + seed % 15
+            seen.clear()
+            random_schwarz(seed, degree)
+            (q, rise), = seen[0]
+            raw = _rng(seed, 0).random((degree, 2))
+            f = np.abs(z * npoly.polyval(z, raw[:, 0] + 1j * raw[:, 1]))
+            windows = np.roll(f, oracle._STRIDE // 2).reshape(-1, oracle._STRIDE)
+            assert (windows.max(axis=1) <= q + rise).all(), (seed, degree)
 
     def test_degree_one_draw_is_near_rotation(self):
         s = random_schwarz(9, 1)
@@ -292,8 +310,8 @@ class TestWindingContains:
     (lambda: random_schwarz(5, 16), 1 << 19),
 ], ids=["empirical_bounds-200k", "empirical_bounds-200k-gamma0", "random_schwarz"])
 def test_working_memory_stays_small(call, limit):
-    """The oracle streams cache-sized blocks and the Schwarz peak takes
-    its grid in chunks, so neither holds a full-length array."""
+    """The oracle streams cache-sized blocks and the Schwarz peak forms
+    only its screened windows, so neither holds a full-length array."""
     call()  # fills the shared unit-circle caches
     tracemalloc.start()
     try:
