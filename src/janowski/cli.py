@@ -15,52 +15,16 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-import numpy as np
+# The library is reached as J.name and numpy inside the functions that use
+# it, so that each command loads only the modules it runs (radius: no numpy).
+import janowski as J
 
-from . import __version__
 from ._json import jsonable
-from .envelope import (
-    alpha_nesting,
-    critical_points,
-    envelope_bounds,
-    eval_powered,
-    sample_curve,
-    sector_image,
-    tilt_angle,
-)
 from .errors import NumericalError, ParameterError, require_index
-from .moebius import JanowskiParams, canonicalize, contains, eval_map, image_disk, origin_position
-from .oracle import THEOREM_IDS, empirical_bounds, implication_trial
-from .radii import (
-    INCLUSION_ORIENTATION_NOTE,
-    RadiusProblem,
-    alpha_star,
-    class_inclusion,
-    reciprocal_radius,
-    starlike_radius,
-    subordination_radius,
-    uralegaddi_radius,
-)
-from .sectors import (
-    derivative_sector_params,
-    double_subordination_tilt,
-    eta_infimum,
-    ratio_sector_params,
-    reciprocal_order_sector,
-    weighted_sector_params,
-)
-from .special import (
-    DominantSpec,
-    best_dominant,
-    hyper_3f2,
-    kernel_integral,
-    macgregor_gamma,
-    operator_dominant,
-    silverman_inclusion,
-)
 
 __all__ = ["ACTIONS", "Action", "main", "parse_complex", "parse_angle"]
 
@@ -112,50 +76,54 @@ class Action(NamedTuple):
     check: Callable[[argparse.Namespace, Any], dict] | None = None
 
 
-def _first_order(a) -> JanowskiParams:
-    return JanowskiParams(a.A, a.B)
+def _first_order(a) -> J.JanowskiParams:
+    return J.JanowskiParams(a.A, a.B)
 
 
-def _powered(a) -> JanowskiParams:
-    return JanowskiParams(a.A, a.B, a.alpha, a.gamma)
+def _powered(a) -> J.JanowskiParams:
+    return J.JanowskiParams(a.A, a.B, a.alpha, a.gamma)
 
 
 def _check_image_disk(a, geo) -> dict:
     if geo.kind != "disk":
         return {"note": "half-plane image; boundary residual check applies to disks only"}
+    import numpy as np
+
     t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-    w = eval_map(_first_order(a), a.r * np.exp(1j * t))
+    w = J.eval_map(_first_order(a), a.r * np.exp(1j * t))
     return {"boundary_residual": float(np.max(np.abs(np.abs(w - geo.center) - geo.radius))), "samples": 2048}
 
 
 def _contains(a) -> dict:
-    outer = image_disk(_first_order(a), a.r)
-    inner = image_disk(JanowskiParams(a.inner_A, a.inner_B), a.inner_r)
-    return {"contains": contains(outer, inner, tol=a.tol)}
+    outer = J.image_disk(_first_order(a), a.r)
+    inner = J.image_disk(J.JanowskiParams(a.inner_A, a.inner_B), a.inner_r)
+    return {"contains": J.contains(outer, inner, tol=a.tol)}
 
 
 def _check_envelope(a, report) -> dict:
-    emp = empirical_bounds(_powered(a), a.r, n=100_000)
+    emp = J.empirical_bounds(_powered(a), a.r, n=100_000)
     gaps = [abs(x - y) for k in ("arg", "mod", "re", "im") for x, y in zip(getattr(report, k), getattr(emp, k))]
     return {"max_endpoint_gap": max(gaps), "samples": 100_000}
 
 
 def _derivative_sector(a) -> dict:
-    sp, arg_bound = derivative_sector_params(a.alpha, a.m)
+    sp, arg_bound = J.derivative_sector_params(a.alpha, a.m)
     return {**dataclasses.asdict(sp), "arg_bound": arg_bound}
 
 
 def _eta_inf(a) -> dict:
-    return {"eta": eta_infimum(lambda z: np.full_like(np.asarray(z, dtype=complex), a.weight), a.beta)}
+    import numpy as np
+
+    return {"eta": J.eta_infimum(lambda z: np.full_like(np.asarray(z, dtype=complex), a.weight), a.beta)}
 
 
 def _alpha_star(a) -> dict:
-    value = alpha_star()
+    value = J.alpha_star()
     return {"alpha_star": value, "residual": 2.0 * value + (2.0 / math.pi) * math.atan(value) - 1.0}
 
 
 def _starlike(a, method: str):
-    return starlike_radius(_real(a.A, "A"), _real(a.B, "B"), a.beta, method=method)
+    return J.starlike_radius(_real(a.A, "A"), _real(a.B, "B"), a.beta, method=method)
 
 
 def _check_starlike(a, rep) -> dict:
@@ -164,11 +132,11 @@ def _check_starlike(a, rep) -> dict:
 
 
 def _hyper(a, tol: float) -> complex:
-    return hyper_3f2(a.a1, a.a2, a.a3, a.b1, a.b2, a.x, tol=tol)
+    return J.hyper_3f2(a.a1, a.a2, a.a3, a.b1, a.b2, a.x, tol=tol)
 
 
 def _kernel(a, method: str) -> complex:
-    return kernel_integral(a.A, a.b, a.alpha, a.z, tol=a.tol, method=method)
+    return J.kernel_integral(a.A, a.b, a.alpha, a.z, tol=a.tol, method=method)
 
 
 def _check_kernel(a, value) -> dict:
@@ -179,13 +147,13 @@ def _check_kernel(a, value) -> dict:
 
 
 def _dominant(a) -> dict:
-    spec = DominantSpec(a.A, a.b, a.alpha, a.gamma, a.mu, a.eta, a.delta, a.rho)
-    return {"value": operator_dominant(spec, a.z), "value_at_origin": spec.value_at_origin}
+    spec = J.DominantSpec(a.A, a.b, a.alpha, a.gamma, a.mu, a.eta, a.delta, a.rho)
+    return {"value": J.operator_dominant(spec, a.z), "value_at_origin": spec.value_at_origin}
 
 
 def _best_q(a, tol: float) -> complex:
-    target = JanowskiParams(a.A, a.B, a.alpha)
-    return best_dominant(lambda t: complex(eval_powered(target, t)), lambda t: 1.0 + 0.0j, a.z, tol=tol)
+    target = J.JanowskiParams(a.A, a.B, a.alpha)
+    return J.best_dominant(lambda t: complex(J.eval_powered(target, t)), lambda t: 1.0 + 0.0j, a.z, tol=tol)
 
 
 def _drift(compute: Callable[[argparse.Namespace, float], complex]):
@@ -194,9 +162,9 @@ def _drift(compute: Callable[[argparse.Namespace, float], complex]):
 
 
 def _verify(a) -> dict:
-    ids = list(THEOREM_IDS) if a.theorem_id == "all" else [a.theorem_id]
+    ids = list(J.THEOREM_IDS) if a.theorem_id == "all" else [a.theorem_id]
     seeds = range(a.seed, a.seed + require_index("seeds", a.seeds, 1))
-    reports = [implication_trial(tid, seed=seed) for tid in ids for seed in seeds]
+    reports = [J.implication_trial(tid, seed=seed) for tid in ids for seed in seeds]
     return {
         "trials": len(reports),
         "unsound": sum(not rep.sound for rep in reports),
@@ -204,7 +172,9 @@ def _verify(a) -> dict:
     }
 
 
-def _svg_document(xs: np.ndarray, ys: np.ndarray) -> str:
+def _svg_document(xs, ys) -> str:
+    import numpy as np
+
     xs = np.concatenate([xs, [0.0, 1.0]])
     ys = np.concatenate([ys, [0.0, 0.0]])
     xmin, xmax = float(xs.min()), float(xs.max())
@@ -248,14 +218,16 @@ def _svg_document(xs: np.ndarray, ys: np.ndarray) -> str:
 
 
 def _plot_svg(a) -> dict:
-    curve = sample_curve(_powered(a), a.r, n=a.n)
+    import numpy as np
+
+    curve = J.sample_curve(_powered(a), a.r, n=a.n)
     path = Path(a.out or "envelope.svg")
     path.write_text(_svg_document(curve.M * np.cos(curve.N), curve.M * np.sin(curve.N)))
     return {"path": str(path), "points": a.n}
 
 
 def _plot_csv(a) -> dict:
-    curve = sample_curve(_powered(a), a.r, n=a.n)
+    curve = J.sample_curve(_powered(a), a.r, n=a.n)
     rows = ["t,u,v,M,N"] + [
         ",".join(format(val, ".15g") for val in (curve.t[k], curve.u[k], curve.v[k], curve.M[k], curve.N[k]))
         for k in range(a.n)
@@ -268,42 +240,42 @@ def _plot_csv(a) -> dict:
 # ACTIONS[command][action]; `verify` has the single action "".
 ACTIONS: dict[str, dict[str, Action]] = {
     "geometry": {
-        "image-disk": Action("A B", "r", lambda a: image_disk(_first_order(a), a.r), _check_image_disk),
-        "origin": Action("A B", "", lambda a: {"position": origin_position(_first_order(a))}),
-        "canonicalize": Action("A B", "", lambda a: canonicalize(_first_order(a))),
+        "image-disk": Action("A B", "r", lambda a: J.image_disk(_first_order(a), a.r), _check_image_disk),
+        "origin": Action("A B", "", lambda a: {"position": J.origin_position(_first_order(a))}),
+        "canonicalize": Action("A B", "", lambda a: J.canonicalize(_first_order(a))),
         "contains": Action("A B inner_A inner_B", "r inner_r tol", _contains),
     },
     "bounds": {
-        "envelope": Action("A B", "alpha gamma r", lambda a: envelope_bounds(_powered(a), a.r), _check_envelope),
-        "critical": Action("A B", "alpha gamma r", lambda a: critical_points(_powered(a), a.r)),
-        "sector": Action("m", "alpha", lambda a: sector_image(a.alpha, a.m)),
-        "tilt": Action("b m", "", lambda a: {"tilt": tilt_angle(a.b, a.m)}),
-        "nesting": Action("A B a1 a2", "", lambda a: {"nested": alpha_nesting(a.A, a.B, a.a1, a.a2)}),
-        "ratio-sector": Action("m beta phi", "alpha", lambda a: ratio_sector_params(a.alpha, a.m, a.beta, a.phi)),
+        "envelope": Action("A B", "alpha gamma r", lambda a: J.envelope_bounds(_powered(a), a.r), _check_envelope),
+        "critical": Action("A B", "alpha gamma r", lambda a: J.critical_points(_powered(a), a.r)),
+        "sector": Action("m", "alpha", lambda a: J.sector_image(a.alpha, a.m)),
+        "tilt": Action("b m", "", lambda a: {"tilt": J.tilt_angle(a.b, a.m)}),
+        "nesting": Action("A B a1 a2", "", lambda a: {"nested": J.alpha_nesting(a.A, a.B, a.a1, a.a2)}),
+        "ratio-sector": Action("m beta phi", "alpha", lambda a: J.ratio_sector_params(a.alpha, a.m, a.beta, a.phi)),
         "derivative-sector": Action("m", "alpha", _derivative_sector),
         "weighted-sector": Action(
-            "beta gamma2 m eta", "alpha", lambda a: weighted_sector_params(a.alpha, a.beta, a.gamma2, a.m, a.eta)
+            "beta gamma2 m eta", "alpha", lambda a: J.weighted_sector_params(a.alpha, a.beta, a.gamma2, a.m, a.eta)
         ),
-        "reciprocal-sector": Action("beta", "alpha", lambda a: {"delta": reciprocal_order_sector(a.alpha, a.beta)}),
+        "reciprocal-sector": Action("beta", "alpha", lambda a: {"delta": J.reciprocal_order_sector(a.alpha, a.beta)}),
         "eta-inf": Action("weight beta", "", _eta_inf),
         "double-tilt": Action(
             "a b c d l m", "alpha",
-            lambda a: double_subordination_tilt(a.a, a.b, a.c, a.d, a.l, a.m, a.alpha, strict=False),
+            lambda a: J.double_subordination_tilt(a.a, a.b, a.c, a.d, a.l, a.m, a.alpha, strict=False),
         ),
     },
     "radius": {
         "subordination": Action("A B C D", "alpha gamma beta delta", lambda a: {
-            "radius": subordination_radius(RadiusProblem(a.A, a.B, a.alpha, a.gamma, a.C, a.D, a.beta, a.delta)),
+            "radius": J.subordination_radius(J.RadiusProblem(a.A, a.B, a.alpha, a.gamma, a.C, a.D, a.beta, a.delta)),
         }),
         "inclusion": Action("A B C D", "alpha beta", lambda a: {
-            "included": class_inclusion(a.A, a.B, a.alpha, a.C, a.D, a.beta),
-            "orientation_note": INCLUSION_ORIENTATION_NOTE,
+            "included": J.class_inclusion(a.A, a.B, a.alpha, a.C, a.D, a.beta),
+            "orientation_note": J.INCLUSION_ORIENTATION_NOTE,
         }),
         "uralegaddi": Action(
-            "A B beta2", "alpha", lambda a: {"radius": uralegaddi_radius(a.A, a.B, a.alpha, a.beta2)}
+            "A B beta2", "alpha", lambda a: {"radius": J.uralegaddi_radius(a.A, a.B, a.alpha, a.beta2)}
         ),
         "reciprocal": Action(
-            "A B beta2", "alpha", lambda a: {"radius": reciprocal_radius(a.A, a.B, a.alpha, a.beta2)}
+            "A B beta2", "alpha", lambda a: {"radius": J.reciprocal_radius(a.A, a.B, a.alpha, a.beta2)}
         ),
         "alpha-star": Action("", "", _alpha_star),
         "starlike": Action("A B beta", "method", lambda a: _starlike(a, a.method), _check_starlike),
@@ -311,11 +283,11 @@ ACTIONS: dict[str, dict[str, Action]] = {
     "special": {
         "3f2": Action("a1 a2 a3 b1 b2 x", "tol", lambda a: {"value": _hyper(a, a.tol)}, _drift(_hyper)),
         "kernel": Action("A b z", "alpha tol method", lambda a: {"value": _kernel(a, a.method)}, _check_kernel),
-        "macgregor": Action("beta", "", lambda a: {"value": macgregor_gamma(a.beta)}),
+        "macgregor": Action("beta", "", lambda a: {"value": J.macgregor_gamma(a.beta)}),
         "dominant": Action("A b gamma mu eta delta rho z", "alpha", _dominant),
         "best-q": Action("A B z", "alpha tol", lambda a: {"value": _best_q(a, a.tol)}, _drift(_best_q)),
         "silverman": Action(
-            "A b beta", "alpha", lambda a: {"included": silverman_inclusion(a.A, a.b, a.alpha, a.beta)}
+            "A b beta", "alpha", lambda a: {"included": J.silverman_inclusion(a.A, a.b, a.alpha, a.beta)}
         ),
     },
     "verify": {"": Action("", "theorem_id seed seeds", _verify)},
@@ -330,15 +302,23 @@ ACTIONS: dict[str, dict[str, Action]] = {
 # parser
 
 
+def _seed_from_env() -> int:
+    """The default seed: JANOWSKI_SEED, else 0."""
+    text = os.environ.get("JANOWSKI_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"JANOWSKI_SEED must be an integer, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("JANOWSKI_SEED", "0"))
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=default_seed, help="deterministic seed (env JANOWSKI_SEED)")
+    common.add_argument("--seed", type=int, help="deterministic seed (default: env JANOWSKI_SEED, else 0)")
     common.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
     common.add_argument("--verify", action="store_true", help="append an independent cross-check block")
 
     parser = argparse.ArgumentParser(prog="janowski", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {J.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     geo = sub.add_parser("geometry", parents=[common], help="disk images of the bilinear map")
@@ -392,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     spc.add_argument("--method", choices=["quad", "closed"], default="quad")
 
     ver = sub.add_parser("verify", parents=[common], help="randomized implication trials")
-    ver.add_argument("--theorem-id", dest="theorem_id", default="all", choices=list(THEOREM_IDS) + ["all"])
+    # an unknown id fails in implication_trial, so parsing loads no trial code
+    ver.add_argument("--theorem-id", dest="theorem_id", default="all", help="one trial id, or all (default)")
     ver.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds starting at --seed")
     ver.set_defaults(action="")
 
@@ -423,11 +404,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     action = ACTIONS[args.command][args.action]
     try:
+        if args.seed is None:
+            args.seed = _seed_from_env()
         missing = [flag for flag in action.required.split() if getattr(args, flag) is None]
         if missing:
             raise ParameterError(f"action {args.action!r} requires " + ", ".join("--" + f for f in missing))
         # stderr carries only the JSON error; a non-finite result is caught below
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             value = action.run(args)
             oracle = action.check(args, value) if args.verify and action.check else None
     except ParameterError as exc:
@@ -438,7 +422,7 @@ def main(argv=None) -> int:
         "command": f"{args.command} {args.action}".strip(),
         "params": {flag: getattr(args, flag) for flag in (action.required + " " + action.optional).split()},
         "result": dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value,
-        "version": __version__,
+        "version": J.__version__,
         "seed": args.seed,
     }
     if oracle is not None:

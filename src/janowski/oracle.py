@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from ._json import jsonable
 from .envelope import (
@@ -138,15 +137,15 @@ class SchwarzPoly:
 
     def value(self, z):
         zz = np.asarray(z, dtype=complex)
-        out = self.scale * zz * npoly.polyval(zz, np.asarray(self.coefficients))
+        out = self.scale * zz * np.polynomial.polynomial.polyval(zz, np.asarray(self.coefficients))
         return complex(out) if out.ndim == 0 else out
 
     def deriv(self, z):
         zz = np.asarray(z, dtype=complex)
         coef = np.asarray(self.coefficients)
-        p = npoly.polyval(zz, coef)
+        p = np.polynomial.polynomial.polyval(zz, coef)
         if len(coef) > 1:
-            dp = npoly.polyval(zz, coef[1:] * np.arange(1, len(coef)))
+            dp = np.polynomial.polynomial.polyval(zz, coef[1:] * np.arange(1, len(coef)))
         else:
             dp = np.zeros_like(zz)
         out = self.scale * (p + zz * dp)
@@ -183,12 +182,12 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     raw = rng.random((degree, 2))
     coef = raw[:, 0] + 1j * raw[:, 1]
     z = _unit_circle(65536)
-    q = np.abs(z[::_STRIDE] * npoly.polyval(z[::_STRIDE], coef))
+    q = np.abs(z[::_STRIDE] * np.polynomial.polynomial.polyval(z[::_STRIDE], coef))
     reach = _STRIDE // 2 * (2.0 * np.pi / z.size)
     tiny = _ROUNDING * float(np.abs(coef).sum())
     rise = degree * reach * (float(q.max()) + tiny) / (1.0 - degree * reach) + 2.0 * tiny
     zk = z[_band(z.size, [(q, rise)])]
-    v = npoly.polyval(zk, coef)
+    v = np.polynomial.polynomial.polyval(zk, coef)
     peak = float(np.abs(np.multiply(v, zk, out=v)).max())  # v * z, as the whole grid's elided z * polyval(z)
     if peak < 1e-12:
         return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)

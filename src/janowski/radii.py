@@ -15,6 +15,7 @@ alpha_star is the root of 2 a + (2/pi) atan(a) = 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,11 +141,12 @@ def reciprocal_radius(A: complex, B: complex, alpha: float, beta2: float) -> flo
     return min(alpha * abs(A - B) / den, 1.0)
 
 
+@functools.cache
 def alpha_star() -> float:
     """Power threshold: the unique root of 2 a + (2/pi) atan(a) = 1 in (0, 1).
 
-    Solved by bisection down to adjacent floats (54 halvings of [0, 1]),
-    so the returned lower end lies within one ulp of the root.
+    Solved once, by bisection down to adjacent floats (54 halvings of
+    [0, 1]), so the returned lower end lies within one ulp of the root.
     """
     f = lambda a: 2.0 * a + (2.0 / math.pi) * math.atan(a) - 1.0
     lo, hi = 0.0, 1.0

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from janowski import JanowskiParams, envelope_bounds
+from janowski import THEOREM_IDS, JanowskiParams, envelope_bounds
 from janowski._json import jsonable
 from janowski.cli import ACTIONS, main, parse_angle, parse_complex
 from janowski.errors import ParameterError
@@ -99,6 +99,15 @@ class TestEnvelopeContract:
         monkeypatch.setenv("JANOWSKI_SEED", "17")
         data = report(capsys, "radius", "alpha-star")
         assert data["seed"] == 17
+
+    def test_non_integer_seed_in_environment_is_parameter_failure(self, capsys, monkeypatch):
+        monkeypatch.setenv("JANOWSKI_SEED", "abc")
+        code, out, err = run_cli(capsys, "geometry", "image-disk", "--A=0.5", "--B=0.1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "JANOWSKI_SEED must be an integer, got 'abc'", "kind": "parameter"}
+        # an explicit --seed never reads the environment
+        assert report(capsys, "geometry", "image-disk", "--A=0.5", "--B=0.1", "--seed", "5")["seed"] == 5
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "disk.json"
@@ -233,6 +242,15 @@ class TestExitCodes:
         assert json.loads(err)["kind"] == "parameter"
         assert not (tmp_path / "artifact").exists()
 
+    def test_unknown_theorem_id_names_the_known_ids(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--theorem-id", "T9.9")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["kind"] == "parameter"
+        assert "'T9.9'" in error["error"]
+        assert all(tid in error["error"] for tid in THEOREM_IDS)
+
     def test_divergent_series_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "special", "3f2",
@@ -355,3 +373,50 @@ def test_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent.parent / "src",
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# One invocation per subcommand, shaped like the benchmark's cold CLI runs,
+# and the janowski modules it may load beyond the CLI's own four.
+LOAD_CONTRACT = {
+    "geometry": ("geometry image-disk --A=0.5 --B=0.1 --r=0.7 --verify", {"moebius"}),
+    "bounds": (
+        "bounds envelope --A=0.8 --B=-0.3 --alpha=0.6 --r=0.9 --verify",
+        {"envelope", "moebius", "oracle", "sectors", "special"},
+    ),
+    "radius": ("radius starlike --A=0.8 --B=-0.6 --beta=1.2 --verify", {"radii"}),
+    "special": ("special kernel --A=1 --b=0.5 --alpha=0.5 --z=0.3", {"envelope", "moebius", "special"}),
+    "verify": ("verify --seeds=2 --seed=10", {"envelope", "moebius", "oracle", "sectors", "special"}),
+    "plot": ("plot csv --A=0.8 --B=-0.3 --alpha=0.6 --n=64", {"envelope", "moebius"}),
+}
+CLI_MODULES = {"janowski", "janowski.cli", "janowski._json", "janowski.errors"}
+
+
+def loaded_after(code: str) -> tuple[set, bool]:
+    """The janowski modules loaded by `code` in a fresh interpreter, and
+    whether numpy is among the loaded modules."""
+    code += (
+        "\nimport json, sys\n"
+        "print(json.dumps([[m for m in sys.modules if m.split('.')[0] == 'janowski'], 'numpy' in sys.modules]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent.parent / "src",
+                         capture_output=True, text=True, check=True)
+    modules, numpy_loaded = json.loads(out.stdout.splitlines()[-1])
+    return set(modules), numpy_loaded
+
+
+@pytest.mark.parametrize("command", list(LOAD_CONTRACT))
+def test_each_command_loads_only_its_modules(command, tmp_path):
+    argv, own = LOAD_CONTRACT[command]
+    argv = argv.split() + (["--out", str(tmp_path / "curve.csv")] if command == "plot" else [])
+    modules, numpy_loaded = loaded_after(
+        f"import contextlib, io, janowski.cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert janowski.cli.main({argv!r}) == 0"
+    )
+    assert modules == CLI_MODULES | {f"janowski.{name}" for name in own}
+    assert numpy_loaded == (command != "radius")
+
+
+@pytest.mark.parametrize("code,modules", [("import janowski", {"janowski"}), ("import janowski.cli", CLI_MODULES)])
+def test_import_loads_no_submodule_and_no_numpy(code, modules):
+    assert loaded_after(code) == (modules, False)
