@@ -195,7 +195,8 @@ def _base_block(n: int) -> np.ndarray:
 def _curve_blocks(p: JanowskiParams, r: float, n: int, keep: np.ndarray | None = None):
     """The n-point curve of `sample_curve` as blocks (w, M, N) of up to
     _BLOCK consecutive samples, so a consumer never holds a full-length array;
-    with `keep`, sorted indices, only those samples, with their full bits.
+    with `keep`, sorted indices, only those samples, with their full bits,
+    visiting only the blocks that hold one.
 
     The block from index k0 on is `_base_block(n)` (at the kept indices)
     times the scalar R e^{i k0 s} (math.cos and math.sin), plus C. The first
@@ -209,11 +210,12 @@ def _curve_blocks(p: JanowskiParams, r: float, n: int, keep: np.ndarray | None =
     C, R = _circle_geometry(p, r)
     step = 2.0 * np.pi / n
     prev, carry = None, 0.0
-    for k0 in range(0, n, _BLOCK):
-        at = slice(0, n - k0) if keep is None else keep[np.searchsorted(keep, k0):np.searchsorted(keep, k0 + _BLOCK)] - k0
+    cuts = None if keep is None else np.searchsorted(keep, np.arange(0, n + _BLOCK, _BLOCK)).tolist()
+    for b, k0 in enumerate(range(0, n, _BLOCK)):
+        if keep is not None and cuts[b] == cuts[b + 1]:
+            continue  # no kept index in this block
+        at = slice(0, n - k0) if keep is None else keep[cuts[b]:cuts[b + 1]] - k0
         w = _base_block(n)[at] * (R * complex(math.cos(k0 * step), math.sin(k0 * step)))
-        if not w.size:
-            continue
         w += C
         arg = np.angle(w)
         N, carry = _unwrap(arg, prev, carry)

@@ -76,7 +76,7 @@ _HEADROOM = 1.0 - 1e-6
 _N_SAMPLES = 4096  # unit-grid points on which a trial samples its test function
 _SAFETY = 1e-5  # interior margin a sampled supremum must clear before a claim
 _SEED_END = 2**64  # seeds are Philox key words, integers in [0, 2^64)
-_STRIDE = 16  # subgrid stride of a screened grid: every sample lies within _STRIDE / 2 steps of the subgrid
+_STRIDES = (256, 16)  # subgrid strides of the two screen levels; a window reaches stride / 2 steps each way
 _ROUNDING = 1e-12  # relative bound on the rounding of a computed sample, far above the 2e-15 measured
 
 
@@ -106,6 +106,8 @@ class SchwarzPoly:
     scale: float
 
     def __post_init__(self):
+        coefs = {f"coefficients[{k}]": c for k, c in enumerate(self.coefficients)}
+        require_finite_args("SchwarzPoly", scale=self.scale, **coefs)
         if not self.coefficients:
             raise ParameterError("at least one coefficient is required")
         if len(self.coefficients) > 16:
@@ -170,9 +172,11 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     normalized polynomial is rigorously Schwarz.  Degree 1 is the
     deterministic near-identity w(z) = (1 - 1e-6) z.
 
-    The peak is screened by `_band`: z p(z) at z = e^{it} is a trigonometric
-    polynomial T of degree d, so by Bernstein |T'| <= d sup |T| <= d Q / (1 -
-    d reach), Q the subgrid maximum. Formed samples keep their grid bits.
+    The peak is screened by `_screen`. T = z p(z) at z = e^{it} has degree d,
+    and V = z^{-(d//2 + 1)} T degree h = d // 2 with |V| = |T| <= S = sum |c_k|,
+    so by Bernstein |T| moves by at most h S rho within reach rho of t_j. (A
+    second-order bound needs a second polynomial per level, which costs more
+    than the samples it saves.) Formed samples keep their grid bits.
     """
     seed = require_index("seed", seed, 0, _SEED_END)
     degree = require_index("degree", degree, 1, 17)
@@ -182,11 +186,15 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     raw = rng.random((degree, 2))
     coef = raw[:, 0] + 1j * raw[:, 1]
     z = _unit_circle(65536)
-    q = np.abs(z[::_STRIDE] * np.polynomial.polynomial.polyval(z[::_STRIDE], coef))
-    reach = _STRIDE // 2 * (2.0 * np.pi / z.size)
-    tiny = _ROUNDING * float(np.abs(coef).sum())
-    rise = degree * reach * (float(q.max()) + tiny) / (1.0 - degree * reach) + 2.0 * tiny
-    zk = z[_band(z.size, [(q, rise)])]
+    size, h = float(np.abs(coef).sum()), degree // 2
+    tiny = _ROUNDING * size
+
+    def bounds(j, half):
+        zj = z[j]
+        T = np.abs(zj * np.polynomial.polynomial.polyval(zj, coef))
+        return [(T - tiny, T + h * size * half * (2.0 * np.pi / z.size) + 2.0 * tiny)]
+
+    zk = z[_screen(z.size, bounds)]
     v = np.polynomial.polynomial.polyval(zk, coef)
     peak = float(np.abs(np.multiply(v, zk, out=v)).max())  # v * z, as the whole grid's elided z * polyval(z)
     if peak < 1e-12:
@@ -194,15 +202,26 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     return SchwarzPoly(tuple(coef), _HEADROOM / peak)
 
 
-def _band(n: int, bounded) -> np.ndarray:
-    """Sorted indices k < n of the windows j _STRIDE - _STRIDE / 2 ... j _STRIDE
-    + _STRIDE / 2 - 1 (mod n) that can hold the maximum of q, for each pair
-    (q, rise): q_j is the value at j _STRIDE and rise_j bounds how far a
-    sample of window j exceeds it. Pass -q for a minimum."""
-    near = np.logical_or.reduce([~(q + rise < q.max()) for q, rise in bounded])  # a NaN keeps its window
-    keep = np.zeros(n, dtype=bool)
-    keep[(np.flatnonzero(near)[:, None] * _STRIDE + np.arange(-(_STRIDE // 2), _STRIDE // 2)) % n] = True
-    return np.flatnonzero(keep)
+def _screen(n: int, bounds) -> np.ndarray:
+    """Sorted indices k < n of the samples that can hold the maximum of one of
+    the quantities described by `bounds`, screened in two levels.
+
+    `bounds(j, half)` takes subgrid indices j and returns a pair (low, high)
+    of arrays per quantity: low_j is at most the grid sample at j, and high_j
+    at least every grid sample within half steps of j (mod n). Pass -f for a
+    minimum of f. Level 1 takes every 256th index with windows of +-128
+    samples, level 2 the centres j + 16 i, i = -8 ... 8 (mod n), of each
+    level-1 window that can hold a maximum, with windows of +-8 samples. A
+    window can hold one unless its high lies below the largest low; a NaN
+    keeps it.
+    """
+    centres = np.arange(0, n, _STRIDES[0])
+    for stride, sub in zip(_STRIDES, _STRIDES[1:] + (1,)):
+        half = stride // 2
+        near = np.logical_or.reduce([~(high < low.max()) for low, high in bounds(centres, half)])
+        kids = np.sort((centres[near][:, None] + np.arange(-half, half + 1, sub)) % n, axis=None)
+        centres = kids[np.concatenate(([True], kids[1:] != kids[:-1]))]
+    return centres
 
 
 def _effective_schwarz(
@@ -345,8 +364,9 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     With g = 0, h is w^a itself, which has no zero inside the disk (the
     branch guard keeps the origin out of the open image disk), so h is not
     formed: the shifted view restates the primary ranges, with no argument
-    range once the modulus falls below 1e-9, as for any h. Only samples kept
-    by `_screened` are formed, with their full-grid bits: the report is the same.
+    range once the modulus falls below 1e-9, as for any h. Only the samples
+    kept by the two-level screen of `_screened` are formed, with their full
+    grid bits, so the report is the same; its subgrid values are not reported.
     """
     n = require_index("n", n, 16)
     g = complex(p.gamma)
@@ -386,27 +406,54 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
 
 def _screened(p: JanowskiParams, r: float, n: int) -> np.ndarray | None:
     """Indices of the samples that can hold an extreme of arg, mod, Re or Im
-    of w^a on the n-point curve, or None for all of them.
+    of W = w^a on the n-point curve, or None for all of them.
 
-    A sample within reach = _STRIDE / 2 steps of subgrid point j lies within
-    R reach + 2 e of w_j, e = _ROUNDING (|C| + R) bounding a sample's
-    rounding, and has |w| >= m_j, the larger of |w_j| - R reach and |C| - R
-    less 2 e. So w^a moves by at most a m_j^{a-1} times that distance, and
-    a arg w by a / m_j times it, plus twice a value's rounding. With
+    `_screen` bounds each such F within reach rho of t_j by F_j + |F'_j| rho
+    + K rho^2 / 2 + slack. On w = C + R e^{it}, q = (w - C) / w has q' =
+    i q (1 - q) and |q| <= s = R / m_j, m_j the larger of |w_j| - R rho and
+    |C| - R less 2 e, e = _ROUNDING (|C| + R) bounding a point's distance
+    from the circle. So (a arg w)' = a Re q, W' = a W i q and |W|' = -a |W|
+    Im q are at most D = a s, or D = a s P with P = (|w_j| + R rho + 2 e)^a
+    >= |W|, and their derivatives at most K = a s (1 + s), or K = P (a s
+    (1 + s) + (a s)^2). The subgrid points come from cos and sin of t_j, not
+    from the rotated grid; as F moves by D / R and F' by K / R per unit of
+    w, the slack adds (2 D + K rho) e / R, _ROUNDING (D rho + K rho^2) for
+    the rounding of F' and K, and twice a value's rounding. With
     `_ray_clearance` above 2 e the arguments span less than pi and `_unwrap`
-    adds nothing to any subset; nearer the cut (a touch) nothing is skipped.
+    adds nothing to any subset; nearer the cut (a touch), or on a circle no
+    wider than e, nothing is skipped.
     """
     C, R = _circle_geometry(p, r)
     a, err = p.alpha, _ROUNDING * (abs(C) + R)
-    if not _ray_clearance(C, R) > 2.0 * err:
+    if not (_ray_clearance(C, R) > 2.0 * err and R > err):
         return None
-    w, M, N = (np.concatenate(x) for x in zip(*_curve_blocks(p, r, n, np.arange(0, n, _STRIDE))))
-    reach = _STRIDE // 2 * (2.0 * np.pi / n)
-    m = np.maximum(np.abs(w) - R * reach, abs(C) - R) - 2.0 * err
-    move, tiny = R * reach + 2.0 * err, 2.0 * _ROUNDING * (np.pi + (abs(C) + R) ** a)
-    rise, turn = a * m ** (a - 1.0) * move + tiny, a / m * move + tiny
-    re, im = M * np.cos(N), M * np.sin(N)
-    return _band(n, [(N, turn), (-N, turn), (M, rise), (-M, rise), (re, rise), (-re, rise), (im, rise), (-im, rise)])
+    step, gap, tiny = 2.0 * np.pi / n, err / R, 2.0 * _ROUNDING * (np.pi + (abs(C) + R) ** a)
+
+    def bounds(j, half):
+        rho = half * step
+        u = R * np.exp(1j * (j * step))  # cos and sin of t_j
+        w = u + C
+        q = u / w
+        mw = np.abs(w)
+        arg_d = a * R / (np.maximum(mw - R * rho, abs(C) - R) - 2.0 * err)
+        arg_k = arg_d * (1.0 + arg_d / a)
+        top = (mw + R * rho + 2.0 * err) ** a
+        pow_d, pow_k = top * arg_d, top * (arg_k + arg_d * arg_d)
+        M, N = mw**a, a * np.angle(w)
+        re, im = M * np.cos(N), M * np.sin(N)
+        out = []
+        for f, df, d, k in (
+            (N, a * q.real, arg_d, arg_k),
+            (M, -a * M * q.imag, pow_d, pow_k),
+            (re, -a * (re * q.imag + im * q.real), pow_d, pow_k),
+            (im, a * (re * q.real - im * q.imag), pow_d, pow_k),
+        ):
+            slack = gap * (d * (2.0 + rho) + k * (rho + rho * rho)) + tiny  # gap >= _ROUNDING
+            rise = np.abs(df) * rho + k * (rho * rho / 2.0) + slack
+            out += [(f - slack, f + rise), (-f - slack, rise - f)]
+        return out
+
+    return _screen(n, bounds)
 
 
 # ---------------------------------------------------------------------------

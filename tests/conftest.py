@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from janowski import JanowskiParams
+from janowski import JanowskiParams, oracle
+from janowski.oracle import _STRIDES
 
 settings.register_profile(
     "ci",
@@ -32,3 +33,31 @@ def safe_params(draw, powered: bool = True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def _window_max(f: np.ndarray, centres: np.ndarray, half: int) -> np.ndarray:
+    """Largest sample of f in each window centres[i] - half ... centres[i] + half (mod f.size)."""
+    ext = np.concatenate([f[-half:], f, f[:half]])
+    return np.lib.stride_tricks.sliding_window_view(ext, 2 * half + 1)[centres].max(axis=1)
+
+
+def screen_bounds(screen_call):
+    """The `bounds` function that `screen_call()` hands to `_screen`, or None."""
+    seen, screen = [], oracle._screen
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_screen", lambda n, bounds: seen.append(bounds) or screen(n, bounds))
+        screen_call()
+    return seen[0] if seen else None
+
+
+def assert_screen_bounds_hold(bounds, full: list[np.ndarray], what) -> None:
+    """Every window of both screen levels, centred on every 256th and every
+    16th sample, against the whole grid: low is at most the centre's sample
+    and high at least each sample of the window, for each quantity in
+    `full` (a maximum of f, then one of -f, gives both sides)."""
+    n = full[0].size
+    for stride in _STRIDES:
+        centres = np.arange(0, n, stride)
+        for (low, high), f in zip(bounds(centres, stride // 2), full, strict=True):
+            assert (low <= f[centres]).all(), (what, stride)
+            assert (_window_max(f, centres, stride // 2) <= high).all(), (what, stride)

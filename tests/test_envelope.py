@@ -32,9 +32,8 @@ from janowski import (
     sector_image,
     tilt_angle,
 )
-from janowski import oracle
 from janowski._json import jsonable
-from janowski.oracle import _STRIDE, _screened
+from janowski.oracle import _STRIDES, _screen, _screened
 from janowski.envelope import (
     _BLOCK,
     _NEWTON_CAP,
@@ -47,7 +46,7 @@ from janowski.envelope import (
     _unit_circle,
     _unwrap,
 )
-from tests.conftest import safe_params
+from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN_ENVELOPE = Path(__file__).parent / "golden" / "envelope.jsonl"
@@ -349,53 +348,77 @@ def _screen_edge_draws() -> list[tuple[str, JanowskiParams, float]]:
     return draws
 
 
-@pytest.mark.parametrize("n", [16, 16384, 16385, 2 * _BLOCK + 1, 100_000, 200_000])
+@pytest.mark.parametrize("n", [16, 16383, 16384, 16385, 2 * _BLOCK + 1, 100_000, 200_000, 200_003, 1_000_001])
 def test_streamed_oracle_is_bit_identical(n):
     """The streamed and screened oracle against the whole-array pass on the
     corpus draws, the screen-edge draws and, at 200k samples, 300 more
     criterion-4 draws with gamma = 0. Below 16384 samples only gamma = 0
     is compared: there the whole-array pass forms (1 - g) * T (see the next
-    test)."""
+    test). At 1000001 samples, too, only gamma = 0, the screened path."""
     draws = envelope_corpus_draws() + _screen_edge_draws()
     if n == 200_000:
         draws += [draw for draw in envelope_corpus_draws(300) if draw[0] == "gamma0"]
     for group, p, r in draws:
-        if n < 16384 and p.gamma != 0.0:
+        if (n < 16384 or n > 200_003) and p.gamma != 0.0:
             continue
         want = _whole_array_empirical_bounds(p, r, n)
         assert _report_bytes(empirical_bounds(p, r, n)) == _report_bytes(want), (group, p, r)
 
 
-def test_screen_bounds_hold_in_every_window(monkeypatch):
-    """The premise of the gamma = 0 screen on the whole 200k grid: in every
-    window, each sample of arg, mod, Re and Im (and of their negatives) is
-    at most the subgrid value plus the window's bound. Near an extreme the
-    bound has room to spare, so this sees a bound that is too small where
-    the bit-identity test cannot."""
-    seen = []
-    band = oracle._band
-    monkeypatch.setattr(oracle, "_band", lambda n, bounded: seen.append(bounded) or band(n, bounded))
+def test_screen_bounds_hold_in_every_window():
+    """The premise of the gamma = 0 screen on the whole 200k grid, at both
+    levels. Near an extreme the bound has room to spare, so this sees a bound
+    that is too small where the bit-identity test cannot."""
     edge = [(p, r) for _, p, r in _screen_edge_draws() if r < 1.0]
+    checked = 0
     for p, r in [(p, r) for group, p, r in envelope_corpus_draws() if group == "gamma0"] + edge:
-        seen.clear()
-        if _screened(p, r, 200_000) is None:
+        bounds = screen_bounds(lambda: _screened(p, r, 200_000))
+        if bounds is None:
             continue
         _, M, N = _whole_array_curve(p, r, 200_000)
-        full = [N, M, M * np.cos(N), M * np.sin(N)]
-        for (q, rise), f in zip(seen[0], [s * f for f in full for s in (1.0, -1.0)]):
-            windows = np.roll(f, _STRIDE // 2).reshape(-1, _STRIDE)  # row j: samples j _STRIDE - 8 ... j _STRIDE + 7
-            assert (windows.max(axis=1) <= q + rise).all(), (p, r)
-    assert seen
+        full = [s * f for f in (N, M, M * np.cos(N), M * np.sin(N)) for s in (1.0, -1.0)]
+        assert_screen_bounds_hold(bounds, full, (p, r))
+        checked += 1
+    assert checked >= 8 + 6  # every gamma = 0 draw and the six edge draws about 1e-6 from the cut
+
+
+@pytest.mark.parametrize("n", [1024, 16383, 65537, 200_000, 200_003])
+def test_screen_levels_cover_every_window(n):
+    """Every index of each level-1 window that survives lies in a level-2
+    window, also across the wrap at n not divisible by 16 or 256, and the
+    kept samples reach at most 8 beyond the surviving level-1 windows. One
+    in three level-1 windows survives, and every level-2 window does."""
+    stride, half = _STRIDES[0], _STRIDES[0] // 2
+    centres = np.arange(0, n, stride)
+    for part in range(3):
+        def bounds(j, reach):
+            survives = (j // stride) % 3 == part if reach == half else np.ones(j.size, dtype=bool)
+            return [(np.zeros(j.size), np.where(survives, 0.0, -1.0))]
+
+        live = centres[(centres // stride) % 3 == part]
+        got = _screen(n, bounds)
+        assert (np.diff(got) > 0).all() and 0 <= got[0] and got[-1] < n
+        assert np.isin((live[:, None] + np.arange(-half, half + 1)) % n, got).all(), part
+        assert np.isin(got, (live[:, None] + np.arange(-half - 8, half + 9)) % n).all(), part
 
 
 def test_screen_keeps_few_samples():
-    """The gamma = 0 oracle forms under a quarter of its 200k samples on
-    criterion-4 draws (about 5 % at the median), and all of them at an
-    origin touch, where the arguments can jump by 2 pi."""
+    """The gamma = 0 oracle forms under 1 % of its 200k samples on
+    criterion-4 draws (about 0.2 % at the median; first-order window bounds
+    keep about 5 %), and all of them at an origin touch, where the
+    arguments can jump by 2 pi."""
     draws = [(p, r) for group, p, r in envelope_corpus_draws(100) if group == "gamma0"]
     kept = [_screened(p, r, 200_000).size / 200_000 for p, r in draws]
-    assert max(kept) < 0.25, max(kept)
+    assert max(kept) < 0.01, max(kept)
     assert all(_screened(p, 1.0, 200_000) is None for group, p, _ in envelope_corpus_draws() if group == "touch")
+
+
+def test_oracle_on_a_vanishing_circle():
+    """At r = 5e-324 the circle's radius R rounds to 0, so every sample is C;
+    the screen declines and the report is the whole-array one."""
+    p = JanowskiParams(0.5, 0.0)
+    assert _screened(p, 5e-324, 200_000) is None
+    assert _report_bytes(empirical_bounds(p, 5e-324, 16)) == _report_bytes(_whole_array_empirical_bounds(p, 5e-324, 16))
 
 
 @pytest.mark.parametrize("n", [16, 1000, 4096, 16383])

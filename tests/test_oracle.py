@@ -34,7 +34,7 @@ from janowski import (
 )
 from janowski import empirical_bounds, oracle
 from janowski.oracle import _HEADROOM, _rng, _unit_circle, _winding_contains
-from tests.conftest import safe_params
+from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
 
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
 
@@ -78,23 +78,17 @@ class TestSchwarzPoly:
             peak = float(np.abs(z * npoly.polyval(z, coef)).max())
             assert random_schwarz(seed, degree).scale == _HEADROOM / peak, (seed, degree)
 
-    def test_peak_screen_bounds_hold_in_every_window(self, monkeypatch):
-        """The premise of the peak screen on the whole 65536-point grid: in
-        every window, each |z p(z)| is at most its subgrid value plus the
-        Bernstein bound, which near the peak has room to spare."""
-        seen = []
-        band = oracle._band
-        monkeypatch.setattr(oracle, "_band", lambda n, bounded: seen.append(bounded) or band(n, bounded))
+    def test_peak_screen_bounds_hold_in_every_window(self):
+        """The premise of the peak screen on the whole 65536-point grid, at
+        both levels: in every window, each |z p(z)| is at most the bound
+        from its centre, which near the peak has room to spare."""
         z = _unit_circle(65536)
         for seed in range(60):
             degree = 2 + seed % 15
-            seen.clear()
-            random_schwarz(seed, degree)
-            (q, rise), = seen[0]
+            bounds = screen_bounds(lambda: random_schwarz(seed, degree))
             raw = _rng(seed, 0).random((degree, 2))
             f = np.abs(z * npoly.polyval(z, raw[:, 0] + 1j * raw[:, 1]))
-            windows = np.roll(f, oracle._STRIDE // 2).reshape(-1, oracle._STRIDE)
-            assert (windows.max(axis=1) <= q + rise).all(), (seed, degree)
+            assert_screen_bounds_hold(bounds, [f], (seed, degree))
 
     def test_degree_one_draw_is_near_rotation(self):
         s = random_schwarz(9, 1)
@@ -120,6 +114,15 @@ class TestSchwarzPoly:
             random_schwarz(0, 17)
         with pytest.raises(OutOfRangeError):
             SchwarzPoly.scaled_identity(1.5)
+
+    @pytest.mark.parametrize(
+        "coefficients, scale",
+        [((complex("nan"),), 0.5), ((1.0, complex("inf")), 0.1), ((1.0,), math.inf)],
+    )
+    def test_non_finite_input_is_refused(self, coefficients, scale):
+        # a NaN boundary modulus used to pass the sup >= 1 check
+        with pytest.raises(ParameterError, match="must be finite"):
+            SchwarzPoly(coefficients, scale)
 
 
 class TestPullback:
