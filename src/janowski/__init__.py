@@ -94,7 +94,6 @@ _EXPORTS = {
         "BranchUndefinedError",
         "OutOfRangeError",
         "NegativeRealPartError",
-        "ConditionFailedError",
         "InvalidTheoremIdError",
         "NonCaratheodoryLambdaError",
         "NumericalError",

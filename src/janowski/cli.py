@@ -260,7 +260,7 @@ ACTIONS: dict[str, dict[str, Action]] = {
         "eta-inf": Action("weight beta", "", _eta_inf),
         "double-tilt": Action(
             "a b c d l m", "alpha",
-            lambda a: J.double_subordination_tilt(a.a, a.b, a.c, a.d, a.l, a.m, a.alpha, strict=False),
+            lambda a: J.double_subordination_tilt(a.a, a.b, a.c, a.d, a.l, a.m, a.alpha),
         ),
     },
     "radius": {

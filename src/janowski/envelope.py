@@ -47,6 +47,7 @@ from .errors import (
     ParameterError,
     require_finite_args,
     require_index,
+    require_range,
 )
 from .moebius import JanowskiParams, image_disk
 
@@ -140,8 +141,6 @@ def _branch_guard(p: JanowskiParams, r: float) -> None:
 
 
 def _circle_geometry(p: JanowskiParams, r: float) -> tuple[complex, float]:
-    if not 0.0 < r <= 1.0:
-        raise OutOfRangeError(f"r must lie in (0, 1], got {r}")
     geo = image_disk(p, r)
     if not geo.is_disk:
         raise OutOfRangeError("r must stay below 1/|B|; the image is a half-plane")
@@ -504,10 +503,8 @@ def sector_image(alpha: float, m: float) -> SectorImage:
     """The powered tilted half-plane map covers the sector
     (-alpha (1 - m) pi / 2, alpha (1 + m) pi / 2); its 1/alpha-th root
     fills the rotated half-plane Re(e^{-i m pi / 2} w) > 0."""
-    if not 0.0 < alpha <= 1.0:
-        raise OutOfRangeError(f"alpha must lie in (0, 1], got {alpha}")
-    if not -1.0 < m < 1.0:
-        raise OutOfRangeError(f"m must lie in (-1, 1), got {m}")
+    require_range("alpha", alpha, "(0, 1]")
+    require_range("m", m, "(-1, 1)")
     return SectorImage(
         lo=-alpha * (1.0 - m) * 0.5 * math.pi,
         hi=alpha * (1.0 + m) * 0.5 * math.pi,
@@ -519,8 +516,7 @@ def tilt_angle(b: float, m: float) -> float:
     """Tilt lambda with Re(e^{-i lambda} h) > 0 for h subordinate to
     (1 + e^{i m pi} z)/(1 - b z); lambda = arg(1 + b e^{i m pi})."""
     require_finite_args("tilt_angle", b=b, m=m)
-    if not 0.0 <= b <= 1.0:
-        raise OutOfRangeError(f"b must lie in [0, 1], got {b}")
+    require_range("b", b, "[0, 1]")
     a = cmath.exp(1j * math.pi * m)
     if abs(b + a) <= _EPS:
         raise DegenerateMapError("b + e^{i m pi} = 0 leaves no half-plane")
@@ -537,6 +533,5 @@ def alpha_nesting(A: complex, B: complex, a1: float, a2: float) -> bool:
     if abs(A) > 1.0 + _EPS or abs(B) > 1.0 + _EPS:
         raise OutOfRangeError("nesting requires |A| <= 1 and |B| <= 1")
     for a in (a1, a2):
-        if not 0.0 < a <= 1.0:
-            raise OutOfRangeError(f"powers must lie in (0, 1], got {a}")
+        require_range("powers", a, "(0, 1]")
     return a1 <= a2 + _EPS

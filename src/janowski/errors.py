@@ -8,6 +8,8 @@ maps the first family to exit code 2 and the second to exit code 3.
 
 import cmath
 import dataclasses
+import functools
+import math
 import operator
 
 
@@ -48,6 +50,46 @@ def require_index(name: str, value, lo: int, hi: int | None = None) -> int:
     return index
 
 
+@functools.cache
+def _interval(text: str) -> tuple[bool, float, float, bool]:
+    """"(0, 1]" -> (False, 0.0, 1.0, True): whether each end is closed, and
+    the ends; an upper end named by a formula reads NaN, which nothing passes."""
+    lo, hi = text[1:-1].split(", ")
+    return text[0] == "[", float(lo), float(hi) if hi[-1].isdigit() else math.nan, text[-1] == "]"
+
+
+def require_range(name: str, value, interval: str, hi: float | None = None) -> None:
+    """Raise OutOfRangeError unless `value` lies in `interval`, written as the
+    message reads it, such as "(0, 1]" or "[-1, 0)"; NaN never lies in it.
+
+    `hi` is the value of an upper end the text names by a formula, as in
+    "(0, 1 - alpha]".
+    """
+    lo_closed, lo, top, hi_closed = _interval(interval)
+    if hi is not None:
+        top = hi
+    above = lo <= value if lo_closed else lo < value
+    below = value <= top if hi_closed else value < top
+    if not (above and below):
+        raise OutOfRangeError(f"{name} must lie in {interval}, got {value}")
+
+
+def require_map(A, B, alpha, gamma, names: str = "A B alpha gamma") -> None:
+    """Check the powered, shifted map (1 - gamma)((1 + A z)/(1 + B z))^alpha + gamma:
+    A != B, |B| <= 1 (the pole stays off the open unit disk), alpha in (0, 1]
+    and gamma != 1. `names` gives the four parameters' names for the messages."""
+    a, b, power, shift = names.split()
+    A, B = complex(A), complex(B)
+    if cmath.isclose(A, B, rel_tol=0.0, abs_tol=1e-12):  # abs(A - B) overflows near 1.7e308
+        raise DegenerateMapError(f"{a} and {b} must differ")
+    b_abs = math.hypot(B.real, B.imag)
+    if b_abs > 1.0 + 1e-12:
+        raise OutOfRangeError(f"|{b}| must be <= 1, got {b_abs}")
+    require_range(power, alpha, "(0, 1]")
+    if cmath.isclose(complex(gamma), 1.0, rel_tol=0.0, abs_tol=1e-12):
+        raise OutOfRangeError(f"{shift} = 1 collapses the shifted map to a constant")
+
+
 class DegenerateMapError(ParameterError):
     """Map parameters collapse the geometry (A = B, A = -b, and similar)."""
 
@@ -70,14 +112,6 @@ class OutOfRangeError(ParameterError):
 
 class NegativeRealPartError(ParameterError):
     """A weight function fails the positive-real-part requirement."""
-
-
-class ConditionFailedError(ParameterError):
-    """A hypothesis inequality fails; carries the offending excess."""
-
-    def __init__(self, message: str, excess: float = 0.0):
-        super().__init__(message)
-        self.excess = excess
 
 
 class InvalidTheoremIdError(ParameterError):

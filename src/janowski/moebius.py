@@ -33,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateMapError,
     OutOfRangeError,
     ParameterError,
     PoleOnBoundaryError,
     require_finite,
     require_finite_args,
     require_index,
+    require_map,
+    require_range,
 )
 
 _EPS = 1e-12
@@ -68,18 +69,9 @@ class JanowskiParams:
         object.__setattr__(self, "gamma", complex(self.gamma))
         require_finite(self)
         # math.hypot, not abs(): abs raises OverflowError for huge finite parts
-        gap = math.hypot((self.A - self.B).real, (self.A - self.B).imag)
-        if gap <= _EPS:
-            raise DegenerateMapError("A and B must differ")
-        if gap == math.inf:
+        if math.hypot((self.A - self.B).real, (self.A - self.B).imag) == math.inf:
             raise OutOfRangeError("|A - B| overflows a double")
-        b_abs = math.hypot(self.B.real, self.B.imag)
-        if b_abs > 1.0 + _EPS:
-            raise OutOfRangeError(f"|B| must be <= 1, got {b_abs}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise OutOfRangeError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if abs(self.gamma - 1.0) <= _EPS:
-            raise ParameterError("gamma = 1 collapses the shifted map to a constant")
+        require_map(self.A, self.B, self.alpha, self.gamma)
 
     @property
     def argument_safe(self) -> bool:
@@ -151,8 +143,7 @@ def eval_map(p: JanowskiParams, z) -> complex | np.ndarray:
 
 def image_disk(p: JanowskiParams, r: float) -> DiskGeometry:
     """Closed-form image of the circle |z| = r under the first-order map."""
-    if not 0.0 < r <= 1.0:
-        raise OutOfRangeError(f"r must lie in (0, 1], got {r}")
+    require_range("r", r, "(0, 1]")
     A, B = p.A, p.B
     q = 1.0 - A * B.conjugate() * r * r
     denom = 1.0 - abs(B) ** 2 * r * r

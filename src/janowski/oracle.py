@@ -56,6 +56,7 @@ from .errors import (
     ParameterError,
     require_finite_args,
     require_index,
+    require_range,
 )
 from .moebius import JanowskiParams, image_disk
 from .sectors import eta_infimum, ratio_sector_params, reciprocal_order_sector, weighted_sector_params
@@ -122,8 +123,7 @@ class SchwarzPoly:
     def scaled_identity(cls, c: complex) -> "SchwarzPoly":
         """The rotation-dilation w(z) = c z for 0 < |c| < 1."""
         mag = abs(c)
-        if not 0.0 < mag < 1.0:
-            raise OutOfRangeError(f"|c| must lie in (0, 1), got {mag}")
+        require_range("|c|", mag, "(0, 1)")
         return cls((c / mag,), mag)
 
     @property
@@ -155,8 +155,7 @@ class SchwarzPoly:
 
     def dilated(self, rho: float) -> "SchwarzPoly":
         """Precompose with z -> rho z, pulling the image into |w| <= rho."""
-        if not 0.0 < rho <= 1.0:
-            raise OutOfRangeError(f"rho must lie in (0, 1], got {rho}")
+        require_range("rho", rho, "(0, 1]")
         coef = tuple(c * rho**k for k, c in enumerate(self.coefficients))
         return SchwarzPoly(coef, self.scale * rho)
 
@@ -275,8 +274,7 @@ def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol:
     require_finite_args("verify_subordination", tol=tol)
     if not target.argument_safe:
         raise ParameterError("target must be argument-safe so the inverse map is single-valued")
-    if not 0.0 < r <= 1.0:
-        raise OutOfRangeError(f"r must lie in (0, 1], got {r}")
+    require_range("r", r, "(0, 1]")
     if np.size(p_samples) == 0:
         raise ParameterError("p_samples must not be empty")
     return bool(np.max(subordination_pullback(p_samples, target)) <= r + tol)

@@ -14,12 +14,19 @@ alpha_star is the root of 2 a + (2/pi) atan(a) = 1.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMapError, NoRootError, OutOfRangeError, require_finite, require_finite_args
+from .errors import (
+    DegenerateMapError,
+    NoRootError,
+    OutOfRangeError,
+    require_finite,
+    require_finite_args,
+    require_map,
+    require_range,
+)
 
 # Orientation of the starlike-order chain implied by the inclusion
 # criterion: with target order a1 (A = 1 - 2 a1, B = -1) and source order
@@ -35,9 +42,9 @@ INCLUSION_ORIENTATION_NOTE = (
 @dataclass(frozen=True)
 class RadiusProblem:
     """Subordination-radius instance: source (C, D, beta, delta) into target
-    (A, B, alpha, gamma), each a powered, shifted first-order map; every
-    field must be finite, and |B|, |D| <= 1 keep each pole off the open
-    unit disk, as `JanowskiParams` requires."""
+    (A, B, alpha, gamma), each a powered, shifted first-order map. Every field
+    must be finite, and each map passes the check of `JanowskiParams`:
+    A != B, |B| <= 1 (the pole stays off the open disk), power in (0, 1], shift != 1."""
 
     A: complex
     B: complex
@@ -50,18 +57,8 @@ class RadiusProblem:
 
     def __post_init__(self):
         require_finite(self)
-        for hi, lo, name in ((self.A, self.B, "target"), (self.C, self.D, "source")):
-            if cmath.isclose(complex(hi), complex(lo), rel_tol=0.0, abs_tol=1e-12):  # abs() overflows near 1.7e308
-                raise DegenerateMapError(f"{name} map has equal parameters")
-        for b, name in ((complex(self.B), "B"), (complex(self.D), "D")):
-            if math.hypot(b.real, b.imag) > 1.0 + 1e-12:
-                raise OutOfRangeError(f"|{name}| must be <= 1, got {math.hypot(b.real, b.imag)}")
-        for a, name in ((self.alpha, "alpha"), (self.beta, "beta")):
-            if not 0.0 < a <= 1.0:
-                raise OutOfRangeError(f"{name} must lie in (0, 1], got {a}")
-        for g, name in ((self.gamma, "gamma"), (self.delta, "delta")):
-            if abs(complex(g) - 1.0) <= 1e-12:
-                raise OutOfRangeError(f"{name} = 1 collapses the shifted map")
+        require_map(self.A, self.B, self.alpha, self.gamma)
+        require_map(self.C, self.D, self.beta, self.delta, "C D beta delta")
 
 
 def subordination_radius(prob: RadiusProblem) -> float:
@@ -87,14 +84,12 @@ def class_inclusion(
     A: complex, B: complex, alpha: float, C: complex, D: complex, beta: float
 ) -> bool:
     """Whether every (C, D, beta)-subordinate function is (A, B, alpha)-subordinate
-    on the whole disk: beta (|C - D| + |A D - B C|) <= alpha |A - B|."""
+    on the whole disk: beta (|C - D| + |A D - B C|) <= alpha |A - B|. The
+    arguments must be finite and pass the checks of `RadiusProblem` at
+    gamma = delta = 0: A != B, C != D, |B|, |D| <= 1, alpha, beta in (0, 1]."""
     require_finite_args("class_inclusion", A=A, B=B, alpha=alpha, C=C, D=D, beta=beta)
+    RadiusProblem(A, B, alpha, 0.0, C, D, beta, 0.0)
     A, B, C, D = complex(A), complex(B), complex(C), complex(D)
-    if abs(A - B) <= 1e-12 or abs(C - D) <= 1e-12:
-        raise DegenerateMapError("class parameters must differ")
-    for a, name in ((alpha, "alpha"), (beta, "beta")):
-        if not 0.0 < a <= 1.0:
-            raise OutOfRangeError(f"{name} must lie in (0, 1], got {a}")
     return beta * (abs(C - D) + abs(A * D - B * C)) <= alpha * abs(A - B) + 1e-12
 
 
@@ -116,11 +111,14 @@ def _scaled_pair(A: complex, B: complex) -> tuple[complex, complex, int]:
 
 
 def uralegaddi_radius(A: complex, B: complex, alpha: float, beta2: float) -> float:
-    """Radius of membership in the Uralegaddi class Re(z f'/f) < beta2, beta2 > 1."""
+    """Radius of membership in the Uralegaddi class Re(z f'/f) < beta2, beta2 > 1.
+
+    Every argument must be finite, A != B and alpha in (0, 1]; |B| may exceed 1."""
     require_finite_args("uralegaddi_radius", A=A, B=B, alpha=alpha, beta2=beta2)
     A, B, e = _scaled_pair(A, B)
     if abs(A - B) <= math.ldexp(1e-12, -e):
         raise DegenerateMapError("A and B must differ")
+    require_range("alpha", alpha, "(0, 1]")
     if beta2 <= 1.0:
         raise OutOfRangeError(f"beta2 must exceed 1, got {beta2}")
     den = math.ldexp(2.0 * (beta2 + 1.0), -e) + abs(A - B * (2.0 * beta2 - 1.0))
@@ -128,13 +126,15 @@ def uralegaddi_radius(A: complex, B: complex, alpha: float, beta2: float) -> flo
 
 
 def reciprocal_radius(A: complex, B: complex, alpha: float, beta2: float) -> float:
-    """Radius of reciprocal starlikeness Re(f/(z f')) > beta2, 0 <= beta2 < 1."""
+    """Radius of reciprocal starlikeness Re(f/(z f')) > beta2, 0 <= beta2 < 1.
+
+    Every argument must be finite, A != B and alpha in (0, 1]; |B| may exceed 1."""
     require_finite_args("reciprocal_radius", A=A, B=B, alpha=alpha, beta2=beta2)
     A, B, e = _scaled_pair(A, B)
     if abs(A - B) <= math.ldexp(1e-12, -e):
         raise DegenerateMapError("A and B must differ")
-    if not 0.0 <= beta2 < 1.0:
-        raise OutOfRangeError(f"beta2 must lie in [0, 1), got {beta2}")
+    require_range("alpha", alpha, "(0, 1]")
+    require_range("beta2", beta2, "[0, 1)")
     den = math.ldexp(2.0 * beta2, -e) + abs(A - B * (2.0 * beta2 - 1.0))
     if den == 0.0:
         return 1.0
@@ -178,10 +178,8 @@ def starlike_radius(A: float, B: float, beta: float, method: str = "closed") -> 
     positive root.
     """
     require_finite_args("starlike_radius", A=A, B=B, beta=beta)
-    if not 0.0 < A <= 1.0:
-        raise OutOfRangeError(f"A must lie in (0, 1], got {A}")
-    if not -1.0 <= B < 0.0:
-        raise OutOfRangeError(f"B must lie in [-1, 0), got {B}")
+    require_range("A", A, "(0, 1]")
+    require_range("B", B, "[-1, 0)")
     astar = alpha_star()
     if beta < (1.0 - astar) - 1e-9:
         raise OutOfRangeError(f"beta must be at least {1.0 - astar:.6f}, got {beta}")

@@ -21,12 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    ConditionFailedError,
     DegenerateMapError,
     NegativeRealPartError,
     OutOfRangeError,
     ParameterError,
     require_finite_args,
+    require_range,
 )
 
 
@@ -64,12 +64,9 @@ def ratio_sector_params(alpha: float, m: float, beta: float, arg_ratio: float) -
     sector of f'/g' that still forces f/g into the target sector
     [-alpha (1 - m) pi / 2, alpha (1 + m) pi / 2].
     """
-    if not 0.0 < alpha <= 1.0:
-        raise OutOfRangeError(f"alpha must lie in (0, 1], got {alpha}")
-    if not -1.0 <= m < 1.0:
-        raise OutOfRangeError(f"m must lie in [-1, 1), got {m}")
-    if not 0.0 < beta <= 1.0:
-        raise OutOfRangeError(f"beta must lie in (0, 1], got {beta}")
+    require_range("alpha", alpha, "(0, 1]")
+    require_range("m", m, "[-1, 1)")
+    require_range("beta", beta, "(0, 1]")
     if not -0.5 * math.pi < arg_ratio < 0.5 * math.pi:
         raise OutOfRangeError("arg_ratio must lie in (-pi/2, pi/2)")
     a_mag = abs(math.tan(0.25 * math.pi * m))
@@ -115,10 +112,8 @@ def weighted_sector_params(
     require_finite_args("weighted_sector_params", alpha=alpha, beta=beta, eta=eta)
     if alpha <= 0.0:
         raise OutOfRangeError(f"alpha must be positive, got {alpha}")
-    if not 0.0 <= gamma <= 1.0:
-        raise OutOfRangeError(f"gamma must lie in [0, 1], got {gamma}")
-    if not -1.0 <= m < 1.0:
-        raise OutOfRangeError(f"m must lie in [-1, 1), got {m}")
+    require_range("gamma", gamma, "[0, 1]")
+    require_range("m", m, "[-1, 1)")
     if eta < 0.0:
         raise OutOfRangeError(f"eta must be nonnegative, got {eta}")
     corr = (2.0 * gamma / math.pi) * math.atan(eta)
@@ -167,10 +162,8 @@ def eta_infimum(weight: Callable[[np.ndarray], np.ndarray], beta: float) -> floa
 def reciprocal_order_sector(alpha: float, beta: float) -> float:
     """Sector parameter delta = (2/pi) asin(beta/(1 - alpha)) of the
     reciprocal-order conclusion; requires beta <= 1 - alpha."""
-    if not 0.0 <= alpha < 1.0:
-        raise OutOfRangeError(f"alpha must lie in [0, 1), got {alpha}")
-    if not 0.0 < beta <= 1.0 - alpha:
-        raise OutOfRangeError(f"beta must lie in (0, 1 - alpha], got {beta}")
+    require_range("alpha", alpha, "[0, 1)")
+    require_range("beta", beta, "(0, 1 - alpha]", hi=1.0 - alpha)
     return (2.0 / math.pi) * math.asin(beta / (1.0 - alpha))
 
 
@@ -198,21 +191,17 @@ def double_subordination_tilt(
     l: float,
     m: float,
     alpha: float,
-    strict: bool = True,
 ) -> TiltReport:
     """Total argument spread mu and tilt exponent gamma when a function is
     sandwiched between two tilted first-order maps.
 
     The sandwich forces |arg| <= mu; the conclusion needs mu <= alpha pi/2.
-    With strict=True the failing case raises ConditionFailedError carrying
-    the excess mu - alpha pi / 2; otherwise the report flags it.
+    The report says whether that holds and gives the excess mu - alpha pi / 2.
     """
     for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not 0.0 <= val <= 1.0:
-            raise OutOfRangeError(f"{name} must lie in [0, 1], got {val}")
+        require_range(name, val, "[0, 1]")
     for name, val in (("l", l), ("m", m)):
-        if not -1.0 <= val <= 1.0:
-            raise OutOfRangeError(f"{name} must lie in [-1, 1], got {val}")
+        require_range(name, val, "[-1, 1]")
     require_finite_args("double_subordination_tilt", alpha=alpha)
     if alpha <= 0.0:
         raise OutOfRangeError(f"alpha must be positive, got {alpha}")
@@ -224,9 +213,4 @@ def double_subordination_tilt(
     big_b = a * b * math.sin(math.pi * l) / (a * b * cos_l + 1.0)
     gamma = (math.atan(big_a) - math.atan(big_b)) / mu if mu > 0.0 else 0.0
     excess = mu - 0.5 * alpha * math.pi
-    holds = excess <= 1e-12
-    if strict and not holds:
-        raise ConditionFailedError(
-            f"combined tilt {mu:.6g} exceeds alpha pi/2 by {excess:.6g}", excess=excess
-        )
-    return TiltReport(mu=mu, gamma=gamma, holds=holds, excess=excess)
+    return TiltReport(mu=mu, gamma=gamma, holds=excess <= 1e-12, excess=excess)

@@ -39,6 +39,7 @@ from .errors import (
     QuadratureFailureError,
     require_finite,
     require_finite_args,
+    require_range,
 )
 
 
@@ -220,10 +221,8 @@ def kernel_integral(
     require_finite_args("kernel_integral", A=A, b=b, alpha=alpha, z=z)
     _require_tol("kernel_integral", tol)
     A = complex(A)
-    if not 0.0 <= b <= 1.0:
-        raise OutOfRangeError(f"b must lie in [0, 1], got {b}")
-    if not 0.0 < alpha <= 1.0:
-        raise OutOfRangeError(f"alpha must lie in (0, 1], got {alpha}")
+    require_range("b", b, "[0, 1]")
+    require_range("alpha", alpha, "(0, 1]")
     if abs(A) > 1.0 + 1e-12:
         raise OutOfRangeError(f"|A| must not exceed 1, got {abs(A)}")
     z = complex(z)
@@ -251,8 +250,7 @@ def macgregor_gamma(beta: float) -> float:
     """Order of starlikeness guaranteed by Re f' > beta on the disk:
     (1 - 2 beta) / (2 (2^(1 - 2 beta) - 1)), continued by 1/(2 ln 2) at
     beta = 1/2."""
-    if not 0.0 <= beta < 1.0:
-        raise OutOfRangeError(f"beta must lie in [0, 1), got {beta}")
+    require_range("beta", beta, "[0, 1)")
     u = 1.0 - 2.0 * beta
     if u == 0.0:
         return 1.0 / (2.0 * math.log(2.0))
@@ -280,12 +278,9 @@ class DominantSpec:
 
     def __post_init__(self):
         require_finite(self)
-        if not 0.0 <= self.b <= 1.0:
-            raise OutOfRangeError(f"b must lie in [0, 1], got {self.b}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise OutOfRangeError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise OutOfRangeError(f"gamma must lie in [0, 1], got {self.gamma}")
+        require_range("b", self.b, "[0, 1]")
+        require_range("alpha", self.alpha, "[0, 1]")
+        require_range("gamma", self.gamma, "[0, 1]")
 
     @property
     def value_at_origin(self) -> complex:
@@ -361,10 +356,8 @@ def silverman_inclusion(A: complex, b: float, alpha: float, beta: float) -> bool
     turning class: beta (1+b)^(alpha-1) (1+|A|)^(alpha+1) <= alpha |A + b|."""
     require_finite_args("silverman_inclusion", A=A, b=b, alpha=alpha, beta=beta)
     A = complex(A)
-    if not 0.0 <= b <= 1.0:
-        raise OutOfRangeError(f"b must lie in [0, 1], got {b}")
-    if not 0.0 < alpha <= 1.0:
-        raise OutOfRangeError(f"alpha must lie in (0, 1], got {alpha}")
+    require_range("b", b, "[0, 1]")
+    require_range("alpha", alpha, "(0, 1]")
     if beta <= 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta}")
     # Both sides divided by s = max(1, |Re A|, |Im A|), so that no power or

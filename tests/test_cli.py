@@ -233,6 +233,7 @@ class TestExitCodes:
             "bounds eta-inf --weight 1 --beta nan",
             "geometry contains --A 1 --B=-1 --inner-A 0.5 --inner-B=-0.5 --tol nan",
             "geometry image-disk --A 1.7e308+1.7e308i --B=-1 --r 0.5",
+            "radius inclusion --A 0.5 --B 3 --C 0.5 --D=-0.5",
         ],
     )
     def test_out_of_domain_input_is_parameter_failure(self, capsys, tmp_path, argv):

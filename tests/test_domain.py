@@ -8,13 +8,13 @@ Point evaluators that map non-finite points on purpose (`invert_powered`,
 """
 
 import cmath
-import functools
 import math
 
 import numpy as np
 import pytest
 
 from janowski import (
+    DegenerateMapError,
     DominantSpec,
     JanowskiError,
     JanowskiParams,
@@ -84,7 +84,7 @@ SCALAR_CALLS = {
     "eta_infimum": (eta_infimum, (_const(1.0 + 0.5j),), dict(beta=0.3)),
     "reciprocal_order_sector": (reciprocal_order_sector, (), dict(alpha=0.5, beta=0.3)),
     "double_subordination_tilt": (
-        functools.partial(double_subordination_tilt, strict=False), (), dict(a=0.5, b=0.3, c=0.4, d=0.2, l=0.5, m=0.3, alpha=0.7),
+        double_subordination_tilt, (), dict(a=0.5, b=0.3, c=0.4, d=0.2, l=0.5, m=0.3, alpha=0.7),
     ),
     "RadiusProblem": (
         RadiusProblem, (), dict(A=1.0, B=-1.0, alpha=0.8, gamma=0.1j, C=0.5, D=-0.5, beta=0.6, delta=0.2),
@@ -173,7 +173,8 @@ def test_seeds_and_counts_must_be_integers_in_range(fn, fixed, kwargs):
         fn(*fixed, **kwargs)
 
 
-# poles stay off the open unit disk: |B| <= 1 and |D| <= 1, as in JanowskiParams
+# poles stay off the open unit disk: |B| <= 1 and |D| <= 1, as in JanowskiParams,
+# for the subordination radius and for the inclusion verdict alike
 RADIUS_FIELDS = dict(A=1.0, B=-1.0, alpha=0.8, gamma=0.1j, C=0.5, D=-0.5, beta=0.6, delta=0.2)
 POLE_CASES = {
     # poles at |z| = 1/3 and 0.4, where subordination_radius once returned 0.847
@@ -187,8 +188,78 @@ POLE_CASES = {
 
 @pytest.mark.parametrize("fields", POLE_CASES.values(), ids=POLE_CASES.keys())
 def test_radius_problem_rejects_a_pole_inside_the_disk(fields):
+    f = {**RADIUS_FIELDS, **fields}
     with pytest.raises(OutOfRangeError, match=r"\|[BD]\| must be <= 1"):
-        RadiusProblem(**{**RADIUS_FIELDS, **fields})
+        RadiusProblem(**f)
+    with pytest.raises(OutOfRangeError, match=r"\|[BD]\| must be <= 1"):
+        class_inclusion(f["A"], f["B"], f["alpha"], f["C"], f["D"], f["beta"])
+
+
+# one out-of-range input per range or map guard, with the exact error it
+# raises: (entry of SCALAR_CALLS, replaced arguments, class, message)
+MESSAGE_CASES = [
+    ("JanowskiParams", dict(A=-0.3), DegenerateMapError, "A and B must differ"),
+    ("JanowskiParams", dict(B=2.0), OutOfRangeError, "|B| must be <= 1, got 2.0"),
+    ("JanowskiParams", dict(alpha=1.5), OutOfRangeError, "alpha must lie in (0, 1], got 1.5"),
+    ("JanowskiParams", dict(gamma=1.0), OutOfRangeError, "gamma = 1 collapses the shifted map to a constant"),
+    ("image_disk", dict(r=1.5), OutOfRangeError, "r must lie in (0, 1], got 1.5"),
+    ("sample_curve", dict(r=0.0), OutOfRangeError, "r must lie in (0, 1], got 0.0"),
+    ("envelope_bounds", dict(r=1.5), OutOfRangeError, "r must lie in (0, 1], got 1.5"),
+    ("empirical_bounds", dict(r=-0.5), OutOfRangeError, "r must lie in (0, 1], got -0.5"),
+    ("sector_image", dict(alpha=0.0), OutOfRangeError, "alpha must lie in (0, 1], got 0.0"),
+    ("sector_image", dict(m=1.0), OutOfRangeError, "m must lie in (-1, 1), got 1.0"),
+    ("tilt_angle", dict(b=1.5), OutOfRangeError, "b must lie in [0, 1], got 1.5"),
+    ("alpha_nesting", dict(a2=1.2), OutOfRangeError, "powers must lie in (0, 1], got 1.2"),
+    ("SchwarzPoly.scaled_identity", dict(c=1.0), OutOfRangeError, "|c| must lie in (0, 1), got 1.0"),
+    ("SchwarzPoly.dilated", dict(rho=1.5), OutOfRangeError, "rho must lie in (0, 1], got 1.5"),
+    ("verify_subordination", dict(r=0.0), OutOfRangeError, "r must lie in (0, 1], got 0.0"),
+    ("kernel_integral", dict(b=1.5), OutOfRangeError, "b must lie in [0, 1], got 1.5"),
+    ("kernel_integral", dict(alpha=0.0), OutOfRangeError, "alpha must lie in (0, 1], got 0.0"),
+    ("macgregor_gamma", dict(beta=1.0), OutOfRangeError, "beta must lie in [0, 1), got 1.0"),
+    ("DominantSpec", dict(b=-0.5), OutOfRangeError, "b must lie in [0, 1], got -0.5"),
+    ("DominantSpec", dict(alpha=1.5), OutOfRangeError, "alpha must lie in [0, 1], got 1.5"),
+    ("DominantSpec", dict(gamma=-0.5), OutOfRangeError, "gamma must lie in [0, 1], got -0.5"),
+    ("silverman_inclusion", dict(b=1.5), OutOfRangeError, "b must lie in [0, 1], got 1.5"),
+    ("silverman_inclusion", dict(alpha=1.5), OutOfRangeError, "alpha must lie in (0, 1], got 1.5"),
+    ("RadiusProblem", dict(B=1.0), DegenerateMapError, "A and B must differ"),
+    ("RadiusProblem", dict(D=0.5), DegenerateMapError, "C and D must differ"),
+    ("RadiusProblem", dict(B=2.0), OutOfRangeError, "|B| must be <= 1, got 2.0"),
+    ("RadiusProblem", dict(D=2.0), OutOfRangeError, "|D| must be <= 1, got 2.0"),
+    ("RadiusProblem", dict(alpha=1.5), OutOfRangeError, "alpha must lie in (0, 1], got 1.5"),
+    ("RadiusProblem", dict(beta=0.0), OutOfRangeError, "beta must lie in (0, 1], got 0.0"),
+    ("RadiusProblem", dict(gamma=1.0), OutOfRangeError, "gamma = 1 collapses the shifted map to a constant"),
+    ("RadiusProblem", dict(delta=1.0), OutOfRangeError, "delta = 1 collapses the shifted map to a constant"),
+    ("class_inclusion", dict(B=1.0), DegenerateMapError, "A and B must differ"),
+    ("class_inclusion", dict(D=1.0), DegenerateMapError, "C and D must differ"),
+    ("class_inclusion", dict(B=3.0), OutOfRangeError, "|B| must be <= 1, got 3.0"),
+    ("class_inclusion", dict(D=3.0), OutOfRangeError, "|D| must be <= 1, got 3.0"),
+    ("class_inclusion", dict(alpha=1.5), OutOfRangeError, "alpha must lie in (0, 1], got 1.5"),
+    ("class_inclusion", dict(beta=0.0), OutOfRangeError, "beta must lie in (0, 1], got 0.0"),
+    ("uralegaddi_radius", dict(alpha=-1.0), OutOfRangeError, "alpha must lie in (0, 1], got -1.0"),
+    ("uralegaddi_radius", dict(alpha=5.0), OutOfRangeError, "alpha must lie in (0, 1], got 5.0"),
+    ("reciprocal_radius", dict(alpha=-1.0), OutOfRangeError, "alpha must lie in (0, 1], got -1.0"),
+    ("reciprocal_radius", dict(beta2=1.0), OutOfRangeError, "beta2 must lie in [0, 1), got 1.0"),
+    ("starlike_radius", dict(A=1.5), OutOfRangeError, "A must lie in (0, 1], got 1.5"),
+    ("starlike_radius", dict(B=0.0), OutOfRangeError, "B must lie in [-1, 0), got 0.0"),
+    ("ratio_sector_params", dict(alpha=1.5), OutOfRangeError, "alpha must lie in (0, 1], got 1.5"),
+    ("ratio_sector_params", dict(m=1.0), OutOfRangeError, "m must lie in [-1, 1), got 1.0"),
+    ("ratio_sector_params", dict(beta=0.0), OutOfRangeError, "beta must lie in (0, 1], got 0.0"),
+    ("weighted_sector_params", dict(gamma=1.5), OutOfRangeError, "gamma must lie in [0, 1], got 1.5"),
+    ("weighted_sector_params", dict(m=-1.5), OutOfRangeError, "m must lie in [-1, 1), got -1.5"),
+    ("reciprocal_order_sector", dict(alpha=1.0), OutOfRangeError, "alpha must lie in [0, 1), got 1.0"),
+    ("reciprocal_order_sector", dict(beta=0.75), OutOfRangeError, "beta must lie in (0, 1 - alpha], got 0.75"),
+    ("double_subordination_tilt", dict(c=1.5), OutOfRangeError, "c must lie in [0, 1], got 1.5"),
+    ("double_subordination_tilt", dict(l=-1.5), OutOfRangeError, "l must lie in [-1, 1], got -1.5"),
+]
+
+
+@pytest.mark.parametrize("name, bad, cls, message", MESSAGE_CASES,
+                         ids=[f"{name}-{','.join(f'{k}={v}' for k, v in bad.items())}" for name, bad, *_ in MESSAGE_CASES])
+def test_guard_messages(name, bad, cls, message):
+    fn, fixed, scalars = SCALAR_CALLS[name]
+    with pytest.raises(ParameterError) as info:
+        fn(*fixed, **{**scalars, **bad})
+    assert (type(info.value), str(info.value)) == (cls, message)
 
 
 def test_radius_problem_accepts_poles_on_the_circle():

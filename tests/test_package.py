@@ -23,6 +23,19 @@ def run_python(code: str) -> str:
                           check=True).stdout.strip()
 
 
+# range guards in another wording, with no interval and value to report
+OTHER_WORDING = ("arg_ratio must lie in (-pi/2, pi/2)", "z must lie in the open unit disk")
+
+
+def test_range_guards_share_one_implementation():
+    # "x must lie in I, got v" is written once, in errors.require_range
+    for path in sorted((SRC / "janowski").glob("*.py")):
+        if path.name != "errors.py":
+            for line in path.read_text().splitlines():
+                if "must lie in" in line:
+                    assert any(text in line for text in OTHER_WORDING), f"{path.name}: {line.strip()}"
+
+
 def test_every_export_is_its_defining_object():
     for module, names in janowski._EXPORTS.items():
         defining = importlib.import_module(f"janowski.{module}")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from janowski import (
-    ConditionFailedError,
     DegenerateMapError,
     NegativeRealPartError,
     OutOfRangeError,
@@ -116,12 +115,9 @@ def test_double_tilt_equal_weights():
 
 
 def test_double_tilt_failure_modes():
-    with pytest.raises(ConditionFailedError) as info:
-        double_subordination_tilt(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 1.0)
-    assert info.value.excess == pytest.approx(2.0 * math.asin(0.8) - math.pi / 2.0)
-    report = double_subordination_tilt(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 1.0, strict=False)
+    report = double_subordination_tilt(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 1.0)
     assert not report.holds
-    assert report.excess > 0.0
+    assert report.excess == pytest.approx(2.0 * math.asin(0.8) - math.pi / 2.0)
     with pytest.raises(DegenerateMapError):
         double_subordination_tilt(1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(OutOfRangeError):
