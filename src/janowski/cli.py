@@ -68,7 +68,7 @@ class Action(NamedTuple):
     """One CLI action. `required` and `optional` are the space-separated
     argparse destinations it reads, echoed together as `params`; `run(args)`
     returns the `result` (a dataclass or a dict) and `check(args, result)`
-    the `oracle` block under --verify."""
+    the `oracle` block under --verify, which is null for an action without one."""
 
     required: str
     optional: str
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         "version": J.__version__,
         "seed": args.seed,
     }
-    if oracle is not None:
+    if args.verify:  # null for an action with no check, so the flag is never silently ignored
         envelope["oracle"] = oracle
     try:
         text = json.dumps(jsonable(envelope), indent=2, sort_keys=True, allow_nan=False)

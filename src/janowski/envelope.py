@@ -56,6 +56,7 @@ _NEWTON_TOL = 1e-13  # final step length of a Newton solve
 _NEWTON_CAP = 100
 _RESOLVED = 1e-3  # largest step from the best sample to a neighbour at a resolved extreme
 _BLOCK = 1 << 14  # samples per block of a streamed curve, 256 KiB of complex values
+_NO_ARG_FLOOR = 1e-9  # below this min |h| on the circle, a shifted view reports no argument range
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +93,12 @@ def _log(w) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _unit_circle(n: int) -> np.ndarray:
-    """The n-th roots of unity e^{i t_k}, t_k = 2 pi k / n, built once per n
-    from real cos and sin and shared read-only."""
-    t = 2.0 * np.pi * np.arange(n) / n
-    z = np.empty(n, dtype=complex)
+@functools.lru_cache(maxsize=16)
+def _unit_circle(n: int, size: int | None = None) -> np.ndarray:
+    """The first `size` (default n) n-th roots of unity e^{i t_k}, t_k = k (2 pi / n)
+    + 0.0 as np.linspace gives it, from real cos and sin; cached and read-only."""
+    t = np.arange(n if size is None else size) * (2.0 * np.pi / n) + 0.0
+    z = np.empty(t.size, dtype=complex)
     z.real, z.imag = np.cos(t), np.sin(t)
     z.setflags(write=False)
     return z
@@ -172,7 +173,7 @@ def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
     between samples straddling an origin touch. The samples are the
     blocks of `_curve_blocks` joined, and t_k = k (2 pi / n) + 0.0 has the
     bytes of np.linspace. Up to _BLOCK samples the points are C + R e^{it}
-    with e^{it} from real cos and sin; beyond it they are rotated (see
+    with e^{it} from `_unit_circle`; beyond it they are rotated (see
     `_curve_blocks`).
     """
     n = require_index("n", n, 1)
@@ -181,40 +182,32 @@ def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
     return EnvelopeCurve(r=r, t=t, u=w.real, v=w.imag, M=M, N=N)
 
 
-@functools.lru_cache(maxsize=8)
-def _base_block(n: int) -> np.ndarray:
-    """e^{ijs}, s = 2 pi / n and j < min(n, _BLOCK), from real cos and sin; shared read-only."""
-    t = np.arange(min(n, _BLOCK)) * (2.0 * np.pi / n) + 0.0
-    base = np.empty(t.size, dtype=complex)
-    base.real, base.imag = np.cos(t), np.sin(t)
-    base.setflags(write=False)
-    return base
-
-
 def _curve_blocks(p: JanowskiParams, r: float, n: int, keep: np.ndarray | None = None):
     """The n-point curve of `sample_curve` as blocks (w, M, N) of up to
     _BLOCK consecutive samples, so a consumer never holds a full-length array;
     with `keep`, sorted indices, only those samples, with their full bits,
     visiting only the blocks that hold one.
 
-    The block from index k0 on is `_base_block(n)` (at the kept indices)
-    times the scalar R e^{i k0 s} (math.cos and math.sin), plus C. The first
-    block is thus C + R e^{it} itself. At n = 200000 the rotated e^{it} lies
-    within 1.14e-15 of e^{2 pi i k / n} (cos and sin of t_k: 1.26e-15, over
-    2028 indices with every block boundary); the tests bound each sample's
-    distance from C + R e^{2 pi i k / n} by 2e-15 (|C| + R). The unwrapped
-    argument carries the last raw argument and running correction across
-    block boundaries and gaps between kept samples.
+    The block from index k0 on is the first min(n, _BLOCK) points of
+    `_unit_circle(n)` (at the kept indices) times the scalar R e^{i k0 s},
+    s = 2 pi / n (math.cos and math.sin), plus C. The first block is thus
+    C + R e^{it} itself. At n = 200000 the rotated e^{it} lies within 1.14e-15
+    of e^{2 pi i k / n} (cos and sin of t_k: 1.26e-15, over 2028 indices with
+    every block boundary); the tests bound each sample's distance from
+    C + R e^{2 pi i k / n} by 2e-15 (|C| + R). The unwrapped argument carries
+    the last raw argument and running correction across block boundaries and
+    gaps between kept samples.
     """
     C, R = _circle_geometry(p, r)
     step = 2.0 * np.pi / n
+    base = _unit_circle(n, _BLOCK) if n > _BLOCK else _unit_circle(n)
     prev, carry = None, 0.0
     cuts = None if keep is None else np.searchsorted(keep, np.arange(0, n + _BLOCK, _BLOCK)).tolist()
     for b, k0 in enumerate(range(0, n, _BLOCK)):
         if keep is not None and cuts[b] == cuts[b + 1]:
             continue  # no kept index in this block
         at = slice(0, n - k0) if keep is None else keep[cuts[b]:cuts[b + 1]] - k0
-        w = _base_block(n)[at] * (R * complex(math.cos(k0 * step), math.sin(k0 * step)))
+        w = base[at] * (R * complex(math.cos(k0 * step), math.sin(k0 * step)))
         w += C
         arg = np.angle(w)
         N, carry = _unwrap(arg, prev, carry)
@@ -414,7 +407,7 @@ def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedVie
     h = (1 - g)(w^a - c), c = -g / (1 - g), and w^a is one to one onto |arg| <
     a pi, h has a zero in the closed disk iff |arg c| < a pi and |w0 - C| <= R
     for w0 = |c|^{1/a} e^{i arg c / a}: then min |h| = 0 and no arg. As in
-    the oracle, min |h| < 1e-9 on the circle gives no arg either."""
+    the oracle, min |h| < _NO_ARG_FLOOR on the circle gives no arg either."""
     g, a, scale = p.gamma, p.alpha, abs(1.0 - p.gamma)
     re = (g.real + scale * lo[0], g.real + scale * hi[0])
     im = (g.imag + scale * lo[1], g.imag + scale * hi[1])
@@ -443,7 +436,7 @@ def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedVie
     touch = _touch_parameter(C, R)  # where h has a cusp at the value g
     mod = _polished_range(mods, lambda t: slope(t, False), lambda t: abs(h_at(t)),
                           None if touch is None else abs(g))
-    if zero or mod[0] < 1e-9:
+    if zero or mod[0] < _NO_ARG_FLOOR:
         return ShiftedView(re=re, im=im, mod=(0.0, mod[1]) if zero else mod, arg=None)
     args, _ = _unwrap(np.arctan2(hv.imag, hv.real))  # np.angle's kernel, without its wrapper
 

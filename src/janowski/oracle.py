@@ -38,6 +38,7 @@ import numpy as np
 
 from ._json import jsonable
 from .envelope import (
+    _NO_ARG_FLOOR,
     BoundReport,
     ShiftedView,
     _circle_geometry,
@@ -47,6 +48,7 @@ from .envelope import (
     _unit_circle,
     _unwrap,
     invert_powered,
+    sector_image,
     tilt_angle,
 )
 from .errors import (
@@ -362,7 +364,7 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     With g = 0, h is w^a itself, which has no zero inside the disk (the
     branch guard keeps the origin out of the open image disk), so h is not
     formed: the shifted view restates the primary ranges, with no argument
-    range once the modulus falls below 1e-9, as for any h. Only the samples
+    range once the modulus falls below `_NO_ARG_FLOOR`, as for any h. Only the samples
     kept by the two-level screen of `_screened` are formed, with their full
     grid bits, so the report is the same; its subgrid values are not reported.
     """
@@ -393,7 +395,7 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     if not shift:
         iv += [iv[2], iv[3], iv[1], iv[0]]
     hmin, harg = iv[6][0], None
-    if hmin >= 1e-9:
+    if hmin >= _NO_ARG_FLOOR:
         if shift and round((args[-1] + np.angle(first[0] / h[-1]) - first[1]) / (2.0 * math.pi)):
             hmin = 0.0  # h turns about 0, so it has a zero inside the disk: no argument, modulus down to 0
         else:
@@ -491,18 +493,22 @@ class TrialReport:
 _Evidence = tuple[bool, bool, float, dict]
 
 
-def _log_ratio(A: complex, B: complex, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The base q = (1 + A w)/(1 + B w), log(1 + A w) - log(1 + B w), a log
-    of q that stays principal for |arg| < pi, and its w-derivative
+def _log_ratio(target: JanowskiParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """With target's A and B: the base q = (1 + A w)/(1 + B w), log(1 + A w) - log(1 + B w),
+    a log of q that stays principal for |arg| < pi, and its w-derivative
     A/(1 + A w) - B/(1 + B w). Powers of q are principal `_power`s."""
-    num = 1.0 + A * w
-    den = 1.0 + B * w
-    return num / den, _log(num) - _log(den), A / num - B / den
+    num = 1.0 + target.A * w
+    den = 1.0 + target.B * w
+    return num / den, _log(num) - _log(den), target.A / num - target.B / den
 
 
-def _max_pullback(p: np.ndarray, A: complex, B: complex, alpha: float) -> float:
-    """Largest pullback modulus of the samples p under ((1 + A z)/(1 + B z))^alpha."""
-    return float(np.max(subordination_pullback(p, JanowskiParams(A, B, alpha))))
+def _max_pullback(samples: np.ndarray, target: JanowskiParams) -> float:
+    """Largest pullback modulus of the samples under the map `target`; inf when a
+    sample lies on the cut of its inverse, where it has no preimage to certify."""
+    try:
+        return float(np.max(subordination_pullback(samples, target)))
+    except BranchUndefinedError:
+        return math.inf
 
 
 def _trial_ratio_sector(seed: int) -> _Evidence:
@@ -516,31 +522,29 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
     beta = 0.98 * (1.0 - abs(cg))
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
-    a = cmath.exp(1j * math.pi * m)
-    base, logbase, dlog = _log_ratio(a, -1.0, w)
+    target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, alpha)
+    base, logbase, dlog = _log_ratio(target, w)
     p = _power(base, alpha)
     zdp = alpha * p * dlog * zdw
     gratio = 1.0 - cg * z  # g/(z g') for the comparison g(z) = z/(1 - cg z)
     quotient = p + zdp * gratio  # f'/g' when f = g p
 
-    # Narrowest admissible hypothesis sector over the realized arguments of
-    # the comparison ratio: claiming membership there is the strongest form
-    # of the premise, hence sound under any reading of the quantifier.
+    # Narrowest admissible hypothesis sector over the realized arguments phi of
+    # the comparison ratio: the strongest form of the premise, hence sound under
+    # any reading of the quantifier. Each edge, atan2(c cos phi, d +- c sin phi)
+    # with d = 1 + |a| > c >= 0, rises then falls on (-pi/2, pi/2) (its derivative
+    # has the sign of -(c +- d sin phi)), so its minimum over the range is at an end.
     phis = np.angle(gratio)
-    mu1 = math.inf
-    mu2 = math.inf
-    for phi in np.linspace(float(phis.min()), float(phis.max()), 65):
-        sp = ratio_sector_params(alpha, m, beta, float(phi))
-        mu1 = min(mu1, sp.mu1)
-        mu2 = min(mu2, sp.mu2)
+    ends = [ratio_sector_params(alpha, m, beta, float(phi)) for phi in (phis.min(), phis.max())]
+    mu1 = min(sp.mu1 for sp in ends)
+    mu2 = min(sp.mu2 for sp in ends)
     hyp_margin = _sector_margin(np.angle(quotient), -alpha * mu1 * math.pi / 2.0, alpha * mu2 * math.pi / 2.0)
     ratio_ok = bool(np.all(np.abs(gratio) > beta))
     hypothesis = ratio_ok and hyp_margin > _SAFETY
 
-    con_lo = -alpha * (1.0 - m) * math.pi / 2.0
-    con_hi = alpha * (1.0 + m) * math.pi / 2.0
-    con_margin = _sector_margin(alpha * logbase.imag, con_lo, con_hi)
-    max_pull = _max_pullback(p, a, -1.0, alpha)
+    sector = sector_image(alpha, m)
+    con_margin = _sector_margin(alpha * logbase.imag, sector.lo, sector.hi)
+    max_pull = _max_pullback(p, target)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, {
         "alpha": alpha,
@@ -570,8 +574,8 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
     sp = weighted_sector_params(alpha, beta, gamma, m, eta)
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.35, c_max=0.5)
-    a = cmath.exp(1j * math.pi * m)
-    base, logbase, dlog = _log_ratio(a, -1.0, w)
+    target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, beta)
+    base, logbase, dlog = _log_ratio(target, w)
     # z p'/p for p = base^beta, evaluated without forming p first
     x = lam(z) * beta * (dlog * zdw)
     shifted = 1.0 + x
@@ -580,8 +584,9 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
     hyp_margin = _sector_margin(arg_expr, -sp.mu1 * math.pi / 2.0, sp.mu2 * math.pi / 2.0)
     hypothesis = safe and hyp_margin > _SAFETY
 
-    con_margin = _sector_margin(beta * logbase.imag, -beta * (1.0 - m) * math.pi / 2.0, beta * (1.0 + m) * math.pi / 2.0)
-    max_pull = _max_pullback(_power(base, beta), a, -1.0, beta)
+    sector = sector_image(beta, m)
+    con_margin = _sector_margin(beta * logbase.imag, sector.lo, sector.hi)
+    max_pull = _max_pullback(_power(base, beta), target)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, {
         "alpha": alpha,
@@ -605,14 +610,15 @@ def _trial_inverse_coefficient(seed: int) -> _Evidence:
     beta = 0.98 * min(1.0, cap)
 
     _, _, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
-    base, _, dlog = _log_ratio(A, -b, w)
+    target = JanowskiParams(A, -b, alpha)
+    base, _, dlog = _log_ratio(target, w)
     p = _power(base, alpha)
     coeff = alpha * dlog * zdw / p  # z p'/p^2
     criterion = silverman_inclusion(A, b, alpha, beta)
     sup_coeff = float(np.max(np.abs(coeff)))
     hypothesis = criterion and sup_coeff < beta * _HEADROOM
 
-    max_pull = _max_pullback(p, A, -b, alpha)
+    max_pull = _max_pullback(p, target)
     margin = 1.0 - max_pull
     return hypothesis, margin >= -1e-4, margin, {
         "A": A,
@@ -640,7 +646,7 @@ def _trial_reciprocal_sector(seed: int) -> _Evidence:
 
     half_angle = reciprocal_order_sector(order, beta) * math.pi / 2.0
     con_margin = half_angle - float(np.max(np.abs(np.angle(p))))
-    max_pull = _max_pullback(p, coef, 0.0, 1.0)
+    max_pull = _max_pullback(p, JanowskiParams(coef, 0.0))
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, {
         "order": order,
@@ -680,7 +686,8 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     """
     z = _unit_circle(512) if seed % 2 == 0 else np.concatenate([r * _unit_circle(512) for r in (0.35, 0.65, 0.9, 1.0)])
     omega, z, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.88, z=z)
-    base, _, dlog = _log_ratio(complex(spec.A), -spec.b, w)
+    target = JanowskiParams(spec.A, -spec.b, spec.gamma)
+    base, _, dlog = _log_ratio(target, w)
     p = _power(base, spec.gamma)
     zdp = spec.gamma * p * dlog * zdw
     p_alpha = _power(base, spec.alpha * spec.gamma)
@@ -695,18 +702,14 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     else:
         rho_curve = 0.99
         sup_omega = float(np.max(np.abs(omega.value(_unit_circle(16384)))))
-        base = JanowskiParams(spec.A, -spec.b)
-        disks = (image_disk(base, rho_curve), image_disk(base, sup_omega))
+        disks = (image_disk(target, rho_curve), image_disk(target, sup_omega))
         clearance = min(_ray_clearance(g.center, g.radius) for g in disks)
         contained = _winding_contains(e_samples, operator_dominant(spec, rho_curve * _unit_circle(_N_SAMPLES)))
         hypothesis = bool(np.all(contained)) and clearance > 1e-9
         detail["contained_fraction"] = float(np.mean(contained))
         detail["cut_clearance"] = clearance
 
-    try:
-        max_pull = _max_pullback(p, spec.A, -spec.b, spec.gamma)
-    except BranchUndefinedError:
-        max_pull = math.inf
+    max_pull = _max_pullback(p, target)
     margin = 1.0 - max_pull
     detail["max_pullback"] = max_pull
     return hypothesis, margin >= -1e-4, margin, detail
@@ -769,20 +772,18 @@ def _trial_first_order(seed: int) -> _Evidence:
     lam = weights[(seed // 4) % 3]
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.3, c_max=0.45)
-    base, _, dlog = _log_ratio(A, B, w)
+    target = JanowskiParams(A, B, alpha)
+    base, _, dlog = _log_ratio(target, w)
     p = _power(base, alpha)
     zdp = alpha * p * dlog * zdw
     denom = beta * p + gamma
     denom_clear = float(np.min(np.abs(denom)))
     e_samples = p + lam(z) * zdp / denom
 
-    try:
-        hyp_pull = _max_pullback(e_samples, A, B, alpha)
-    except BranchUndefinedError:
-        hyp_pull = math.inf
+    hyp_pull = _max_pullback(e_samples, target)
     hypothesis = hyp_pull <= _HEADROOM and denom_clear > 1e-9
 
-    max_pull = _max_pullback(p, A, B, alpha)
+    max_pull = _max_pullback(p, target)
     margin = 1.0 - max_pull
     return hypothesis, margin >= -1e-4, margin, {
         "A": A,

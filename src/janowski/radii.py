@@ -61,12 +61,11 @@ class RadiusProblem:
         require_map(self.C, self.D, self.beta, self.delta, "C D beta delta")
 
 
-def subordination_radius(prob: RadiusProblem) -> float:
-    """Radius (capped at 1) on which source-subordinate functions are
-    target-subordinate."""
-    # (A, B) = 2^e1 (a, b) and (C, D) = 2^e2 (c, d), so |A - B|, |C - D| and
-    # the cross term cannot overflow; num and den are the printed ones divided
-    # by 2^(e1 + e2), which keeps every bit of a finite quotient.
+def _radius_terms(prob: RadiusProblem) -> tuple[float, float, int]:
+    """(num, den, e): the radius quotient num / den, each term the printed one
+    divided by 2^e. (A, B) = 2^e1 (a, b) and (C, D) = 2^e2 (c, d), e = e1 + e2,
+    so |A - B|, |C - D| and the cross term cannot overflow, and the power-of-two
+    scale keeps every bit of a finite quotient and every verdict num >= den."""
     (A, B, e1), (C, D, e2) = _scaled_pair(prob.A, prob.B), _scaled_pair(prob.C, prob.D)
     gamma, delta = complex(prob.gamma), complex(prob.delta)
     inv_a = 1.0 / prob.alpha
@@ -75,6 +74,13 @@ def subordination_radius(prob: RadiusProblem) -> float:
     den = prob.beta * abs(1.0 - gamma) ** (inv_a - 1.0) * (
         math.ldexp(abs(C - D) * abs(delta - 1.0), -e1) + abs(cross)
     )
+    return num, den, e1 + e2
+
+
+def subordination_radius(prob: RadiusProblem) -> float:
+    """Radius (capped at 1) on which source-subordinate functions are
+    target-subordinate: num / den of `_radius_terms`."""
+    num, den, _ = _radius_terms(prob)
     if den == 0.0:
         return 1.0
     return min(num / den, 1.0)
@@ -84,13 +90,12 @@ def class_inclusion(
     A: complex, B: complex, alpha: float, C: complex, D: complex, beta: float
 ) -> bool:
     """Whether every (C, D, beta)-subordinate function is (A, B, alpha)-subordinate
-    on the whole disk: beta (|C - D| + |A D - B C|) <= alpha |A - B|. The
-    arguments must be finite and pass the checks of `RadiusProblem` at
-    gamma = delta = 0: A != B, C != D, |B|, |D| <= 1, alpha, beta in (0, 1]."""
+    on the whole disk: beta (|C - D| + |A D - B C|) <= alpha |A - B| + 1e-12, in the
+    scaled `_radius_terms` at gamma = delta = 0. The arguments must be finite and
+    pass the checks of `RadiusProblem`: A != B, C != D, |B|, |D| <= 1, alpha, beta in (0, 1]."""
     require_finite_args("class_inclusion", A=A, B=B, alpha=alpha, C=C, D=D, beta=beta)
-    RadiusProblem(A, B, alpha, 0.0, C, D, beta, 0.0)
-    A, B, C, D = complex(A), complex(B), complex(C), complex(D)
-    return beta * (abs(C - D) + abs(A * D - B * C)) <= alpha * abs(A - B) + 1e-12
+    num, den, e = _radius_terms(RadiusProblem(A, B, alpha, 0.0, C, D, beta, 0.0))
+    return den <= num + math.ldexp(1e-12, -e)
 
 
 def _scaled_pair(A: complex, B: complex) -> tuple[complex, complex, int]:

@@ -1,7 +1,8 @@
 """Write the golden corpus next to this script.
 
-- `trials.jsonl`: one line per (theorem id, seed) over seeds 0-49, in
-  `THEOREM_IDS` order, the report's `TrialReport.to_json()`. Acceptance
+- `trials.jsonl`: one line per (theorem id, seed) of `TRIAL_CASES` in
+  `tests/test_acceptance.py` (seeds 0-49 in `THEOREM_IDS` order, then T3.6
+  seeds 50-242), the report's `TrialReport.to_json()`. Acceptance
   criterion 7 compares every report it computes with its line.
 - `cli.jsonl`: one line per `SMOKE_ARGV` invocation of `tests/test_cli.py`,
   its command and `result` block (without the plot's output path).
@@ -42,20 +43,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-from janowski import THEOREM_IDS, implication_trial
+from janowski import implication_trial
 from janowski.cli import main as cli_main
 
 sys.path.insert(0, str(Path(__file__).parents[2]))
+from tests.test_acceptance import TRIAL_CASES  # noqa: E402
 from tests.test_cli import SMOKE_ARGV, golden_cli_line, smoke_argv  # noqa: E402
 from tests.test_envelope import envelope_corpus_draws, golden_envelope_line  # noqa: E402
 
-SEEDS = range(50)
 HERE = Path(__file__).parent
 FILES = ("trials.jsonl", "cli.jsonl", "envelope.jsonl")
 
 
 def trial_lines() -> list[str]:
-    return [implication_trial(tid, seed=seed).to_json() for tid in THEOREM_IDS for seed in SEEDS]
+    return [implication_trial(tid, seed=seed).to_json() for tid, seed in TRIAL_CASES]
 
 
 def cli_lines() -> list[str]:

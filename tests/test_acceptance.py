@@ -30,6 +30,11 @@ from janowski import (
 
 LN2 = math.log(2.0)
 GOLDEN_TRIALS = Path(__file__).parent / "golden" / "trials.jsonl"
+# (theorem id, seed) of each line of trials.jsonl: seeds 0-49 of every id,
+# then T3.6 seeds 50-242, which complete one cycle of the 3^5 parameter tuple
+# its seed indexes (m and the weight lambda vary only every 27 and 81 seeds)
+TRIAL_CASES = [(tid, seed) for tid in THEOREM_IDS for seed in range(50)]
+TRIAL_CASES += [("T3.6", seed) for seed in range(50, 243)]
 
 
 def _announce(label: str, detail: str) -> None:
@@ -156,14 +161,13 @@ def test_criterion_7_implication_trials():
     total = 0
     fired = 0
     unsound = []
-    for tid in THEOREM_IDS:
-        for seed in range(50):
-            rep = implication_trial(tid, seed=seed)
-            assert rep.to_json() == golden[total], f"{tid} seed {seed} differs from {GOLDEN_TRIALS.name}"
-            total += 1
-            fired += rep.hypothesis_holds
-            if not rep.sound:
-                unsound.append((tid, seed))
+    for tid, seed in TRIAL_CASES:
+        rep = implication_trial(tid, seed=seed)
+        assert rep.to_json() == golden[total], f"{tid} seed {seed} differs from {GOLDEN_TRIALS.name}"
+        total += 1
+        fired += rep.hypothesis_holds
+        if not rep.sound:
+            unsound.append((tid, seed))
     elapsed = time.perf_counter() - start
     assert total >= 350
     assert total == len(golden)

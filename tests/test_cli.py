@@ -90,6 +90,13 @@ class TestEnvelopeContract:
         assert checked["result"] == base["result"]
         assert checked["oracle"]["max_endpoint_gap"] < 1e-4
 
+    def test_verify_without_a_check_prints_null_oracle(self, capsys):
+        base = report(capsys, "geometry", "origin", "--A", "0.5", "--B=-1")
+        checked = report(capsys, "geometry", "origin", "--A", "0.5", "--B=-1", "--verify")
+        assert "oracle" not in base
+        assert checked["oracle"] is None
+        assert checked["result"] == base["result"]
+
     def test_deterministic_given_seed(self, capsys):
         a = run_cli(capsys, "verify", "--theorem-id", "T5.5", "--seeds", "2", "--seed", "3")
         b = run_cli(capsys, "verify", "--theorem-id", "T5.5", "--seeds", "2", "--seed", "3")
@@ -206,8 +213,11 @@ class TestExitCodes:
         assert data["result"]["included"] is False
 
     def test_huge_radius_parameters_stay_finite(self, capsys):
-        data = report(capsys, "radius", "uralegaddi", "--A", "1e308", "--B=-1e308", "--beta2", "2")
-        assert data["result"]["radius"] == 0.5
+        for argv, key, value in (
+            ("radius uralegaddi --A 1e308 --B=-1e308 --beta2 2", "radius", 0.5),
+            ("radius inclusion --A 1.7e308+1.7e308i --B=-1 --C 0.5 --D=-0.5", "included", True),
+        ):
+            assert report(capsys, *argv.split())["result"][key] == value, argv
 
     @pytest.mark.parametrize(
         "argv",

@@ -37,6 +37,7 @@ from janowski.oracle import _STRIDES, _screen, _screened
 from janowski.envelope import (
     _BLOCK,
     _NEWTON_CAP,
+    _NO_ARG_FLOOR,
     BoundReport,
     ShiftedView,
     _curve_blocks,
@@ -288,13 +289,13 @@ def _whole_array_empirical_bounds(p: JanowskiParams, r: float, n: int) -> BoundR
         im=(float(im.min()), float(im.max())),
     )
     if g == 0.0:
-        arg = None if primary["mod"][0] < 1e-9 else primary["arg"]
+        arg = None if primary["mod"][0] < _NO_ARG_FLOOR else primary["arg"]
         shifted = ShiftedView(re=primary["re"], im=primary["im"], mod=primary["mod"], arg=arg)
         return BoundReport(**primary, critical=None, shifted=shifted)
     h = (1.0 - g) * (re + 1j * im) + g
     hmod = np.abs(h)
     hmin, harg = float(hmod.min()), None
-    if hmin >= 1e-9:
+    if hmin >= _NO_ARG_FLOOR:
         args = np.unwrap(np.angle(h))
         if round((args[-1] + np.angle(h[0] / h[-1]) - args[0]) / (2.0 * math.pi)):
             hmin = 0.0
@@ -524,6 +525,12 @@ def test_unit_circle_is_shared_read_only_and_exact():
         assert _unit_circle(n) is z
         assert not z.flags.writeable
         assert z.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+    # a first block of a streamed curve: cos and sin of the np.linspace parameters
+    n, size = 200_000, 16384
+    z = _unit_circle(n, size)
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:size]
+    assert _unit_circle(n, size) is z and not z.flags.writeable
+    assert z.real.tobytes() == np.cos(t).tobytes() and z.imag.tobytes() == np.sin(t).tobytes()
 
 
 def _dense_shifted_draws() -> list[tuple[JanowskiParams, float]]:

@@ -145,6 +145,13 @@ class TestPullback:
         with pytest.raises(BranchUndefinedError):
             subordination_pullback(np.array([target.gamma - 0.5]), target)
 
+    def test_max_pullback_is_inf_on_the_cut(self):
+        # a sample on the cut of the inverse has no preimage, so it certifies nothing
+        target = JanowskiParams(0.8, -0.5, 0.5, 0.2)
+        samples = np.array([1.0 + 0.1j, target.gamma - 0.5])
+        assert oracle._max_pullback(samples, target) == math.inf
+        assert oracle._max_pullback(samples[:1], target) == float(subordination_pullback(samples[:1], target)[0])
+
     def test_verify_subordination_accepts_composites(self):
         target = JanowskiParams(1.0, 0.0, 0.5)
         omega = random_schwarz(6, 4).dilated(0.7)

@@ -58,6 +58,9 @@ def test_huge_parameters_give_finite_radii():
     # the poles stay on the unit circle (|B|, |D| > 1 are out of range)
     A = 1.7e308 + 1.7e308j
     assert subordination_radius(RadiusProblem(A, -1.0, 1.0, 0, A, -1.0, 1.0, 0)) == 1.0
+    # the inclusion verdict shares those scaled terms: |A - B| and |A D - B C|
+    # overflow unscaled, and 1 + |A D - B C| <= |A - B| after scaling
+    assert class_inclusion(A, -1.0, 1.0, 0.5, -0.5, 1.0)
     with pytest.raises(OutOfRangeError):
         RadiusProblem(1e308, -1e308, 1.0, 0, 1e308, -1e308, 1.0, 0)
 

@@ -48,6 +48,20 @@ def test_ratio_sector_matches_hand_formula(alpha, m, beta, phi):
     assert s.mu2 == pytest.approx(_mu_hand(alpha, m, beta, s.a_mag, phi, +1.0), abs=1e-12)
 
 
+def test_ratio_sector_edges_are_least_at_an_end_of_a_phi_range():
+    # each edge atan2(c cos phi, d +- c sin phi), d > c >= 0, rises then falls
+    # on (-pi/2, pi/2), so the T3.3 trial evaluates only the two ends
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        alpha, beta = rng.uniform(0.05, 1.0, 2)
+        m = rng.uniform(-0.99, 0.99)
+        lo, hi = np.sort(rng.uniform(-1.5, 1.5, 2))
+        grid = [ratio_sector_params(alpha, m, beta, float(phi)) for phi in np.linspace(lo, hi, 257)]
+        ends = (grid[0], grid[-1])
+        assert min(s.mu1 for s in grid) == min(s.mu1 for s in ends)
+        assert min(s.mu2 for s in grid) == min(s.mu2 for s in ends)
+
+
 def test_derivative_sector_frozen():
     s, arg_bound = derivative_sector_params(0.5, 0.25)
     assert s.a_mag == pytest.approx(math.tan(math.pi / 16.0))
