@@ -22,12 +22,10 @@ interval.
 Powers use the principal branch. With the argument-safe condition
 |A - B| <= |1 - A conj(B)| and |A| r <= 1 the curve never meets the cut
 (-inf, 0], so the principal branch is the continuous branch anchored at
-value 1 for z = 0. The affine shift g is handled after the fact: the
-primary report describes (h - g)/(1 - g) and a shifted view restates
-Re/Im ranges exactly (rotated critical points). Its modulus and argument
-ranges come from a 4096-point grid plus a Newton root of the closed-form
-derivative next to each best sample: about 0.4 ms a call, against 0.04 ms
-with g = 0. With g = 0 the shifted view is the primary report itself.
+value 1 for z = 0. The primary report describes (h - g)/(1 - g); the shifted
+view of h restates its Re/Im exactly and takes |h| and arg h from the convex
+image: tangents, nearest and a chord-certified farthest point
+(`_shifted_view`), about 0.2 ms a call against 0.03 ms with g = 0.
 """
 
 from __future__ import annotations
@@ -54,7 +52,8 @@ from .moebius import JanowskiParams, image_disk
 _EPS = 1e-12
 _NEWTON_TOL = 1e-13  # final step length of a Newton solve
 _NEWTON_CAP = 100
-_RESOLVED = 1e-3  # largest step from the best sample to a neighbour at a resolved extreme
+_TAU = 2.0 * math.pi
+_NODE_CAP = 64  # support points after which a farthest-point search stops refining
 _BLOCK = 1 << 14  # samples per block of a streamed curve, 256 KiB of complex values
 _NO_ARG_FLOOR = 1e-9  # below this min |h| on the circle, a shifted view reports no argument range
 
@@ -314,17 +313,17 @@ def _critical_parameters(C: complex, R: float, alpha: float, phase: float, touch
     return roots
 
 
-def _directional_extremes(C: complex, R: float, alpha: float, phases) -> tuple[tuple, tuple, tuple]:
-    """Per phase, min and max of Re(e^{i phase} w^a) and the parameter of the max."""
+def _directional_extremes(C: complex, R: float, alpha: float, phases) -> tuple[tuple, tuple, tuple, tuple]:
+    """Per phase, min and max of Re(e^{i phase} w^a) and the parameters of the min and the max."""
     touch = _touch_parameter(C, R)
 
-    def extremes(phase: float) -> tuple[float, float, float]:
+    def extremes(phase: float) -> tuple[float, float, float, float]:
         cand = _critical_parameters(C, R, alpha, phase, touch)
         vals = [(cmath.exp(1j * phase) * (C + cmath.rect(R, t)) ** alpha).real for t in cand]
         if touch is not None:
             vals[-1] = 0.0  # w^a vanishes at the touch
-        k = vals.index(max(vals))
-        return min(vals), vals[k], cand[k]
+        i, k = vals.index(min(vals)), vals.index(max(vals))
+        return vals[i], vals[k], cand[i], cand[k]
 
     return tuple(zip(*map(extremes, phases)))
 
@@ -341,7 +340,7 @@ class CriticalPoints:
 def critical_points(p: JanowskiParams, r: float) -> CriticalPoints:
     """Critical parameters of Re, Im and modulus along the envelope at radius r."""
     C, R = _circle_geometry(p, r)
-    _, _, t_max = _directional_extremes(C, R, p.alpha, (0.0, -0.5 * math.pi))
+    _, _, _, t_max = _directional_extremes(C, R, p.alpha, (0.0, -0.5 * math.pi))
     return CriticalPoints(t1=t_max[0], t2=t_max[1], tau=cmath.phase(C))
 
 
@@ -351,7 +350,7 @@ def critical_points(p: JanowskiParams, r: float) -> CriticalPoints:
 
 @dataclass(frozen=True)
 class ShiftedView:
-    """Ranges of the shifted map h itself (Re/Im exact, modulus/argument refined)."""
+    """Ranges of the shifted map h itself (Re/Im exact, modulus/argument from the convex image)."""
 
     re: tuple[float, float]
     im: tuple[float, float]
@@ -392,87 +391,128 @@ def envelope_bounds(p: JanowskiParams, r: float) -> BoundReport:
     phases = [0.0, -0.5 * math.pi]
     if g != 0.0:
         phases += [cmath.phase(1.0 - g), cmath.phase(1.0 - g) - 0.5 * math.pi]
-    lo, hi, t_max = _directional_extremes(C, R, a, phases)
+    lo, hi, t_min, t_max = _directional_extremes(C, R, a, phases)
     re_iv, im_iv = (lo[0], hi[0]), (lo[1], hi[1])
     crit = CriticalPoints(t1=t_max[0], t2=t_max[1], tau=tau)
     shifted = (ShiftedView(re=re_iv, im=im_iv, mod=mod_iv, arg=arg_iv) if g == 0.0
-               else _shifted_view(p, C, R, lo[2:], hi[2:]))
+               else _shifted_view(p, C, R, phases, lo, hi, t_min, t_max))
     return BoundReport(arg=arg_iv, mod=mod_iv, re=re_iv, im=im_iv, critical=crit, shifted=shifted)
 
 
-def _shifted_view(p: JanowskiParams, C: complex, R: float, lo, hi) -> ShiftedView:
-    """Ranges of h: Re/Im from the extremes lo, hi at phases arg(1 - g) and
-    arg(1 - g) - pi/2, modulus and argument from a 4096-point grid plus a
-    Newton root of the closed-form derivative next to each best sample. As
-    h = (1 - g)(w^a - c), c = -g / (1 - g), and w^a is one to one onto |arg| <
-    a pi, h has a zero in the closed disk iff |arg c| < a pi and |w0 - C| <= R
-    for w0 = |c|^{1/a} e^{i arg c / a}: then min |h| = 0 and no arg. As in
-    the oracle, min |h| < _NO_ARG_FLOOR on the circle gives no arg either."""
-    g, a, scale = p.gamma, p.alpha, abs(1.0 - p.gamma)
-    re = (g.real + scale * lo[0], g.real + scale * hi[0])
-    im = (g.imag + scale * lo[1], g.imag + scale * hi[1])
-    c = -g / (1.0 - g)
+def _shifted_view(p: JanowskiParams, C: complex, R: float, phases, lo, hi, t_min, t_max) -> ShiftedView:
+    """Ranges of h = (1 - g)(W - c), c = -g / (1 - g), over the convex image K of
+    the disk under W = w^a, from the support points of the four phases (normal
+    -phase at a max, pi - phase at a min; their values give Re/Im). h vanishes
+    iff |arg c| < a pi and |c^{1/a} - C| <= R. Else the sign changes of
+    m = Re(e^{-i psi}(W - c)) (hidden from c where m > 0; if no node is visible,
+    the exit of the segment from W(z = 0) = 1 to c is) bracket the tangents,
+    roots of Im(h'/h), and min |h| is the root of Re(conj(h) h') between them.
+    At an origin touch the corner W = 0 is a node with the normals of its
+    edges, h = g a candidate for every end, and nearest iff c is in its normal cone."""
+    g, a, scale, c = p.gamma, p.alpha, abs(1.0 - p.gamma), -p.gamma / (1.0 - p.gamma)
+    re, im = (g.real + scale * lo[2], g.real + scale * hi[2]), (g.imag + scale * lo[3], g.imag + scale * hi[3])
     zero = abs(cmath.phase(c)) < a * math.pi and abs(cmath.rect(abs(c) ** (1.0 / a), cmath.phase(c) / a) - C) <= R
+    touch = _touch_parameter(C, R)
+    nodes = [_node(C, R, a, c, touch, t, s * math.pi - phase)
+             for phase, t0, t1 in zip(phases, t_min, t_max) for s, t in ((0.0, t1), (1.0, t0))]
+    edges = [a * (cmath.phase(C) + s * 0.5 * math.pi) + s * 0.5 * math.pi for s in (1.0, -1.0)]  # corner edges
+    nodes += [_node(C, R, a, c, touch, touch, psi) for psi in edges if touch is not None]
+    far = scale * _farthest(C, R, a, c, nodes, touch)[0]
+    if zero:
+        return ShiftedView(re=re, im=im, mod=(0.0, far), arg=None)
 
-    def h_at(t: float) -> complex:
-        return (1.0 - g) * (C + cmath.rect(R, t)) ** a + g
+    def exit_gap(s: float) -> tuple[float, float]:  # |P^{1/a} - C| - R, P = 1 + s (c - 1), or 1 off |arg P| < a pi
+        P = 1.0 + s * (c - 1.0)
+        u = P ** (1.0 / a) - C if P and abs(cmath.phase(P)) < a * math.pi else None
+        return (1.0, 0.0) if u is None else (abs(u) - R, (u.conjugate() * (u + C) / P * (c - 1.0)).real / (a * abs(u)))
 
-    def slope(t: float, of_arg: bool) -> tuple[float, float]:
-        """d/dt arg h or d/dt |h|^2 / 2 = Re(conj(h) h') at t, and its derivative.
-        With w' = i R e^{it} = s w, h' = (1 - g) a w^a s and h'' = h' m,
-        m = (a - 1) s + i; h' is taken as 0 at an origin touch w = 0."""
+    seen = None
+    if all(node[3].real > 0.0 for node in nodes):
+        P = 1.0 + _newton(exit_gap, 0.5, 0.0, 1.0, -1.0, 1.0) * (c - 1.0)
+        seen = _node(C, R, a, c, touch, cmath.phase(P ** (1.0 / a) - C) % _TAU)
+        nodes = sorted(nodes + [seen], key=lambda node: node[0])
+    m = [node[3].real if node is not seen else min(node[3].real, 0.0) for node in nodes]
+    ends = {m[j - 1] > 0.0: _root(C, R, a, c, True, nodes[j - 1][1], nodes[j][1], m[j - 1], m[j])
+            for j in range(len(nodes)) if (m[j - 1] > 0.0) != (m[j] > 0.0)}  # True: where arg h is largest
+    cusp = [] if touch is None else [g]
+    corner = touch is not None and (cmath.phase(c) - edges[0]) % _TAU <= (edges[1] - edges[0]) % _TAU  # is nearest
+    ts = [ends[False], ends[True]] + ([] if corner else [_root(C, R, a, c, False, ends[True], ends[False], -1.0, 1.0)])
+    h = [(1.0 - g) * _node(C, R, a, c, touch, t)[2] for t in ts]
+    least, args = min(map(abs, h[2:] + cusp)), [cmath.phase(v) for v in h[:2] + cusp]
+    return ShiftedView(re=re, im=im, mod=(least, far),  # as in the oracle, no arg below _NO_ARG_FLOOR
+                       arg=(min(args), max(args)) if least >= _NO_ARG_FLOOR else None)
+
+
+def _node(C: complex, R: float, a: float, c: complex, touch: float | None, t: float, psi: float | None = None):
+    """Node (psi, t, W - c, e^{-i psi}(W - c)) of W(t) = w^a (0 at the touch), psi = t + (a - 1) arg w if not given."""
+    w = C + cmath.rect(R, t)
+    psi = (t + (a - 1.0) * cmath.phase(w) if psi is None else psi) % _TAU
+    y = (0j if t == touch else w ** a) - c
+    return psi, t, y, y * cmath.rect(1.0, -psi)
+
+
+def _root(C: complex, R: float, a: float, c: complex, of_arg: bool, t0: float, t1: float, f0: float, f1: float):
+    """`_newton` root on t0 -> t1 of Im(W'/(W - c)) or Re(conj(W - c) W'), signed as f0, f1 there, from their secant.
+    With w' = i R e^{it} = s w, W' = a W s and W'' = W' ((a - 1) s + i); W' is 0 at an origin touch."""
+    span = (t1 - t0) % _TAU
+
+    def slope(t: float) -> tuple[float, float]:
         u = cmath.rect(R, t)
         w = C + u
         s = 1j * u / w if w else 0j
-        v = (1.0 - g) * w ** a
-        h, d, m = v + g, a * v * s, (a - 1.0) * s + 1j
+        v = w ** a
+        y, d, m = v - c, a * v * s, (a - 1.0) * s + 1j
         if of_arg:
-            q = d / h  # d/dt log h
+            q = d / y if y else 0j  # d/dt log(W - c), 0 at a zero of h
             return q.imag, (q * (m - q)).imag
-        return (h.conjugate() * d).real, abs(d) ** 2 + (h.conjugate() * d * m).real
+        return (y.conjugate() * d).real, abs(d) ** 2 + (y.conjugate() * d * m).real
 
-    hv = (1.0 - g) * _power(C + R * _unit_circle(4096), a) + g
-    mods = np.abs(hv)
-    touch = _touch_parameter(C, R)  # where h has a cusp at the value g
-    mod = _polished_range(mods, lambda t: slope(t, False), lambda t: abs(h_at(t)),
-                          None if touch is None else abs(g))
-    if zero or mod[0] < _NO_ARG_FLOOR:
-        return ShiftedView(re=re, im=im, mod=(0.0, mod[1]) if zero else mod, arg=None)
-    args, _ = _unwrap(np.arctan2(hv.imag, hv.real))  # np.angle's kernel, without its wrapper
-
-    def arg_at(t: float, h: complex) -> float:  # arg h on the branch of the grid sample nearest t
-        i = round(t / (2.0 * math.pi) * hv.size) % hv.size
-        return float(args[i]) + cmath.phase(h / complex(hv[i]))
-
-    arg = _polished_range(args, lambda t: slope(t, True), lambda t: arg_at(t, h_at(t)),
-                          None if touch is None else arg_at(touch, g))
-    return ShiftedView(re=re, im=im, mod=mod, arg=arg)
+    return _newton(slope, t0 + span * f0 / (f0 - f1), t0, t0 + span, f0, f1) if span else t0
 
 
-def _polished_range(vals: np.ndarray, slope, value, cusp: float | None) -> tuple[float, float]:
-    """Min and max of a smooth periodic function from its values vals at
-    t_j = 2 pi j / n. Each end is the better of the best sample, cusp (a
-    value where the derivative changes sign without vanishing) and value(t)
-    at the `_newton` root t of slope(t), the derivative and its own, within
-    one spacing. While the best sample's neighbours differ from it by more
-    than _RESOLVED max(1, |best|), as next to a zero of h or an origin
-    touch, a 17-point grid over the two spacings around it is sampled."""
-    def end(i: int, better) -> float:
-        width = 2.0 * math.pi / vals.size
-        t, best, near = i * width, float(vals[i]), (vals[i - 1], vals[(i + 1) % vals.size])
-        while max(abs(v - best) for v in near) > _RESOLVED * max(1.0, abs(best)) and width > _NEWTON_TOL:
-            ts = t + width * np.linspace(-1.0, 1.0, 17)  # one-eighth the spacing
-            fs = [value(s) for s in ts]
-            k = fs.index(better(fs))
-            width, t, best = width / 8.0, ts[k], better(best, fs[k])
-            near = (fs[k - 1] if k else value(t - width), fs[k + 1] if k < 16 else value(t + width))
-        lo, hi = t - width, t + width
-        f_lo, f_hi = slope(lo)[0], slope(hi)[0]
-        if f_lo * f_hi <= 0.0:
-            best = better(best, value(_newton(slope, t, lo, hi, f_lo, f_hi)))
-        return best if cusp is None else better(best, cusp)
+def _farthest(C: complex, R: float, a: float, c: complex, nodes: list, touch: float | None):
+    """max |W - c| = max m over K as (value, t, upper), value <= max <= upper, by
+    branch and bound over the nodes (sorted in place, new ones added). As m'' + m
+    = rho >= 0, the radius of curvature, m lies below the sinusoid through its
+    values at two nodes, whose top is |Z| where their support lines meet at c + Z
+    between them. An arc whose bound exceeds the best |W - c| by over 4 ulps has
+    one peak where rho = a R |w|^{a-1} / (a + (1 - a) Re(C/w)), bounded at the
+    points nearest arg C + pi and arg C, stays below |W_k - c| cos(|beta_k| + width)
+    <= |W - c| from an end k (beta' = rho cos beta / |W - c| - 1 < 0): the root of
+    Re(conj(W - c) W') if beta falls through 0, else an end. Other arcs split at
+    their middle parameter; past _NODE_CAP nodes upper is the largest bound."""
+    done = {}  # id of the first node of an arc whose maximum is known -> that maximum
+    value, t_best = max((abs(node[2]), node[1]) for node in nodes)
 
-    return end(int(np.argmin(vals)), min), end(int(np.argmax(vals)), max)
+    def bound(n0, n1) -> float:  # two nodes at one point bound their arc by it
+        (p0, t0, y0, v0), (p1, t1, _, v1) = n0, n1
+        width, top = (p1 - p0) % _TAU, max(v0.real, v1.real)
+        Z = 1j * (v1.real * cmath.rect(1.0, p0) - v0.real * cmath.rect(1.0, p1)) / (math.sin(width) or math.inf)
+        return abs(y0) if t0 == t1 else abs(Z) if Z and (cmath.phase(Z) - p0) % _TAU <= width else top
+
+    def nearest(s: float, t0: float, span: float) -> complex:  # w at the point of the arc nearest s
+        d = (s - t0) % _TAU
+        return C + cmath.rect(R, s if d <= span else (t0 if _TAU - d < d - span else t0 + span))
+
+    while True:
+        nodes.sort(key=lambda node: node[0])
+        arcs = list(zip(nodes, nodes[1:] + nodes[:1]))
+        bounds = [done[id(n0)] if id(n0) in done else bound(n0, n1) for n0, n1 in arcs]
+        live = [arc for arc, b in zip(arcs, bounds) if id(arc[0]) not in done and b > value * (1.0 + 2.0 ** -50)]
+        if not live or len(nodes) >= _NODE_CAP:
+            return value, t_best, max([value] + bounds)
+        for n0, n1 in live:
+            t0, span, width = n0[1], (n1[1] - n0[1]) % _TAU, (n1[0] - n0[0]) % _TAU
+            low = max(abs(n[2]) * math.cos(min(0.5 * math.pi, abs(cmath.phase(n[3])) + width)) for n in (n0, n1))
+            w1, w2 = (nearest(cmath.phase(C) + s, t0, span) for s in (math.pi, 0.0))
+            if not a * R < low * abs(w1) ** (1.0 - a) * (a + (1.0 - a) * (C / w2).real):
+                nodes.append(_node(C, R, a, c, touch, t0 + 0.5 * span))
+            elif n0[3].imag > 0.0 > n1[3].imag:
+                t = _root(C, R, a, c, False, t0, n1[1], n0[3].imag, n1[3].imag)
+                done[id(n0)] = abs(_node(C, R, a, c, touch, t)[2])
+                value, t_best = max((value, t_best), (done[id(n0)], t))
+            else:
+                done[id(n0)] = max(abs(n0[2]), abs(n1[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol:
 
     The target must be argument-safe, which makes its powered map
     univalent with a globally defined inverse; membership then reduces to
-    a pullback modulus test.
+    a pullback modulus test, and a sample on the cut of the inverse is outside.
     """
     require_finite_args("verify_subordination", tol=tol)
     if not target.argument_safe:
@@ -279,7 +279,7 @@ def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol:
     require_range("r", r, "(0, 1]")
     if np.size(p_samples) == 0:
         raise ParameterError("p_samples must not be empty")
-    return bool(np.max(subordination_pullback(p_samples, target)) <= r + tol)
+    return _max_pullback(p_samples, target) <= r + tol
 
 
 _ON_VERTEX = 1e-12  # a point this close to a curve vertex counts as contained

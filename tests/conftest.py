@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from janowski import JanowskiParams, oracle
+from janowski import JanowskiParams, envelope, oracle
 from janowski.oracle import _STRIDES
 
 settings.register_profile(
@@ -12,6 +12,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def certified_farthest_points():
+    """Every farthest-point search that a test runs, through envelope_bounds or
+    otherwise, certifies its maximum: value <= upper <= value + 1e-12 max(1, value)."""
+    search = envelope._farthest
+
+    def checked(*args):
+        value, t, upper = search(*args)
+        assert value <= upper <= value + 1e-12 * max(1.0, value), (args, value, upper)
+        return value, t, upper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envelope, "_farthest", checked)
+        yield
 
 
 @st.composite

@@ -98,7 +98,10 @@ def test_criterion_3_macgregor_values():
 
 
 def test_criterion_4_envelope_bounds_against_sampling():
-    """100 seeded argument-safe draws: closed endpoints vs 2e5-point extrema."""
+    """100 seeded argument-safe draws: closed endpoints vs 2e5-point extrema;
+    then 50 more with a shift gamma (parts in [-0.9, 0.9], their own seed),
+    whose shifted re, im, mod and arg ends are compared the same way, and
+    whose argument ranges must be absent from both reports or from neither."""
     start = time.perf_counter()
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -110,10 +113,24 @@ def test_criterion_4_envelope_bounds_against_sampling():
         for name in ("arg", "mod", "re", "im"):
             for a, b in zip(getattr(closed, name), getattr(sampled, name)):
                 worst = max(worst, abs(a - b))
+    rng = np.random.default_rng(4141)
+    worst_shifted, no_arg = 0.0, 0
+    for _ in range(50):
+        p = _random_safe_params(rng)
+        p = JanowskiParams(p.A, p.B, p.alpha, complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)))
+        r = rng.uniform(0.2, 0.95)
+        closed = envelope_bounds(p, r).shifted
+        sampled = empirical_bounds(p, r, n=200_000).shifted
+        assert (closed.arg is None) == (sampled.arg is None), (p, r)
+        no_arg += closed.arg is None
+        for name in ("arg", "mod", "re", "im"):
+            for a, b in zip(getattr(closed, name) or (), getattr(sampled, name) or ()):
+                worst_shifted = max(worst_shifted, abs(a - b))
     elapsed = time.perf_counter() - start
-    assert worst < 1e-5
+    assert worst < 1e-5 and worst_shifted < 1e-5
     assert elapsed < 60.0
-    _announce("criterion 4", f"100 cases, worst endpoint gap {worst:.2e} in {elapsed:.1f}s")
+    _announce("criterion 4", f"100 cases, worst endpoint gap {worst:.2e}; 50 shifted ({no_arg} without arg), "
+              f"worst {worst_shifted:.2e}; in {elapsed:.1f}s")
 
 
 def test_criterion_5_kernel_closed_vs_quadrature():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import janowski
+from janowski import envelope
 from janowski import (
     BranchUndefinedError,
     JanowskiError,
@@ -518,7 +519,7 @@ def test_power_of_zero_is_exactly_zero(a):
 
 
 def test_unit_circle_is_shared_read_only_and_exact():
-    # one cache for the shifted view and the trials; its points are the
+    # one cache for the sampled curves and the trials; its points are the
     # n-th roots of unity exp(2 pi i k / n) bit for bit
     for n in (512, 4096, 16384):
         z = _unit_circle(n)
@@ -764,6 +765,113 @@ def test_zero_next_to_the_circle(side):
         assert (closed.mod[0] == 0.0) == (side < 1.0)
         assert abs(closed.mod[0] - sampled.mod[0]) <= 1e-11
         assert closed.mod[1] == pytest.approx(sampled.mod[1], abs=1e-10)
+
+
+TWO_PEAK_CASES = {
+    # |h| has local maxima 1.68938 and 1.69307 on the circle, and c = -g / (1 - g) lies outside K
+    "outside": (0.4231479410150779 + 0.7027525516431202j, 0.15289926158077424 - 0.8611643109021199j,
+                0.31271463927280385, 2.008660012670571 - 1.0421755252575704j, 0.9602105747803512),
+    # local maxima 1.4815 and 1.3372, and h has a zero in the disk
+    "zero-inside": (0.3594265645467011 + 0.7852656274470673j, -0.11352288655645722 + 0.8449478144383106j,
+                    0.5622901744594068, 1.2420950373913495 - 2.128350106242201j, 0.9491002993926646),
+}
+
+
+@pytest.mark.parametrize("name", TWO_PEAK_CASES)
+def test_farthest_point_of_two_peaks_matches_a_dense_maximum(name):
+    """The larger of two local maxima of |h|, within the error of a 2^20-point
+    grid ((pi / 2^20)^2 max |d^2 |h| / dt^2| / 2) and never below its samples."""
+    A, B, alpha, gamma, r = TWO_PEAK_CASES[name]
+    p = JanowskiParams(A, B, alpha, gamma)
+    shifted = envelope_bounds(p, r).shifted
+    geo = image_disk(p, r)
+    dense = np.abs((1.0 - gamma) * _power(geo.center + geo.radius * _unit_circle(1 << 20), alpha) + gamma).max()
+    assert dense - 4 * ULP * dense <= shifted.mod[1] <= dense + 1e-10
+    assert (shifted.arg is None) == (name == "zero-inside")
+    if name == "outside":
+        assert shifted.mod[1] == pytest.approx(1.6930745543093084, abs=4 * ULP)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12])
+def test_near_tangent_zero_gives_the_nearest_point(delta):
+    """c = -g / (1 - g) at W(t0) + delta n(t0), delta outside K along the outward
+    normal n, so close that on these draws every support point of the four
+    phases is hidden from c and the exit of the segment from 1 to c is taken.
+    min |h| lies within 4 ulps of max(1, max |h|), absolute, of the 50-digit
+    value at the root of d|W - c|^2/dt next to t0, and the argument range is
+    present exactly when min |h| >= _NO_ARG_FLOOR."""
+    for p, r in [(p, r) for group, p, r in envelope_corpus_draws() if group == "gamma0"][:3]:
+        geo = image_disk(p, r)
+        for t0 in (1.0, 4.0):
+            w = geo.center + cmath.rect(geo.radius, t0)
+            c = w ** p.alpha + delta * cmath.rect(1.0, t0 + (p.alpha - 1.0) * cmath.phase(w))
+            q = JanowskiParams(p.A, p.B, p.alpha, c / (c - 1.0))
+            shifted = envelope_bounds(q, r).shifted
+            with mp.workdps(50):
+                A, B, g = (mp.mpc(v.real, v.imag) for v in (q.A, q.B, q.gamma))
+                denom = 1 - abs(B) ** 2 * r * r
+                C, R = (1 - A * mp.conj(B) * r * r) / denom, abs(A - B) * r / denom
+
+                def dist2(t):
+                    return abs((C + R * mp.expj(t)) ** q.alpha + g / (1 - g)) ** 2
+
+                t = mp.findroot(lambda s: mp.diff(dist2, s), mp.mpf(t0))
+                ref = abs(1 - g) * mp.sqrt(dist2(t))
+            assert abs(shifted.mod[0] - ref) <= 4 * ULP * max(1.0, shifted.mod[1]), (delta, t0)
+            assert (shifted.arg is not None) == (shifted.mod[0] >= _NO_ARG_FLOOR), (delta, t0)
+
+
+def test_zero_on_the_boundary_curve():
+    """c = W(t0) to the last bit, for 16 parameters t0 on each gamma = 0 corpus
+    draw: h has a zero on the circle up to rounding. Whichever side of it the
+    closed-form zero test puts c, the view has no argument range and min |h|
+    at rounding level; outside, the exit point of the segment from 1 to c is
+    the visible node even where its own m rounds positive."""
+    for p, r in [(p, r) for group, p, r in envelope_corpus_draws() if group == "gamma0"]:
+        geo = image_disk(p, r)
+        for k in range(16):
+            c = (geo.center + cmath.rect(geo.radius, 2.0 * math.pi * k / 16 + 0.01)) ** p.alpha
+            shifted = envelope_bounds(JanowskiParams(p.A, p.B, p.alpha, c / (c - 1.0)), r).shifted
+            assert shifted.arg is None and shifted.mod[0] <= 1e-13 * max(1.0, shifted.mod[1]), (p, k)
+
+
+def test_shifted_touch_nearest_point_and_its_corner():
+    """At an origin touch the corner W = 0 (where h = g) is the nearest point
+    to c = -g / (1 - g) exactly when c lies in its normal cone: there min |h|
+    is |g| itself, at most every one of 200k samples. With g = 0.3 - 0.2j,
+    c lies outside that cone on the corpus touch draws, and min |h| is the
+    Newton root on the visible arc, well below |g| and within 1e-7 of (and at
+    most) the sampled minimum, whose grid cannot resolve the cusp better."""
+    for p in [p for group, p, _ in envelope_corpus_draws() if group == "touch"]:
+        geo = image_disk(p, 1.0)
+        tau, a = cmath.phase(geo.center), p.alpha
+        edge = a * (tau + 0.5 * math.pi) + 0.5 * math.pi  # normal cone of the corner: edge + [0, (1 - a) pi]
+        c = 0.3 * cmath.exp(1j * (edge + 0.5 * (1.0 - a) * math.pi))
+        for gamma, corner in ((c / (c - 1.0), True), (0.3 - 0.2j, False)):
+            q = JanowskiParams(p.A, p.B, a, gamma)
+            closed, sampled = envelope_bounds(q, 1.0).shifted, empirical_bounds(q, 1.0, 200_000).shifted
+            assert (closed.mod[0] == abs(q.gamma)) == corner
+            assert closed.mod[0] <= sampled.mod[0] + 1e-12 and (corner or sampled.mod[0] - closed.mod[0] <= 1e-7)
+            assert corner or closed.mod[0] < abs(q.gamma) - 1e-3
+
+
+def test_shifted_view_forms_no_grid():
+    """The shifted modulus and argument come from support points, tangents and
+    Newton roots: envelope_bounds runs on the corpus's shifted and zero-inside
+    draws, and on its touch draws shifted by 0.3 - 0.2j, with the cached grid
+    of roots of unity and the vectorized power both made to raise."""
+    draws = [(p, r) for group, p, r in envelope_corpus_draws() if group in ("shifted", "zero_inside")]
+    draws += [(JanowskiParams(p.A, p.B, p.alpha, 0.3 - 0.2j), r)
+              for group, p, r in envelope_corpus_draws() if group == "touch"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shifted view formed a grid")
+
+    want = [envelope_bounds(p, r) for p, r in draws]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envelope, "_unit_circle", refuse)
+        patch.setattr(envelope, "_power", refuse)
+        assert [envelope_bounds(p, r) for p, r in draws] == want
 
 
 def test_import_does_not_load_scipy():

@@ -152,6 +152,11 @@ class TestPullback:
         assert oracle._max_pullback(samples, target) == math.inf
         assert oracle._max_pullback(samples[:1], target) == float(subordination_pullback(samples[:1], target)[0])
 
+    def test_verify_subordination_is_false_on_the_cut(self):
+        # the image of an argument-safe target holds no w with (w - gamma)/(1 - gamma)
+        # on the cut (-inf, 0], so a sample there is outside it: no BranchUndefinedError
+        assert verify_subordination(np.array([1.0, -0.5 + 0j]), JanowskiParams(0.5, 0.0, 0.5)) is False
+
     def test_verify_subordination_accepts_composites(self):
         target = JanowskiParams(1.0, 0.0, 0.5)
         omega = random_schwarz(6, 4).dilated(0.7)
