@@ -123,10 +123,14 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
 def invert_powered(p: JanowskiParams, w) -> np.ndarray:
     """Preimage of candidate values under the powered, shifted map:
     w -> (w~ - 1)/(A - B w~) with w~ = ((w - gamma)/(1 - gamma))^(1/alpha)."""
-    w = (np.asarray(w, dtype=complex) - p.gamma) / (1.0 - p.gamma)
+    return _invert_normalized(p, (np.asarray(w, dtype=complex) - p.gamma) / (1.0 - p.gamma))
+
+
+def _invert_normalized(p: JanowskiParams, base: np.ndarray) -> np.ndarray:
+    """`invert_powered` at the normalized values base = (w - gamma)/(1 - gamma)."""
     if p.alpha != 1.0:  # the power 1 is the identity, kept exact
-        w = _power(w, 1.0 / p.alpha)
-    return (w - 1.0) / (p.A - p.B * w)
+        base = _power(base, 1.0 / p.alpha)
+    return (base - 1.0) / (p.A - p.B * base)
 
 
 def _branch_guard(p: JanowskiParams, r: float) -> None:
@@ -411,7 +415,8 @@ def _shifted_view(p: JanowskiParams, C: complex, R: float, phases, lo, hi, t_min
     edges, h = g a candidate for every end, and nearest iff c is in its normal cone."""
     g, a, scale, c = p.gamma, p.alpha, abs(1.0 - p.gamma), -p.gamma / (1.0 - p.gamma)
     re, im = (g.real + scale * lo[2], g.real + scale * hi[2]), (g.imag + scale * lo[3], g.imag + scale * hi[3])
-    zero = abs(cmath.phase(c)) < a * math.pi and abs(cmath.rect(abs(c) ** (1.0 / a), cmath.phase(c) / a) - C) <= R
+    zero = (abs(cmath.phase(c)) < a * math.pi and abs(c) <= (abs(C) + R) ** a  # max |W| over K, before the root
+            and abs(cmath.rect(abs(c) ** (1.0 / a), cmath.phase(c) / a) - C) <= R)
     touch = _touch_parameter(C, R)
     nodes = [_node(C, R, a, c, touch, t, s * math.pi - phase)
              for phase, t0, t1 in zip(phases, t_min, t_max) for s, t in ((0.0, t1), (1.0, t0))]

@@ -28,6 +28,7 @@ seed, records the sampling mode in `detail` and builds the one
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -43,11 +44,11 @@ from .envelope import (
     ShiftedView,
     _circle_geometry,
     _curve_blocks,
+    _invert_normalized,
     _log,
     _power,
     _unit_circle,
     _unwrap,
-    invert_powered,
     sector_image,
     tilt_angle,
 )
@@ -141,19 +142,34 @@ class SchwarzPoly:
 
     def value(self, z):
         zz = np.asarray(z, dtype=complex)
-        out = self.scale * zz * np.polynomial.polynomial.polyval(zz, np.asarray(self.coefficients))
+        out = self._value(zz, self._poly(zz))
         return complex(out) if out.ndim == 0 else out
 
     def deriv(self, z):
         zz = np.asarray(z, dtype=complex)
+        out = self._deriv(zz, self._poly(zz))
+        return complex(out) if out.ndim == 0 else out
+
+    def _poly(self, zz: np.ndarray) -> np.ndarray:
+        """p(z) = sum_k c_k z^k, the one polynomial that value and deriv share."""
+        return np.polynomial.polynomial.polyval(zz, np.asarray(self.coefficients))
+
+    def _value(self, zz: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self.scale * zz * p
+
+    def _deriv(self, zz: np.ndarray, p: np.ndarray) -> np.ndarray:
         coef = np.asarray(self.coefficients)
-        p = np.polynomial.polynomial.polyval(zz, coef)
         if len(coef) > 1:
             dp = np.polynomial.polynomial.polyval(zz, coef[1:] * np.arange(1, len(coef)))
         else:
             dp = np.zeros_like(zz)
-        out = self.scale * (p + zz * dp)
-        return complex(out) if out.ndim == 0 else out
+        return self.scale * (p + zz * dp)
+
+    def _grid_peak(self, n: int) -> float:
+        """max |w| over the n-point unit grid, n a multiple of 256: the float
+        np.abs(self.value(_unit_circle(n))).max(), from `_screened_peak`."""
+        coef = self.scale * np.asarray(self.coefficients)
+        return _screened_peak(_unit_circle(n), coef, lambda zk: np.abs(self.value(zk)))
 
     def dilated(self, rho: float) -> "SchwarzPoly":
         """Precompose with z -> rho z, pulling the image into |w| <= rho."""
@@ -171,13 +187,8 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     divides it, and for trigonometric degree <= 16 the true supremum
     exceeds the grid maximum by less than a 1e-7 relative factor, so the
     normalized polynomial is rigorously Schwarz.  Degree 1 is the
-    deterministic near-identity w(z) = (1 - 1e-6) z.
-
-    The peak is screened by `_screen`. T = z p(z) at z = e^{it} has degree d,
-    and V = z^{-(d//2 + 1)} T degree h = d // 2 with |V| = |T| <= S = sum |c_k|,
-    so by Bernstein |T| moves by at most h S rho within reach rho of t_j. (A
-    second-order bound needs a second polynomial per level, which costs more
-    than the samples it saves.) Formed samples keep their grid bits.
+    deterministic near-identity w(z) = (1 - 1e-6) z. The peak is screened
+    by `_screened_peak`.
     """
     seed = require_index("seed", seed, 0, _SEED_END)
     degree = require_index("degree", degree, 1, 17)
@@ -186,21 +197,36 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     rng = _rng(seed, 0)
     raw = rng.random((degree, 2))
     coef = raw[:, 0] + 1j * raw[:, 1]
-    z = _unit_circle(65536)
-    size, h = float(np.abs(coef).sum()), degree // 2
-    tiny = _ROUNDING * size
 
-    def bounds(j, half):
-        zj = z[j]
-        T = np.abs(zj * np.polynomial.polynomial.polyval(zj, coef))
-        return [(T - tiny, T + h * size * half * (2.0 * np.pi / z.size) + 2.0 * tiny)]
+    def modulus(zk):
+        v = np.polynomial.polynomial.polyval(zk, coef)
+        return np.abs(np.multiply(v, zk, out=v))  # v * z, as the whole grid's elided z * polyval(z)
 
-    zk = z[_screen(z.size, bounds)]
-    v = np.polynomial.polynomial.polyval(zk, coef)
-    peak = float(np.abs(np.multiply(v, zk, out=v)).max())  # v * z, as the whole grid's elided z * polyval(z)
+    peak = _screened_peak(_unit_circle(65536), coef, modulus)
     if peak < 1e-12:
         return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
     return SchwarzPoly(tuple(coef), _HEADROOM / peak)
+
+
+def _screened_peak(z: np.ndarray, coef: np.ndarray, modulus: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Largest |T| over the unit grid z, T(z) = z sum_k coef_k z^k, where
+    modulus(zk) forms |T| at the points zk. Only the samples `_screen` keeps
+    are formed; they keep their grid bits, so the result is the whole grid's
+    maximum, the same float.
+
+    T at z = e^{it} has degree d = len(coef), and V = z^{-(d//2 + 1)} T degree
+    h = d // 2 with |V| = |T| <= S = sum |coef_k|, so by Bernstein |T| moves by
+    at most h S rho within reach rho of t_j. (A second-order bound needs a
+    second polynomial per level, which costs more than the samples it saves.)
+    """
+    size, h = float(np.abs(coef).sum()), coef.size // 2
+    tiny = _ROUNDING * size
+
+    def bounds(j, half):
+        T = modulus(z[j])
+        return [(T - tiny, T + h * size * half * (2.0 * np.pi / z.size) + 2.0 * tiny)]
+
+    return float(modulus(z[_screen(z.size, bounds)]).max())
 
 
 def _screen(n: int, bounds) -> np.ndarray:
@@ -242,7 +268,8 @@ def _effective_schwarz(
         omega = random_schwarz(seed, degree).dilated(rho)
     if z is None:
         z = _unit_circle(_N_SAMPLES)
-    return omega, z, omega.value(z), z * omega.deriv(z)
+    p = omega._poly(z)
+    return omega, z, omega._value(z, p), z * omega._deriv(z, p)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +284,11 @@ def subordination_pullback(w, target: JanowskiParams) -> np.ndarray:
     that land on the branch cut of the outer root raise BranchUndefined;
     points swallowed by the pole of the inverse come back as inf.
     """
-    ws = np.atleast_1d(np.asarray(w, dtype=complex))
-    base = (ws - target.gamma) / (1.0 - target.gamma)
+    base = (np.atleast_1d(np.asarray(w, dtype=complex)) - target.gamma) / (1.0 - target.gamma)
     if np.any((base.real <= 0.0) & (base.imag == 0.0)):
         raise BranchUndefinedError("sample on the branch cut of the inverse power")
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.abs(invert_powered(target, ws))
+        q = np.abs(_invert_normalized(target, base))
     return np.where(np.isfinite(q), q, np.inf)
 
 
@@ -673,6 +699,18 @@ _OPERATOR_TABLE_B = (
 )
 
 
+_CURVE_RADIUS = 0.99  # radius of the sampled dominant curve of a poly-mode operator trial
+
+
+@functools.lru_cache(maxsize=8)  # the poly-mode operator tables hold 8 rows
+def _dominant_curve(spec: DominantSpec) -> np.ndarray:
+    """The dominant of `spec` at _N_SAMPLES points of |z| = _CURVE_RADIUS;
+    built on first use, cached per spec and read-only."""
+    curve = operator_dominant(spec, _CURVE_RADIUS * _unit_circle(_N_SAMPLES))
+    curve.setflags(write=False)
+    return curve
+
+
 def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     """First-order operator subordination against its exact dominant.
 
@@ -680,9 +718,11 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     p.  Even seeds use w(z) = c z, for which E IS the dominant composed with
     c z; the trial then checks that exact identity through the standalone
     dominant evaluator.  Odd seeds use a genuine polynomial Schwarz function
-    and fall back to a winding count against the sampled dominant curve.
-    `detail` holds the calling id's own parameters; the trial adds its
-    evidence to it.
+    and fall back to a winding count against the sampled dominant curve,
+    which depends only on the table row and is cached per row
+    (`_dominant_curve`); the cut clearance takes sup |omega| on 16384 points
+    from the screened `SchwarzPoly._grid_peak`.  `detail` holds the calling
+    id's own parameters; the trial adds its evidence to it.
     """
     z = _unit_circle(512) if seed % 2 == 0 else np.concatenate([r * _unit_circle(512) for r in (0.35, 0.65, 0.9, 1.0)])
     omega, z, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.88, z=z)
@@ -700,11 +740,9 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
         hypothesis = identity_gap < 1e-9
         detail["identity_gap"] = identity_gap
     else:
-        rho_curve = 0.99
-        sup_omega = float(np.max(np.abs(omega.value(_unit_circle(16384)))))
-        disks = (image_disk(target, rho_curve), image_disk(target, sup_omega))
+        disks = (image_disk(target, _CURVE_RADIUS), image_disk(target, omega._grid_peak(16384)))
         clearance = min(_ray_clearance(g.center, g.radius) for g in disks)
-        contained = _winding_contains(e_samples, operator_dominant(spec, rho_curve * _unit_circle(_N_SAMPLES)))
+        contained = _winding_contains(e_samples, _dominant_curve(spec))
         hypothesis = bool(np.all(contained)) and clearance > 1e-9
         detail["contained_fraction"] = float(np.mean(contained))
         detail["cut_clearance"] = clearance

@@ -735,6 +735,32 @@ def test_zero_inside_the_disk_has_no_argument_range():
         assert report.shifted.arg is None
 
 
+def test_small_alpha_with_a_large_shift_gives_a_report_or_a_janowski_error():
+    """alpha down to 1e-3 and |gamma| up to 1e2 make |c|^(1/alpha), c = -gamma/(1 - gamma),
+    overflow a float; the zero test decides |c| > (|C| + R)^alpha, max |W| over K,
+    without the root. The first draw has c = 3.40 at alpha = 0.0016 (3.40^612);
+    its shifted view holds 200k samples."""
+    p = JanowskiParams(-0.3490910903617561 - 0.13356543267819887j, -0.042979763259751266 - 0.3123943224824389j,
+                       0.0016343969668768134, 1.416935984649937)
+    r, ranges = 0.7939819896774375, attrgetter("re", "im", "mod", "arg")
+    for (lo, hi), (slo, shi) in zip(ranges(envelope_bounds(p, r).shifted), ranges(empirical_bounds(p, r).shifted)):
+        assert lo <= slo + 1e-12 and shi <= hi + 1e-12
+    rng = np.random.default_rng(20261020)
+    reports = 0
+    for k in range(2000):
+        A = cmath.rect(rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi))
+        B = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-math.pi, math.pi))
+        alpha, g = 10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        gamma = g * rng.choice([-1.0, 1.0]) if k % 2 else cmath.rect(g, rng.uniform(-math.pi, math.pi))
+        r = rng.uniform(0.05, 1.0) * min(1.0, 1.0 / abs(A))
+        try:
+            envelope_bounds(JanowskiParams(A, B, alpha, gamma), r)
+            reports += 1
+        except JanowskiError:
+            pass
+    assert reports > 1900
+
+
 def test_zero_beside_the_origin_touch_is_inside():
     """|A| r = 1 with the zero of h at |w0 - C| - R = -1.3e-4: a 4096-point
     turn count missed it and reported arg (-3.71, 2.57) and min |h| 0.056."""

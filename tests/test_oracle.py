@@ -28,12 +28,13 @@ from janowski import (
     TrialReport,
     eval_powered,
     implication_trial,
+    operator_dominant,
     random_schwarz,
     subordination_pullback,
     verify_subordination,
 )
 from janowski import empirical_bounds, oracle
-from janowski.oracle import _HEADROOM, _rng, _unit_circle, _winding_contains
+from janowski.oracle import _HEADROOM, _effective_schwarz, _rng, _unit_circle, _winding_contains
 from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
 
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
@@ -90,6 +91,26 @@ class TestSchwarzPoly:
             f = np.abs(z * npoly.polyval(z, raw[:, 0] + 1j * raw[:, 1]))
             assert_screen_bounds_hold(bounds, [f], (seed, degree))
 
+    def test_grid_peak_is_the_whole_grid_maximum(self):
+        """The screened 16384-point supremum of the poly-mode operator
+        trial's test function is the whole-grid maximum, bit for bit, over
+        odd seeds 1-1999, which take every degree 2-13."""
+        z = _unit_circle(16384)
+        degrees = set()
+        for seed in range(1, 2000, 2):
+            omega = _operator_omega(seed)
+            degrees.add(omega.degree)
+            assert omega._grid_peak(16384) == float(np.abs(omega.value(z)).max()), seed
+        assert degrees == set(range(2, 14))
+
+    def test_grid_peak_screen_bounds_hold_in_every_window(self):
+        """The premise of the 16384-point supremum screen, at both levels."""
+        z = _unit_circle(16384)
+        for seed in range(1, 400, 2):
+            omega = _operator_omega(seed)
+            bounds = screen_bounds(lambda: omega._grid_peak(16384))
+            assert_screen_bounds_hold(bounds, [np.abs(omega.value(z))], seed)
+
     def test_degree_one_draw_is_near_rotation(self):
         s = random_schwarz(9, 1)
         assert s.coefficients == (1.0 + 0.0j,)
@@ -123,6 +144,11 @@ class TestSchwarzPoly:
         # a NaN boundary modulus used to pass the sup >= 1 check
         with pytest.raises(ParameterError, match="must be finite"):
             SchwarzPoly(coefficients, scale)
+
+
+def _operator_omega(seed: int) -> SchwarzPoly:
+    """The test function of the operator trials (T5.7, C5.12) at an odd seed."""
+    return _effective_schwarz(seed, rho=0.6, c_max=0.88, z=_unit_circle(16))[0]
 
 
 class TestPullback:
@@ -237,6 +263,37 @@ class TestImplicationTrials:
         a = implication_trial("T5.5", seed=12).to_json()
         b = implication_trial("T5.5", seed=12).to_json()
         assert a == b
+
+
+class TestDominantCurveCache:
+    # seeds 1, 3, 5, 7 take every row of the poly-mode operator and combination tables
+    def test_cached_curve_is_read_only_and_exact(self, monkeypatch):
+        cached, specs = oracle._dominant_curve, []
+        monkeypatch.setattr(oracle, "_dominant_curve", lambda spec: specs.append(spec) or cached(spec))
+        for tid in ("T5.7", "C5.12"):
+            for seed in (1, 3, 5, 7):
+                implication_trial(tid, seed=seed)
+        assert len(set(specs)) == 8
+        for spec in specs:
+            curve = cached(spec)
+            assert curve is cached(spec)
+            assert not curve.flags.writeable
+            fresh = operator_dominant(spec, oracle._CURVE_RADIUS * _unit_circle(oracle._N_SAMPLES))
+            assert curve.tobytes() == fresh.tobytes(), spec
+
+    def test_reports_do_not_depend_on_the_order_of_first_use(self):
+        def reports(seeds):
+            oracle._dominant_curve.cache_clear()
+            return {(tid, s): implication_trial(tid, seed=s).to_json() for s in seeds for tid in ("T5.7", "C5.12")}
+
+        assert reports(range(15, -1, -1)) == reports(range(16))
+
+    def test_identity_mode_leaves_the_cache_empty(self):
+        oracle._dominant_curve.cache_clear()
+        for seed in range(0, 16, 2):
+            for tid in ("T5.7", "C5.12"):
+                implication_trial(tid, seed=seed)
+        assert oracle._dominant_curve.cache_info().currsize == 0
 
 
 def _angle_sum_contains(points, curve):
