@@ -171,13 +171,13 @@ class EnvelopeCurve:
 def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
     """Uniform n-point sampling (n >= 1) of the boundary envelope at radius r.
 
-    The curve avoids the cut, so principal arguments are already
-    continuous; `_unwrap` (np.unwrap bit for bit) corrects the rare jump
-    between samples straddling an origin touch. The samples are the
-    blocks of `_curve_blocks` joined, and t_k = k (2 pi / n) + 0.0 has the
-    bytes of np.linspace. Up to _BLOCK samples the points are C + R e^{it}
-    with e^{it} from `_unit_circle`; beyond it they are rotated (see
-    `_curve_blocks`).
+    N = a arg w is principal and continuous: the circle holds w(0) = 1 and
+    not 0, so Re C > 1/2 and it misses the cut (-inf, 0); at an origin touch
+    the samples either side of 0 differ in argument by less than pi. The
+    samples are the blocks of `_curve_blocks` joined, and t_k = k (2 pi / n)
+    + 0.0 has the bytes of np.linspace. Up to _BLOCK samples the points are
+    C + R e^{it} with e^{it} from `_unit_circle`; beyond it they are rotated
+    (see `_curve_blocks`).
     """
     n = require_index("n", n, 1)
     w, M, N = (np.concatenate(parts) for parts in zip(*_curve_blocks(p, r, n)))
@@ -197,14 +197,11 @@ def _curve_blocks(p: JanowskiParams, r: float, n: int, keep: np.ndarray | None =
     C + R e^{it} itself. At n = 200000 the rotated e^{it} lies within 1.14e-15
     of e^{2 pi i k / n} (cos and sin of t_k: 1.26e-15, over 2028 indices with
     every block boundary); the tests bound each sample's distance from
-    C + R e^{2 pi i k / n} by 2e-15 (|C| + R). The unwrapped argument carries
-    the last raw argument and running correction across block boundaries and
-    gaps between kept samples.
+    C + R e^{2 pi i k / n} by 2e-15 (|C| + R). No state joins the blocks.
     """
     C, R = _circle_geometry(p, r)
     step = 2.0 * np.pi / n
     base = _unit_circle(n, _BLOCK) if n > _BLOCK else _unit_circle(n)
-    prev, carry = None, 0.0
     cuts = None if keep is None else np.searchsorted(keep, np.arange(0, n + _BLOCK, _BLOCK)).tolist()
     for b, k0 in enumerate(range(0, n, _BLOCK)):
         if keep is not None and cuts[b] == cuts[b + 1]:
@@ -212,47 +209,7 @@ def _curve_blocks(p: JanowskiParams, r: float, n: int, keep: np.ndarray | None =
         at = slice(0, n - k0) if keep is None else keep[cuts[b]:cuts[b + 1]] - k0
         w = base[at] * (R * complex(math.cos(k0 * step), math.sin(k0 * step)))
         w += C
-        arg = np.angle(w)
-        N, carry = _unwrap(arg, prev, carry)
-        prev = arg[-1]
-        yield w, np.abs(w) ** p.alpha, p.alpha * N
-
-
-def _unwrap(p: np.ndarray, prev: float | None = None, carry: float = 0.0) -> tuple[np.ndarray, float]:
-    """np.unwrap(p) bit for bit for a 1-d float array, computing numpy's
-    correction only at the jumps |p[i+1] - p[i]| >= pi (NaN counts as one).
-    Every other correction is +0.0, so a jump-free p costs one diff.
-
-    Returns the unwrapped p and the running correction after it. An array
-    unwrapped in pieces, each passed with prev, the last raw value of the
-    piece before, and carry, the correction that piece returned, joins to
-    np.unwrap of the whole array: numpy's cumulative sum is sequential, so
-    continuing it from carry adds in the same order.
-    """
-    out = np.empty_like(p)
-    if prev is None:  # the first value of the whole array stays as it is
-        if not p.size:
-            return out, carry
-        out[0], prev = p[0], p[0]
-        p, rest = p[1:], out[1:]
-    else:
-        rest = out
-    dd = np.empty_like(p)  # differences from prev on
-    dd[:1] = p[:1] - prev
-    np.subtract(p[1:], p[:-1], out=dd[1:])
-    jumps = np.flatnonzero(~(np.abs(dd) < math.pi))
-    if not jumps.size:
-        np.add(p, carry, out=rest)  # numpy adds the correction, +0.0 too: -0.0 turns to +0.0
-        return out, carry
-    d = dd[jumps]
-    ddmod = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
-    ddmod[(ddmod == -math.pi) & (d > 0.0)] = math.pi
-    step = np.zeros_like(dd)
-    step[jumps] = ddmod - d
-    step[0] += carry  # corrections are never -0.0, so carry 0.0 leaves step[0] as it is
-    np.cumsum(step, out=step)
-    np.add(p, step, out=rest)
-    return out, float(step[-1])
+        yield w, np.abs(w) ** p.alpha, p.alpha * np.angle(w)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +337,12 @@ class BoundReport:
 
 
 def envelope_bounds(p: JanowskiParams, r: float) -> BoundReport:
-    """Sharp Re/Im/modulus/argument intervals of the powered map at radius r."""
+    """Sharp Re/Im/modulus/argument intervals of the powered map at radius r.
+
+    ||C| - R| <= 1e-9 max(1, R) counts as an origin touch (`_touch_parameter`):
+    arg is a (arg C -/+ pi/2), the modulus starts at 0 and a shifted view takes
+    the corner W = 0 as a node. Outside that band the half-width is asin(R/|C|).
+    """
     C, R = _circle_geometry(p, r)
     a = p.alpha
     tau = cmath.phase(C)
@@ -485,7 +447,12 @@ def _farthest(C: complex, R: float, a: float, c: complex, nodes: list, touch: fl
     points nearest arg C + pi and arg C, stays below |W_k - c| cos(|beta_k| + width)
     <= |W - c| from an end k (beta' = rho cos beta / |W - c| - 1 < 0): the root of
     Re(conj(W - c) W') if beta falls through 0, else an end. Other arcs split at
-    their middle parameter; past _NODE_CAP nodes upper is the largest bound."""
+    their middle parameter; past _NODE_CAP nodes upper is the largest bound. At
+    a = 1, K is the disk itself and the maximum is |C - c| + R at t = arg(C - c):
+    the float is within 4 rounding units of it, and upper adds 2^-50 relative."""
+    if a == 1.0:
+        value = abs(C - c) + R
+        return value, cmath.phase(C - c) % _TAU, value * (1.0 + 2.0 ** -50)
     done = {}  # id of the first node of an arc whose maximum is known -> that maximum
     value, t_best = max((abs(node[2]), node[1]) for node in nodes)
 

@@ -48,7 +48,6 @@ from .envelope import (
     _log,
     _power,
     _unit_circle,
-    _unwrap,
     sector_image,
     tilt_angle,
 )
@@ -363,11 +362,10 @@ def _sector_margin(args: np.ndarray, lo: float, hi: float) -> float:
     return float(min(np.min(args - lo), np.min(hi - args)))
 
 
-def _ray_clearance(center: complex, radius: float) -> float:
-    """Signed distance from the disk |w - center| <= radius to (-inf, 0]."""
-    if center.real <= 0.0:
-        return abs(center.imag) - radius
-    return abs(center) - radius
+def _turns(steps: np.ndarray) -> int:
+    """Net turns about 0 of principal arguments with these steps: a step below
+    -pi crosses the cut (-inf, 0) counter-clockwise, one above pi clockwise."""
+    return int(np.count_nonzero(steps < -math.pi)) - int(np.count_nonzero(steps > math.pi))
 
 
 def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundReport:
@@ -380,9 +378,11 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     The samples stream through `_curve_blocks`, whose points beyond the
     first 16384 are rotated copies of the first block, as close to the
     exact circle points as cos and sin of t_k are. Each block updates running
-    minima and maxima, and the first and last samples of h and of its
-    continuous argument give the turns about 0, so no full-length array is
-    held. h = (1 - g) w^a + g is formed as (w^a) * (1 - g) + g with
+    minima and maxima, so no full-length array is held. Arguments are
+    principal: the image of h (a <= 1) is convex and holds h(0) = 1, so its
+    sample polygon meets the cut only when it winds about 0, and `_turns`
+    counts the turns over the n closed steps, seams from the block ends.
+    h = (1 - g) w^a + g is formed as (w^a) * (1 - g) + g with
     explicit in-place ops, the order numpy's temporary elision gave the
     whole-array expression from 16384 samples on; with FMA the other
     operand order of the complex product can differ in the last bit.
@@ -399,7 +399,7 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     shift = g != 0.0
     size = 8 if shift else 4
     lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
-    prev, carry = None, 0.0
+    turns, ends = 0, []  # cut crossings inside blocks; first and last argument of each block
     for _, M, N in _curve_blocks(p, r, n, None if shift else _screened(p, r, n)):
         re = M * np.cos(N)
         im = M * np.sin(N)
@@ -409,11 +409,9 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
             h.real, h.imag = re, im
             np.multiply(h, 1.0 - g, out=h)
             np.add(h, g, out=h)
-            raw = np.angle(h)
-            args, carry = _unwrap(raw, prev, carry)
-            if prev is None:
-                first = h[0], args[0]
-            prev = raw[-1]
+            args = np.angle(h)
+            turns += _turns(args[1:] - args[:-1])
+            ends += [args[0], args[-1]]
             ranges += [h.real, h.imag, np.abs(h), args]  # re, im, mod, arg of h
         np.minimum(lo, [x.min() for x in ranges], out=lo)
         np.maximum(hi, [x.max() for x in ranges], out=hi)
@@ -422,7 +420,7 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
         iv += [iv[2], iv[3], iv[1], iv[0]]
     hmin, harg = iv[6][0], None
     if hmin >= _NO_ARG_FLOOR:
-        if shift and round((args[-1] + np.angle(first[0] / h[-1]) - first[1]) / (2.0 * math.pi)):
+        if shift and turns + _turns(np.subtract(ends[2::2] + ends[:1], ends[1::2])):  # seams, then last to first
             hmin = 0.0  # h turns about 0, so it has a zero inside the disk: no argument, modulus down to 0
         else:
             harg = iv[7]
@@ -444,14 +442,13 @@ def _screened(p: JanowskiParams, r: float, n: int) -> np.ndarray | None:
     (1 + s) + (a s)^2). The subgrid points come from cos and sin of t_j, not
     from the rotated grid; as F moves by D / R and F' by K / R per unit of
     w, the slack adds (2 D + K rho) e / R, _ROUNDING (D rho + K rho^2) for
-    the rounding of F' and K, and twice a value's rounding. With
-    `_ray_clearance` above 2 e the arguments span less than pi and `_unwrap`
-    adds nothing to any subset; nearer the cut (a touch), or on a circle no
-    wider than e, nothing is skipped.
+    the rounding of F' and K, and twice a value's rounding. Where |C| - R,
+    the distance from the origin, is at most 2 e (a touch), or on a circle
+    no wider than e, nothing is skipped.
     """
     C, R = _circle_geometry(p, r)
     a, err = p.alpha, _ROUNDING * (abs(C) + R)
-    if not (_ray_clearance(C, R) > 2.0 * err and R > err):
+    if not (abs(C) - R > 2.0 * err and R > err):
         return None
     step, gap, tiny = 2.0 * np.pi / n, err / R, 2.0 * _ROUNDING * (np.pi + (abs(C) + R) ** a)
 
@@ -741,7 +738,7 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
         detail["identity_gap"] = identity_gap
     else:
         disks = (image_disk(target, _CURVE_RADIUS), image_disk(target, omega._grid_peak(16384)))
-        clearance = min(_ray_clearance(g.center, g.radius) for g in disks)
+        clearance = min(abs(g.center) - g.radius for g in disks)  # each holds 1, so Re center > 1/2
         contained = _winding_contains(e_samples, _dominant_curve(spec))
         hypothesis = bool(np.all(contained)) and clearance > 1e-9
         detail["contained_fraction"] = float(np.mean(contained))

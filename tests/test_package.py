@@ -36,6 +36,12 @@ def test_range_guards_share_one_implementation():
                     assert any(text in line for text in OTHER_WORDING), f"{path.name}: {line.strip()}"
 
 
+def test_arguments_stay_principal():
+    # no module unwraps arguments: they stay principal, and oracle._turns counts cut crossings
+    for path in sorted((SRC / "janowski").glob("*.py")):
+        assert "unwrap" not in path.read_text(), path.name
+
+
 def test_every_export_is_its_defining_object():
     for module, names in janowski._EXPORTS.items():
         defining = importlib.import_module(f"janowski.{module}")
