@@ -3,13 +3,12 @@
 A power of the base map takes its values in a tilted sector once the
 moduli of the coefficients are known.  The helpers here compute sector
 half-angles and tilts, assemble the parameter bundles used by the
-containment statements, and search the disk for the sharp weighting
+containment statements, and give in closed form the sharp weighting
 constant of a weighted average.
 """
 
+import cmath
 import math
-
-import numpy as np
 
 from janowski import (
     alpha_nesting,
@@ -49,13 +48,23 @@ def main() -> None:
     weighted = weighted_sector_params(0.5, 1.0, 0.25, 0.4, 1.0)
     print(f"weighted bundle:   mu1 = {weighted.mu1:.9f}, mu2 = {weighted.mu2:.9f}")
 
-    # The sharp eta for a weighted average is an infimum over the disk of
-    # beta Re(lambda) / (1 + beta |Im lambda|); for constant weights it
+    # The sharp eta for a weight lambda = a + c z is an infimum over the disk
+    # of beta Re(lambda) / (1 + beta |Im lambda|); for constant weights it
     # collapses to a one-line formula.
-    const = eta_infimum(lambda z: np.ones_like(z), 2.0)
-    skew = eta_infimum(lambda z: (1.0 + 0.5j) * np.ones_like(z), 2.0)
+    const = eta_infimum(1.0, 0.0, 2.0)
+    skew = eta_infimum(1.0 + 0.5j, 0.0, 2.0)
     print(f"\neta for weight 1:        {const:.9f} (expect 2.0)")
     print(f"eta for weight 1 + 0.5j: {skew:.9f} (expect 2/(1+1) = 1.0)")
+
+    # An affine weight sweeps the disk |lambda - 1| <= 0.4. On Im lambda >= 0
+    # the quotient is cot arg(lambda + i/beta), least at the tangent point
+    # T = 1 + 0.4i e^{i phi}, phi = arg(1 + i) + asin(0.4 / sqrt 2), seen from
+    # the pole -i (beta = 1); the lower half is its mirror image.
+    phi = math.atan2(1.0, 1.0) + math.asin(0.4 / math.sqrt(2.0))
+    tangent = 1.0 + 0.4j * cmath.exp(1j * phi)
+    affine = eta_infimum(1.0, 0.4, 1.0)
+    print(f"eta for weight 1 + 0.4z: {affine:.9f} (tangent point {tangent.real:.6f}"
+          f"{tangent.imag:+.6f}i gives {tangent.real / (1.0 + tangent.imag):.9f})")
 
     # Reciprocal order: how far the sector of 1/h reaches for given order
     # (only defined up to beta = 1 - alpha).

@@ -111,12 +111,6 @@ def _derivative_sector(a) -> dict:
     return {**dataclasses.asdict(sp), "arg_bound": arg_bound}
 
 
-def _eta_inf(a) -> dict:
-    import numpy as np
-
-    return {"eta": J.eta_infimum(lambda z: np.full_like(np.asarray(z, dtype=complex), a.weight), a.beta)}
-
-
 def _alpha_star(a) -> dict:
     value = J.alpha_star()
     return {"alpha_star": value, "residual": 2.0 * value + (2.0 / math.pi) * math.atan(value) - 1.0}
@@ -257,7 +251,7 @@ ACTIONS: dict[str, dict[str, Action]] = {
             "beta gamma2 m eta", "alpha", lambda a: J.weighted_sector_params(a.alpha, a.beta, a.gamma2, a.m, a.eta)
         ),
         "reciprocal-sector": Action("beta", "alpha", lambda a: {"delta": J.reciprocal_order_sector(a.alpha, a.beta)}),
-        "eta-inf": Action("weight beta", "", _eta_inf),
+        "eta-inf": Action("weight beta", "", lambda a: {"eta": J.eta_infimum(a.weight, 0.0, a.beta)}),
         "double-tilt": Action(
             "a b c d l m", "alpha",
             lambda a: J.double_subordination_tilt(a.a, a.b, a.c, a.d, a.l, a.m, a.alpha),

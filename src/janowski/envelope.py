@@ -448,8 +448,8 @@ def _farthest(C: complex, R: float, a: float, c: complex, nodes: list, touch: fl
     <= |W - c| from an end k (beta' = rho cos beta / |W - c| - 1 < 0): the root of
     Re(conj(W - c) W') if beta falls through 0, else an end. Other arcs split at
     their middle parameter; past _NODE_CAP nodes upper is the largest bound. At
-    a = 1, K is the disk itself and the maximum is |C - c| + R at t = arg(C - c):
-    the float is within 4 rounding units of it, and upper adds 2^-50 relative."""
+    a = 1, K is the disk itself and the maximum is |C - c| + R at t = arg(C - c),
+    within 4 rounding units. Either way upper adds 2^-50 relative for rounding."""
     if a == 1.0:
         value = abs(C - c) + R
         return value, cmath.phase(C - c) % _TAU, value * (1.0 + 2.0 ** -50)
@@ -472,7 +472,7 @@ def _farthest(C: complex, R: float, a: float, c: complex, nodes: list, touch: fl
         bounds = [done[id(n0)] if id(n0) in done else bound(n0, n1) for n0, n1 in arcs]
         live = [arc for arc, b in zip(arcs, bounds) if id(arc[0]) not in done and b > value * (1.0 + 2.0 ** -50)]
         if not live or len(nodes) >= _NODE_CAP:
-            return value, t_best, max([value] + bounds)
+            return value, t_best, max([value] + bounds) * (1.0 + 2.0 ** -50)
         for n0, n1 in live:
             t0, span, width = n0[1], (n1[1] - n0[1]) % _TAU, (n1[0] - n0[0]) % _TAU
             low = max(abs(n[2]) * math.cos(min(0.5 * math.pi, abs(cmath.phase(n[3])) + width)) for n in (n0, n1))

@@ -587,20 +587,15 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
     beta = (0.45, 0.7, 1.0)[(seed // 3) % 3]
     gamma = (0.3, 0.6, 1.0)[(seed // 9) % 3]
     m = (0.0, -0.35, 0.25)[(seed // 27) % 3]
-    weights: tuple[Callable, ...] = (
-        lambda z: np.full_like(np.asarray(z, dtype=complex), 1.0 + 0.0j),
-        lambda z: np.full_like(np.asarray(z, dtype=complex), 1.2 + 0.45j),
-        lambda z: 1.0 + 0.4 * np.asarray(z, dtype=complex),
-    )
-    lam = weights[(seed // 81) % 3]
-    eta = 0.999 * eta_infimum(lam, beta)
+    a, c = ((1.0, 0.0), (1.2 + 0.45j, 0.0), (1.0, 0.4))[(seed // 81) % 3]  # weight lambda = a + c z
+    eta = 0.999 * eta_infimum(a, c, beta)
     sp = weighted_sector_params(alpha, beta, gamma, m, eta)
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.35, c_max=0.5)
     target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, beta)
     base, logbase, dlog = _log_ratio(target, w)
     # z p'/p for p = base^beta, evaluated without forming p first
-    x = lam(z) * beta * (dlog * zdw)
+    x = (a + c * z) * beta * (dlog * zdw)
     shifted = 1.0 + x
     safe = bool(np.all(shifted.real > 0.0))
     arg_expr = alpha * beta * logbase.imag + gamma * np.angle(shifted)

@@ -14,17 +14,14 @@ pi (the usual parametrization of tilted sector maps).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .errors import (
     DegenerateMapError,
     NegativeRealPartError,
     OutOfRangeError,
-    ParameterError,
     require_finite_args,
     require_range,
 )
@@ -133,30 +130,31 @@ def weighted_sector_params(
     )
 
 
-_ETA_RADII = 32  # radii of the eta_infimum grid, from 1e-3 to 0.999
-_ETA_ANGLES = 128  # angles per radius of the eta_infimum grid
+def eta_infimum(a: complex, c: complex, beta: float) -> float:
+    """Infimum over the disk of g = beta Re(lam) / (1 + beta |Im lam|) for the weight lam = a + c z.
 
-
-def eta_infimum(weight: Callable[[np.ndarray], np.ndarray], beta: float) -> float:
-    """Infimum over the disk of beta Re(w) / (1 + beta |Im(w)|) for a weight w(z).
-
-    Sampled on a 32 x 128 radial-angular grid reaching radius 0.999. The weight
-    must keep a nonnegative real part; a negative sample raises
-    NegativeRealPartError and a non-finite one ParameterError.
+    The image is the disk |lam - a| <= |c| in Re lam >= 0. On Im lam >= 0,
+    g = cot arg(lam + i/beta) with the argument in (0, pi/2], least where it is
+    largest: at the tangent point T = a + i|c| e^{i phi}, phi = arg(a + i/beta) +
+    asin(|c| / |a + i/beta|), seen from the pole -i/beta. If T falls below the
+    axis, g(T) with |Im T| is smaller still, so g(T) bounds g on that half either
+    way; g is even in Im lam, and the tangent point of conj(a) bounds the other
+    half. Both points lie in the disk, so the smaller value is the infimum. With
+    c = 0, T is a. Re a < |c| raises NegativeRealPartError.
     """
-    require_finite_args("eta_infimum", beta=beta)
+    require_finite_args("eta_infimum", a=a, c=c, beta=beta)
     if beta <= 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta}")
-    r = np.linspace(1e-3, 0.999, _ETA_RADII)
-    t = np.linspace(0.0, 2.0 * np.pi, _ETA_ANGLES, endpoint=False)
-    z = r[:, None] * np.exp(1j * t[None, :])
-    lam = np.asarray(weight(z), dtype=complex)
-    if not np.isfinite(lam).all():
-        raise ParameterError("weight must be finite on the grid")
-    if np.min(lam.real) < 0.0:
-        raise NegativeRealPartError("weight has negative real part on the grid")
-    vals = beta * lam.real / (1.0 + beta * np.abs(lam.imag))
-    return float(np.min(vals))
+    a, rho = complex(a), abs(c)
+    if a.real < rho:
+        raise NegativeRealPartError(f"weight a + c z has negative real part: Re a = {a.real} < |c| = {rho}")
+    values = []
+    for b in (a, a.conjugate()):
+        d = b + 1j / beta
+        phi = cmath.phase(d) + math.asin(rho / abs(d)) if rho else 0.0  # c = 0 gives T = a, which may be the pole
+        w = b + 1j * cmath.rect(rho, phi)
+        values.append(beta * w.real / (1.0 + beta * abs(w.imag)))
+    return min(values)
 
 
 def reciprocal_order_sector(alpha: float, beta: float) -> float:

@@ -387,7 +387,8 @@ def test_import_leaves_numpy_random_unloaded():
 
 
 # One invocation per subcommand, shaped like the benchmark's cold CLI runs,
-# and the janowski modules it may load beyond the CLI's own four.
+# plus one of the sector calculus, and the janowski modules each may load
+# beyond the CLI's own four.
 LOAD_CONTRACT = {
     "geometry": ("geometry image-disk --A=0.5 --B=0.1 --r=0.7 --verify", {"moebius"}),
     "bounds": (
@@ -398,8 +399,10 @@ LOAD_CONTRACT = {
     "special": ("special kernel --A=1 --b=0.5 --alpha=0.5 --z=0.3", {"envelope", "moebius", "special"}),
     "verify": ("verify --seeds=2 --seed=10", {"envelope", "moebius", "oracle", "sectors", "special"}),
     "plot": ("plot csv --A=0.8 --B=-0.3 --alpha=0.6 --n=64", {"envelope", "moebius"}),
+    "sectors": ("bounds eta-inf --weight=1+0.5i --beta=0.6 --verify", {"sectors"}),
 }
 CLI_MODULES = {"janowski", "janowski.cli", "janowski._json", "janowski.errors"}
+NUMPY_FREE = {"radii", "sectors"}  # modules that run without numpy
 
 
 def loaded_after(code: str) -> tuple[set, bool]:
@@ -425,7 +428,7 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
         f"    assert janowski.cli.main({argv!r}) == 0"
     )
     assert modules == CLI_MODULES | {f"janowski.{name}" for name in own}
-    assert numpy_loaded == (command != "radius")
+    assert numpy_loaded == (not own <= NUMPY_FREE)
 
 
 @pytest.mark.parametrize("code,modules", [("import janowski", {"janowski"}), ("import janowski.cli", CLI_MODULES)])

@@ -60,10 +60,6 @@ SPEC = DominantSpec(A=1.0, b=0.5, alpha=0.5, gamma=0.5, mu=1.0, eta=0.5, delta=1
 SAMPLES = np.array([1.0 + 0.1j, 1.2 - 0.2j])
 
 
-def _const(value):
-    return lambda z: np.full_like(np.asarray(z, dtype=complex), value)
-
-
 # name -> (callable, fixed leading arguments, valid scalar keyword arguments);
 # each valid call returns a value, and each scalar is replaced in turn
 SCALAR_CALLS = {
@@ -81,7 +77,7 @@ SCALAR_CALLS = {
     "ratio_sector_params": (ratio_sector_params, (), dict(alpha=0.5, m=0.0, beta=1.0, arg_ratio=0.3)),
     "derivative_sector_params": (derivative_sector_params, (), dict(alpha=0.5, m=0.2)),
     "weighted_sector_params": (weighted_sector_params, (), dict(alpha=0.5, beta=0.4, gamma=0.6, m=0.2, eta=0.5)),
-    "eta_infimum": (eta_infimum, (_const(1.0 + 0.5j),), dict(beta=0.3)),
+    "eta_infimum": (eta_infimum, (), dict(a=1.0 + 0.5j, c=0.3 - 0.2j, beta=0.3)),
     "reciprocal_order_sector": (reciprocal_order_sector, (), dict(alpha=0.5, beta=0.3)),
     "double_subordination_tilt": (
         double_subordination_tilt, (), dict(a=0.5, b=0.3, c=0.4, d=0.2, l=0.5, m=0.3, alpha=0.7),
@@ -299,4 +295,6 @@ def test_empty_samples_raise():
 
 def test_non_finite_weight_raises():
     with pytest.raises(JanowskiError):
-        eta_infimum(_const(complex(math.nan, 0.0)), 0.3)
+        eta_infimum(complex(math.nan, 0.0), 0.0, 0.3)
+    with pytest.raises(JanowskiError):
+        eta_infimum(1.0, complex(0.0, math.inf), 0.3)

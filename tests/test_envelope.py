@@ -981,6 +981,56 @@ def test_farthest_point_at_alpha_one_is_closed_form():
                 assert abs(far - abs(1 - mp.mpc(p.gamma.real, p.gamma.imag)) * want) <= 4 * ULP * far, k
 
 
+def _farthest_reference(C: complex, R: float, a: float, c: complex) -> mp.mpf:
+    """40-digit max of |W(t) - c|, W = (C + R e^{it})^a, for this float C, R, a
+    and c: each local maximum of a 4096-point float grid, and the secant root of
+    d|W - c|^2/dt = 0 started there, evaluated at 40 digits."""
+    t = 2.0 * np.pi * np.arange(4096) / 4096
+    f = np.abs((C + R * np.exp(1j * t)) ** a - c)
+    peaks = np.flatnonzero((f >= np.roll(f, 1)) & (f >= np.roll(f, -1)))
+    with mp.workdps(40):
+        Cm, Rm, am, cm = mp.mpc(C.real, C.imag), mp.mpf(R), mp.mpf(a), mp.mpc(c.real, c.imag)
+
+        def dist(s):
+            return abs((Cm + Rm * mp.expj(s)) ** am - cm)
+
+        def slope(s):
+            u = Rm * mp.expj(s)
+            W = (Cm + u) ** am
+            return mp.re(mp.conj(W - cm) * am * W * 1j * u / (Cm + u))
+
+        # every point is on the curve, so each value is at most the maximum
+        starts = [mp.mpf(t[k]) for k in peaks]
+        polished = [mp.findroot(slope, (s, s + math.pi / 8192)) for s in starts]
+        return max(dist(s) for s in starts + polished)
+
+
+def test_farthest_point_below_alpha_one_bounds_the_maximum():
+    """For alpha < 1, `_farthest`'s upper lies at or above the 40-digit
+    maximum of |W - c| for its float C, R, a and c, and upper - value <=
+    1e-12 max(1, value). 240 seeded shifted draws (alpha in [0.3, 1), gamma
+    parts in [-0.9, 0.9], r in [0.2, 0.95]) and the TWO_PEAK_CASES; without
+    a rounding allowance upper lay below that maximum on about half of them."""
+    rng = np.random.default_rng(20261103)
+    draws = [(JanowskiParams(A, B, alpha, gamma), r) for A, B, alpha, gamma, r in TWO_PEAK_CASES.values()]
+    while len(draws) < 242:
+        A = cmath.rect(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi))
+        B = cmath.rect(rng.uniform(0.0, 0.9), rng.uniform(-math.pi, math.pi))
+        gamma = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+        if abs(A - B) > 0.05:
+            draws.append((JanowskiParams(A, B, float(rng.uniform(0.3, 1.0)), gamma), float(rng.uniform(0.2, 0.95))))
+    seen = []
+    search = envelope._farthest
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envelope, "_farthest", lambda *args: seen.append((args, search(*args))) or seen[-1][1])
+        for k, (p, r) in enumerate(draws):
+            envelope_bounds(p, r)
+            (C, R, a, c, _, touch), (value, _, upper) = seen[-1]
+            assert a < 1.0 and touch is None, k
+            assert upper - value <= 1e-12 * max(1.0, value), k
+            assert upper >= _farthest_reference(C, R, a, c), k
+
+
 def test_shifted_view_forms_no_grid():
     """The shifted modulus and argument come from support points, tangents and
     Newton roots: envelope_bounds runs on the corpus's shifted and zero-inside
