@@ -43,6 +43,7 @@ from .errors import (
     NoConvergenceError,
     OutOfRangeError,
     ParameterError,
+    PoleOnBoundaryError,
     require_finite_args,
     require_index,
     require_range,
@@ -109,21 +110,29 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     Requires a scalar or non-empty array z of finite points, the
     argument-safe flag and |A| |z| <= 1, so the origin is not interior to
     the first-order image at the working radius and a single-valued power
-    exists.
+    exists. A point within 1e-14 of the pole -1/B raises, as in `eval_map`;
+    |1 + B z| >= 1 - |B| |z|, so only |B| max|z| >= 1 - 1e-14 is tested.
     """
     z = np.asarray(z, dtype=complex)
     radius = float(np.abs(z).max()) if z.size else math.nan  # NaN or inf: a non-finite point
     if not math.isfinite(radius):
         raise ParameterError("z must be a non-empty set of finite points")
     _branch_guard(p, radius)
-    out = (1.0 - p.gamma) * _power((1.0 + p.A * z) / (1.0 + p.B * z), p.alpha) + p.gamma
+    denom = 1.0 + p.B * z
+    if abs(p.B) * radius >= 1.0 - 1e-14 and np.min(np.abs(denom)) < 1e-14:
+        raise PoleOnBoundaryError("z hits the pole of the first-order map")
+    out = (1.0 - p.gamma) * _power((1.0 + p.A * z) / denom, p.alpha) + p.gamma
     return complex(out) if out.ndim == 0 else out
 
 
 def invert_powered(p: JanowskiParams, w) -> np.ndarray:
     """Preimage of candidate values under the powered, shifted map:
-    w -> (w~ - 1)/(A - B w~) with w~ = ((w - gamma)/(1 - gamma))^(1/alpha)."""
-    return _invert_normalized(p, (np.asarray(w, dtype=complex) - p.gamma) / (1.0 - p.gamma))
+    w -> (w~ - 1)/(A - B w~) with w~ = ((w - gamma)/(1 - gamma))^(1/alpha),
+    at a scalar or non-empty array w of finite points."""
+    w = np.asarray(w, dtype=complex)
+    if w.size == 0 or not np.isfinite(w).all():
+        raise ParameterError("w must be a non-empty set of finite points")
+    return _invert_normalized(p, (w - p.gamma) / (1.0 - p.gamma))
 
 
 def _invert_normalized(p: JanowskiParams, base: np.ndarray) -> np.ndarray:
@@ -498,10 +507,6 @@ class SectorImage:
     lo: float
     hi: float
     half_plane_tilt: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def sector_image(alpha: float, m: float) -> SectorImage:

@@ -38,7 +38,6 @@ from .errors import (
     PoleOnBoundaryError,
     require_finite,
     require_finite_args,
-    require_index,
     require_map,
     require_range,
 )
@@ -84,10 +83,9 @@ class DiskGeometry:
     """Image of |z| = r: a disk (center/radius) or a half-plane.
 
     Half-planes are stored as {w : Re(conj(normal) w) > offset} with a
-    unit normal pointing into the region; `point` is the boundary point
-    nearest the origin. `tau` is the tilt angle of the geometry and
-    `zeta` the half-angle it subtends at the origin (None when the
-    origin is interior, where no tangent rays exist).
+    unit normal pointing into the region. `tau` is the tilt angle of the
+    geometry and `zeta` the half-angle it subtends at the origin (None when
+    the origin is interior, where no tangent rays exist).
     """
 
     kind: str  # "disk" or "half-plane"
@@ -101,23 +99,6 @@ class DiskGeometry:
     @property
     def is_disk(self) -> bool:
         return self.kind == "disk"
-
-    @property
-    def point(self) -> complex | None:
-        """Boundary point of a half-plane nearest the origin."""
-        if self.kind != "half-plane":
-            return None
-        return self.offset * self.normal
-
-    def boundary_points(self, n: int = 1024) -> np.ndarray:
-        """n >= 1 points on the boundary (circle for disks, a symmetric span of the line)."""
-        n = require_index("n", n, 1)
-        if self.is_disk:
-            t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-            return self.center + self.radius * np.exp(1j * t)
-        tangent = 1j * self.normal
-        s = np.linspace(-10.0, 10.0, n)
-        return self.point + s * tangent
 
 
 @dataclass(frozen=True)

@@ -64,17 +64,6 @@ from .moebius import JanowskiParams, image_disk
 from .sectors import eta_infimum, ratio_sector_params, reciprocal_order_sector, weighted_sector_params
 from .special import DominantSpec, operator_dominant, silverman_inclusion
 
-__all__ = [
-    "SchwarzPoly",
-    "TrialReport",
-    "random_schwarz",
-    "subordination_pullback",
-    "verify_subordination",
-    "empirical_bounds",
-    "implication_trial",
-    "THEOREM_IDS",
-]
-
 _HEADROOM = 1.0 - 1e-6
 _N_SAMPLES = 4096  # unit-grid points on which a trial samples its test function
 _SAFETY = 1e-5  # interior margin a sampled supremum must clear before a claim
@@ -164,12 +153,6 @@ class SchwarzPoly:
             dp = np.zeros_like(zz)
         return self.scale * (p + zz * dp)
 
-    def _grid_peak(self, n: int) -> float:
-        """max |w| over the n-point unit grid, n a multiple of 256: the float
-        np.abs(self.value(_unit_circle(n))).max(), from `_screened_peak`."""
-        coef = self.scale * np.asarray(self.coefficients)
-        return _screened_peak(_unit_circle(n), coef, lambda zk: np.abs(self.value(zk)))
-
     def dilated(self, rho: float) -> "SchwarzPoly":
         """Precompose with z -> rho z, pulling the image into |w| <= rho."""
         require_range("rho", rho, "(0, 1]")
@@ -196,22 +179,17 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     rng = _rng(seed, 0)
     raw = rng.random((degree, 2))
     coef = raw[:, 0] + 1j * raw[:, 1]
-
-    def modulus(zk):
-        v = np.polynomial.polynomial.polyval(zk, coef)
-        return np.abs(np.multiply(v, zk, out=v))  # v * z, as the whole grid's elided z * polyval(z)
-
-    peak = _screened_peak(_unit_circle(65536), coef, modulus)
+    peak = _screened_peak(_unit_circle(65536), coef)
     if peak < 1e-12:
         return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
     return SchwarzPoly(tuple(coef), _HEADROOM / peak)
 
 
-def _screened_peak(z: np.ndarray, coef: np.ndarray, modulus: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Largest |T| over the unit grid z, T(z) = z sum_k coef_k z^k, where
-    modulus(zk) forms |T| at the points zk. Only the samples `_screen` keeps
-    are formed; they keep their grid bits, so the result is the whole grid's
-    maximum, the same float.
+def _screened_peak(z: np.ndarray, coef: np.ndarray) -> float:
+    """Largest |T| over the unit grid z, T(z) = z sum_k coef_k z^k. Only the
+    samples `_screen` keeps are formed, as polyval(z, coef) times z in place,
+    the order of the whole grid's elided z * polyval(z, coef); they keep their
+    grid bits, so the result is the whole grid's maximum, the same float.
 
     T at z = e^{it} has degree d = len(coef), and V = z^{-(d//2 + 1)} T degree
     h = d // 2 with |V| = |T| <= S = sum |coef_k|, so by Bernstein |T| moves by
@@ -220,6 +198,10 @@ def _screened_peak(z: np.ndarray, coef: np.ndarray, modulus: Callable[[np.ndarra
     """
     size, h = float(np.abs(coef).sum()), coef.size // 2
     tiny = _ROUNDING * size
+
+    def modulus(zk):
+        v = np.polynomial.polynomial.polyval(zk, coef)
+        return np.abs(np.multiply(v, zk, out=v))
 
     def bounds(j, half):
         T = modulus(z[j])
@@ -692,6 +674,11 @@ _OPERATOR_TABLE_B = (
 
 
 _CURVE_RADIUS = 0.99  # radius of the sampled dominant curve of a poly-mode operator trial
+# Dilation of an operator trial's polynomial test function; it must stay below
+# _CURVE_RADIUS. By the Schwarz lemma omega then maps the disk into |w| <= _OMEGA_RHO,
+# whose first-order image lies inside that of |z| <= _CURVE_RADIUS, so its cut
+# clearance |C| - R is never the smaller one and the trial takes only the outer disk's.
+_OMEGA_RHO = 0.6
 
 
 @functools.lru_cache(maxsize=8)  # the poly-mode operator tables hold 8 rows
@@ -712,12 +699,12 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     dominant evaluator.  Odd seeds use a genuine polynomial Schwarz function
     and fall back to a winding count against the sampled dominant curve,
     which depends only on the table row and is cached per row
-    (`_dominant_curve`); the cut clearance takes sup |omega| on 16384 points
-    from the screened `SchwarzPoly._grid_peak`.  `detail` holds the calling
-    id's own parameters; the trial adds its evidence to it.
+    (`_dominant_curve`); the cut clearance is that of the image disk of
+    |z| = _CURVE_RADIUS.  `detail` holds the calling id's own parameters;
+    the trial adds its evidence to it.
     """
     z = _unit_circle(512) if seed % 2 == 0 else np.concatenate([r * _unit_circle(512) for r in (0.35, 0.65, 0.9, 1.0)])
-    omega, z, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.88, z=z)
+    omega, z, w, zdw = _effective_schwarz(seed, rho=_OMEGA_RHO, c_max=0.88, z=z)
     target = JanowskiParams(spec.A, -spec.b, spec.gamma)
     base, _, dlog = _log_ratio(target, w)
     p = _power(base, spec.gamma)
@@ -732,8 +719,8 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
         hypothesis = identity_gap < 1e-9
         detail["identity_gap"] = identity_gap
     else:
-        disks = (image_disk(target, _CURVE_RADIUS), image_disk(target, omega._grid_peak(16384)))
-        clearance = min(abs(g.center) - g.radius for g in disks)  # each holds 1, so Re center > 1/2
+        disk = image_disk(target, _CURVE_RADIUS)  # holds 1, so Re center > 1/2
+        clearance = abs(disk.center) - disk.radius
         contained = _winding_contains(e_samples, _dominant_curve(spec))
         hypothesis = bool(np.all(contained)) and clearance > 1e-9
         detail["contained_fraction"] = float(np.mean(contained))
@@ -794,12 +781,7 @@ def _trial_first_order(seed: int) -> _Evidence:
     subordinate to the powered bilinear map implies the same for p."""
     A, B, alpha, beta, gamma = _BRIOT_TABLE[seed % 4]
     A, B, beta, gamma = complex(A), complex(B), complex(beta), complex(gamma)
-    weights: tuple[Callable, ...] = (
-        lambda z: np.full_like(np.asarray(z, dtype=complex), 1.0 + 0.0j),
-        lambda z: 1.0 + 0.6 * np.asarray(z, dtype=complex),
-        lambda z: (1.0 + 0.4 * np.asarray(z, dtype=complex)) / (1.0 - 0.4 * np.asarray(z, dtype=complex)),
-    )
-    lam = weights[(seed // 4) % 3]
+    a, d = ((0.0, 0.0), (0.6, 0.0), (0.4, -0.4))[(seed // 4) % 3]  # weight lambda = (1 + a z)/(1 + d z)
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.3, c_max=0.45)
     target = JanowskiParams(A, B, alpha)
@@ -808,7 +790,7 @@ def _trial_first_order(seed: int) -> _Evidence:
     zdp = alpha * p * dlog * zdw
     denom = beta * p + gamma
     denom_clear = float(np.min(np.abs(denom)))
-    e_samples = p + lam(z) * zdp / denom
+    e_samples = p + (1.0 + a * z) / (1.0 + d * z) * zdp / denom
 
     hyp_pull = _max_pullback(e_samples, target)
     hypothesis = hyp_pull <= _HEADROOM and denom_clear > 1e-9

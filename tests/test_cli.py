@@ -49,6 +49,10 @@ class TestLiterals:
         with pytest.raises(ParameterError):
             parse_complex("one plus two eye")
 
+    def test_parse_angle_rejects_garbage(self):
+        with pytest.raises(ParameterError, match="cannot parse angle literal"):
+            parse_angle("half a turn")
+
     @pytest.mark.parametrize(
         "text,value",
         [
@@ -244,6 +248,7 @@ class TestExitCodes:
             "geometry contains --A 1 --B=-1 --inner-A 0.5 --inner-B=-0.5 --tol nan",
             "geometry image-disk --A 1.7e308+1.7e308i --B=-1 --r 0.5",
             "radius inclusion --A 0.5 --B 3 --C 0.5 --D=-0.5",
+            "radius starlike --A 0.5+0.1i --B=-0.5",
         ],
     )
     def test_out_of_domain_input_is_parameter_failure(self, capsys, tmp_path, argv):

@@ -3,8 +3,8 @@ infinities, and seeds and sample counts reject anything but an integer in
 range, each with a JanowskiError rather than a returned value or a bare
 numpy or Python exception.
 
-Point evaluators that map non-finite points on purpose (`invert_powered`,
-`subordination_pullback`) are left out.
+`subordination_pullback`, which maps non-finite points to inf on purpose,
+is left out.
 """
 
 import cmath
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from janowski import (
+    BranchUndefinedError,
     DegenerateMapError,
     DominantSpec,
     JanowskiError,
@@ -37,6 +38,7 @@ from janowski import (
     hyper_3f2,
     image_disk,
     implication_trial,
+    invert_powered,
     kernel_integral,
     macgregor_gamma,
     operator_dominant,
@@ -104,7 +106,6 @@ SCALAR_CALLS = {
     "verify_subordination": (verify_subordination, (SAMPLES, JanowskiParams(1.0, 0.0, 0.5)), dict(r=1.0, tol=1e-9)),
     "empirical_bounds": (empirical_bounds, (P,), dict(r=0.9, n=64)),
     "implication_trial": (implication_trial, ("T5.5",), dict(seed=3)),
-    "DiskGeometry.boundary_points": (DISK.boundary_points, (), dict(n=16)),
 }
 
 NON_FINITE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
@@ -131,8 +132,10 @@ def test_non_finite_scalars_raise(fn, fixed, kwargs):
 
 # point evaluators take a scalar or a non-empty array of finite points
 POINT_CASES = {
-    f"{fn.__name__}-{label}": (fn, fixed, dict(z=z))
-    for fn, fixed in ((eval_map, (P,)), (eval_powered, (P,)), (operator_dominant, (SPEC,)))
+    f"{fn.__name__}-{label}": (fn, fixed, {arg: z})
+    for fn, fixed, arg in (
+        (eval_map, (P,), "z"), (eval_powered, (P,), "z"), (operator_dominant, (SPEC,), "z"), (invert_powered, (P,), "w"),
+    )
     for label, z in (("nan", math.nan), ("inf-in-array", [0.1, math.inf]), ("empty", []))
 }
 
@@ -158,8 +161,6 @@ INDEX_CASES = {
     "sample_curve-n-fraction": (sample_curve, (P,), dict(r=0.9, n=1.5)),
     "empirical_bounds-n-15": (empirical_bounds, (P,), dict(r=0.9, n=15)),
     "empirical_bounds-n-fraction": (empirical_bounds, (P,), dict(r=0.9, n=20.5)),
-    "boundary_points-n-0": (DISK.boundary_points, (), dict(n=0)),
-    "boundary_points-n-fraction": (DISK.boundary_points, (), dict(n=2.5)),
 }
 
 
@@ -246,6 +247,23 @@ MESSAGE_CASES = [
     ("reciprocal_order_sector", dict(beta=0.75), OutOfRangeError, "beta must lie in (0, 1 - alpha], got 0.75"),
     ("double_subordination_tilt", dict(c=1.5), OutOfRangeError, "c must lie in [0, 1], got 1.5"),
     ("double_subordination_tilt", dict(l=-1.5), OutOfRangeError, "l must lie in [-1, 1], got -1.5"),
+    ("double_subordination_tilt", dict(alpha=0.0), OutOfRangeError, "alpha must be positive, got 0.0"),
+    ("eval_powered", dict(z=1.5), BranchUndefinedError, "origin interior to the image at radius 1.5: |A| r = 1.2 > 1"),
+    ("tilt_angle", dict(b=1.0, m=1.0), DegenerateMapError, "b + e^{i m pi} = 0 leaves no half-plane"),
+    ("alpha_nesting", dict(A=1.5), OutOfRangeError, "nesting requires |A| <= 1 and |B| <= 1"),
+    ("starlike_radius", dict(beta=0.3), OutOfRangeError, "beta must be at least 0.616551, got 0.3"),
+    ("starlike_radius", dict(method="nope"), OutOfRangeError, "unknown method 'nope'"),
+    ("kernel_integral", dict(A=1.5), OutOfRangeError, "|A| must not exceed 1, got 1.5"),
+    ("kernel_integral", dict(A=-1.0, b=0.0, z=2.0), BranchUndefinedError, "the segment to z crosses the zero of 1 + A t"),
+    ("kernel_integral", dict(method="closed"), OutOfRangeError, "closed form requires alpha = 1"),
+    ("kernel_integral", dict(method="nope"), OutOfRangeError, "unknown method 'nope'"),
+    ("best_dominant", dict(z=1.0), OutOfRangeError, "z must lie in the open unit disk"),
+    ("silverman_inclusion", dict(beta=0.0), OutOfRangeError, "beta must be positive, got 0.0"),
+    ("weighted_sector_params", dict(alpha=0.0), OutOfRangeError, "alpha must be positive, got 0.0"),
+    ("weighted_sector_params", dict(eta=-0.1), OutOfRangeError, "eta must be nonnegative, got -0.1"),
+    ("weighted_sector_params", dict(beta=0.0), OutOfRangeError, "beta must exceed beta0 = 0.0"),
+    ("uralegaddi_radius", dict(A=-1.0), DegenerateMapError, "A and B must differ"),
+    ("reciprocal_radius", dict(A=-1.0), DegenerateMapError, "A and B must differ"),
 ]
 
 

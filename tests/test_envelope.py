@@ -24,6 +24,7 @@ from janowski import (
     JanowskiError,
     JanowskiParams,
     NoConvergenceError,
+    OutOfRangeError,
     alpha_nesting,
     critical_points,
     empirical_bounds,
@@ -1128,6 +1129,11 @@ def test_bounds_reject_enclosed_origin():
     assert not p.argument_safe
     with pytest.raises(BranchUndefinedError):
         envelope_bounds(p, 0.9)
+
+
+def test_half_plane_image_has_no_curve():
+    with pytest.raises(OutOfRangeError, match="the image is a half-plane"):
+        sample_curve(JanowskiParams(0.5, -1.0), 1.0)
 
 
 def test_sector_image_edges():

@@ -65,7 +65,8 @@ def test_boundary_lands_on_reported_circle(p, r):
 def test_image_is_half_plane_when_circle_hits_pole():
     g = image_disk(JanowskiParams(0.5, -1.0), 1.0)
     assert g.kind == "half-plane"
-    pts = g.boundary_points(128)
+    t = np.linspace(0.1, 2.0 * np.pi - 0.1, 128)  # unit-circle points away from the pole z = 1
+    pts = eval_map(JanowskiParams(0.5, -1.0), np.exp(1j * t))
     line = (np.conj(g.normal) * pts).real - g.offset
     assert np.abs(line).max() < 1e-12
     # interior points of the image satisfy Re(conj(normal) w) > offset
@@ -107,6 +108,17 @@ def test_contains_is_ordered():
 def test_contains_respects_tolerance():
     g = image_disk(JanowskiParams(1.0, 0.0), 0.5)
     assert contains(g, g)  # equality counts as containment
+
+
+def test_contains_half_planes():
+    # Re w > (1 - A) / 2 for real A and B = -1: the larger A holds the smaller
+    outer, inner = (image_disk(JanowskiParams(A, -1.0), 1.0) for A in (0.5, 0.3))
+    turned = image_disk(JanowskiParams(0.5, 1j), 1.0)  # another normal
+    disk = image_disk(JanowskiParams(0.5, -1.0), 0.5)
+    assert contains(outer, inner)
+    assert not contains(inner, outer)
+    assert not contains(outer, turned)
+    assert not contains(disk, outer)  # a half-plane never fits in a disk
 
 
 @given(safe_params(), st.complex_numbers(max_magnitude=0.85))
@@ -153,6 +165,16 @@ def test_params_reject_non_finite_fields(kwargs):
 def test_pole_on_circle_rejected_pointwise():
     with pytest.raises(PoleOnBoundaryError):
         eval_map(JanowskiParams(0.5, -1.0), 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_powered_pole_on_circle_rejected_pointwise():
+    # at z = -1/B the powered map once returned nan+nanj with a RuntimeWarning
+    p = JanowskiParams(0.5, -1.0, 0.5)
+    for z in (1.0, [0.5j, 1.0]):
+        with pytest.raises(PoleOnBoundaryError):
+            eval_powered(p, z)
+    assert np.isfinite(eval_powered(p, 1.0 - 1e-12))
 
 
 @given(

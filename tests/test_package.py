@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import janowski
-from janowski import oracle
 from janowski._json import jsonable
 
 SRC = Path(__file__).parent.parent / "src"
@@ -49,10 +48,6 @@ def test_every_export_is_its_defining_object():
             assert getattr(janowski, name) is getattr(defining, name), name
     assert len(janowski.__all__) == len(set(janowski.__all__))
     assert set(janowski.__all__) == {"__version__", *janowski._HOME}
-
-
-def test_oracle_table_matches_its_all():
-    assert list(janowski._EXPORTS["oracle"]) == oracle.__all__
 
 
 def test_dir_lists_every_export_and_submodule():
