@@ -26,6 +26,19 @@ value 1 for z = 0. The primary report describes (h - g)/(1 - g); the shifted
 view of h restates its Re/Im exactly and takes |h| and arg h from the convex
 image: tangents, nearest and a chord-certified farthest point
 (`_shifted_view`), about 0.2 ms a call against 0.03 ms with g = 0.
+
+Scalars stay scalar: `eval_powered` evaluates a Python or numpy float or
+complex z in Python complex arithmetic, h = (1 - g) q ** a + g with
+q = (1 + Az)/(1 + Bz), whose complex ** float is the polar form of `_power`
+from libm, and an array through the numpy kernels `_power` and `_log`,
+whose results the rule leaves bit for bit. numpy may take arctan2, hypot
+and pow from vector kernels and fuse the complex products Az and Bz (FMA),
+so the two paths agree to within 16 eps (max(1, |h|) + kappa |h - g|),
+where kappa = a (|Az|/|1 + Az| + |Bz|/|1 + Bz|) is the condition of q: at
+most 4.1 eps on that scale over 60006 seeded draws (pole and zero
+approaches, a down to 1e-3, a = 1, g != 0), and 6.5 eps max(1, |h|) where
+kappa < 1. A scalar call takes about 0.9 us, against 13 us through 0-d
+numpy arrays (one core of a 2-vCPU x86-64 machine).
 """
 
 from __future__ import annotations
@@ -38,14 +51,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    SCALAR,
     BranchUndefinedError,
     DegenerateMapError,
     NoConvergenceError,
     OutOfRangeError,
-    ParameterError,
     PoleOnBoundaryError,
     require_finite_args,
     require_index,
+    require_points,
     require_range,
 )
 from .moebius import JanowskiParams, image_disk
@@ -63,9 +77,10 @@ _NO_ARG_FLOOR = 1e-9  # below this min |h| on the circle, a shifted view reports
 # low-level powered evaluation
 
 
-def _power(w, a: float) -> np.ndarray:
+def _power(w, a: float, with_phase: bool = False):
     """Principal-branch w^a in polar form, |w|^a (cos phi + i sin phi) with
-    phi = a arg w, filled part by part from real kernels.
+    phi = a arg w, filled part by part from real kernels; with `with_phase`,
+    the pair (w^a, phi).
 
     arg w lies in (-pi, pi] and keeps the sign of a zero imaginary part, so
     w = -1 - 0j takes the -pi side, as np.log does; 0^a = 0 for a > 0
@@ -78,7 +93,7 @@ def _power(w, a: float) -> np.ndarray:
     out = np.empty(np.shape(phi), dtype=complex)
     np.multiply(mod, np.cos(phi), out=out.real)
     np.multiply(mod, np.sin(phi), out=out.imag)
-    return out
+    return (out, phi) if with_phase else out
 
 
 def _log(w) -> np.ndarray:
@@ -112,15 +127,19 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     the first-order image at the working radius and a single-valued power
     exists. A point within 1e-14 of the pole -1/B raises, as in `eval_map`;
     |1 + B z| >= 1 - |B| |z|, so only |B| max|z| >= 1 - 1e-14 is tested.
+    A Python or numpy float or complex z is evaluated in Python complex
+    arithmetic and returns a complex; other input goes through `_power`
+    (see the module docstring for how far the two agree).
     """
-    z = np.asarray(z, dtype=complex)
-    radius = float(np.abs(z).max()) if z.size else math.nan  # NaN or inf: a non-finite point
-    if not math.isfinite(radius):
-        raise ParameterError("z must be a non-empty set of finite points")
+    scalar = isinstance(z, SCALAR)
+    z = complex(z) if scalar else np.asarray(z, dtype=complex)
+    radius = require_points("z", z)
     _branch_guard(p, radius)
     denom = 1.0 + p.B * z
     if abs(p.B) * radius >= 1.0 - 1e-14 and np.min(np.abs(denom)) < 1e-14:
         raise PoleOnBoundaryError("z hits the pole of the first-order map")
+    if scalar:  # complex ** float is the polar form of `_power`, from libm
+        return (1.0 - p.gamma) * ((1.0 + p.A * z) / denom) ** p.alpha + p.gamma
     out = (1.0 - p.gamma) * _power((1.0 + p.A * z) / denom, p.alpha) + p.gamma
     return complex(out) if out.ndim == 0 else out
 
@@ -128,18 +147,30 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
 def invert_powered(p: JanowskiParams, w) -> np.ndarray:
     """Preimage of candidate values under the powered, shifted map:
     w -> (w~ - 1)/(A - B w~) with w~ = ((w - gamma)/(1 - gamma))^(1/alpha),
-    at a scalar or non-empty array w of finite points."""
+    at a scalar or non-empty array w of finite points. The preimage of
+    w~ = A/B is the point at infinity, and it comes back as inf, as does a
+    preimage too large for a double. A value with |arg((w - gamma)/(1 -
+    gamma))| >= alpha pi has no preimage either: its principal root wraps
+    round, and the point returned maps elsewhere (`subordination_pullback`
+    gives it inf)."""
     w = np.asarray(w, dtype=complex)
-    if w.size == 0 or not np.isfinite(w).all():
-        raise ParameterError("w must be a non-empty set of finite points")
-    return _invert_normalized(p, (w - p.gamma) / (1.0 - p.gamma))
+    require_points("w", w)
+    z, _ = _invert_normalized(p, (w - p.gamma) / (1.0 - p.gamma))
+    return np.where(np.isfinite(z), z, math.inf)
 
 
-def _invert_normalized(p: JanowskiParams, base: np.ndarray) -> np.ndarray:
-    """`invert_powered` at the normalized values base = (w - gamma)/(1 - gamma)."""
-    if p.alpha != 1.0:  # the power 1 is the identity, kept exact
-        base = _power(base, 1.0 / p.alpha)
-    return (base - 1.0) / (p.A - p.B * base)
+def _invert_normalized(p: JanowskiParams, base: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The preimages (not finite at w~ = A/B) of the normalized values
+    base = (w - gamma)/(1 - gamma), and phi = arg(base) / alpha, the
+    argument `_power` gives w~ (None at alpha = 1, where w~ = base). A value
+    with |phi| >= pi lies at or past the ends of the sector |arg| < alpha pi
+    that holds the image of an argument-safe map, and its w~ has wrapped
+    round to a point that is no preimage."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if p.alpha == 1.0:  # the power 1 is the identity, kept exact
+            return (base - 1.0) / (p.A - p.B * base), None
+        root, phi = _power(base, 1.0 / p.alpha, with_phase=True)
+        return (root - 1.0) / (p.A - p.B * root), phi
 
 
 def _branch_guard(p: JanowskiParams, r: float) -> None:

@@ -33,6 +33,23 @@ def require_finite_args(owner: str, /, **args) -> None:
         raise ParameterError(f"{owner}: {', '.join(bad)} must be finite")
 
 
+SCALAR = (complex, float, int)  # point types that skip numpy; numpy's float64 and complex128 are among them
+
+
+def require_points(name: str, z) -> float:
+    """Largest modulus of the points z, a SCALAR or a numpy array; raises
+    ParameterError unless z is a non-empty set of finite points. A modulus
+    beyond the largest double counts as infinite. An array is read through
+    its own methods, so this module loads no numpy."""
+    if isinstance(z, SCALAR):
+        radius = math.hypot(z.real, z.imag)  # abs() of a complex raises OverflowError there
+    else:
+        radius = float(abs(z).max()) if z.size else math.nan  # max propagates NaN
+    if not math.isfinite(radius):
+        raise ParameterError(f"{name} must be a non-empty set of finite points")
+    return radius
+
+
 def require_index(name: str, value, lo: int, hi: int | None = None) -> int:
     """`value` as an int in [lo, hi), or in [lo, inf) when hi is None.
 

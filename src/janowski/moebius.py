@@ -34,11 +34,11 @@ import numpy as np
 
 from .errors import (
     OutOfRangeError,
-    ParameterError,
     PoleOnBoundaryError,
     require_finite,
     require_finite_args,
     require_map,
+    require_points,
     require_range,
 )
 
@@ -51,10 +51,10 @@ class JanowskiParams:
 
     alpha is the power in (0, 1] and gamma != 1 the affine shift; the
     plain first-order map is alpha = 1, gamma = 0. Construction validates
-    A != B and |B| <= 1. `argument_safe` reports whether the origin stays
-    out of the open first-order image of the unit disk, the condition
-    under which powers and arguments of the map are single-valued.
-    Every field must be finite.
+    A != B and |B| <= 1. `argument_safe`, set at construction, reports
+    whether the origin stays out of the open first-order image of the unit
+    disk (|A - B| <= |1 - A conj(B)|), the condition under which powers and
+    arguments of the map are single-valued. Every field must be finite.
     """
 
     A: complex
@@ -71,11 +71,9 @@ class JanowskiParams:
         if math.hypot((self.A - self.B).real, (self.A - self.B).imag) == math.inf:
             raise OutOfRangeError("|A - B| overflows a double")
         require_map(self.A, self.B, self.alpha, self.gamma)
-
-    @property
-    def argument_safe(self) -> bool:
-        """True when |A - B| <= |1 - A conj(B)|, i.e. 0 is not interior at r = 1."""
-        return abs(self.A - self.B) <= abs(1.0 - self.A * self.B.conjugate()) + _EPS
+        # an attribute, not a field: repr, equality and hashing see the four parameters only
+        safe = abs(self.A - self.B) <= abs(1.0 - self.A * self.B.conjugate()) + _EPS
+        object.__setattr__(self, "argument_safe", safe)
 
 
 @dataclass(frozen=True)
@@ -111,12 +109,12 @@ class CanonicalParams:
 
 def eval_map(p: JanowskiParams, z) -> complex | np.ndarray:
     """First-order value (1 + A z) / (1 + B z); scalar or non-empty array z
-    of finite points."""
+    of finite points. A point within 1e-14 of the pole -1/B raises;
+    |1 + B z| >= 1 - |B| |z|, so only |B| max|z| >= 1 - 1e-14 is tested."""
     z = np.asarray(z, dtype=complex)
-    if z.size == 0 or not np.isfinite(z).all():
-        raise ParameterError("z must be a non-empty set of finite points")
+    radius = require_points("z", z)
     denom = 1.0 + p.B * z
-    if np.min(np.abs(denom)) < 1e-14:
+    if abs(p.B) * radius >= 1.0 - 1e-14 and np.min(np.abs(denom)) < 1e-14:
         raise PoleOnBoundaryError("z hits the pole of the first-order map")
     out = (1.0 + p.A * z) / denom
     return complex(out) if out.ndim == 0 else out
@@ -131,9 +129,11 @@ def image_disk(p: JanowskiParams, r: float) -> DiskGeometry:
     if abs(denom) <= _EPS:
         # Circle through the pole: the image degenerates to the line
         # Re(conj(q) w) = (1 - |A|^2 r^2) / 2. q = 0 would need A = B.
-        c = 0.5 * (1.0 - abs(A) ** 2 * r * r)
-        normal = q / abs(q)
-        offset = c / abs(q)
+        a, normal = abs(A) * r, q / abs(q)
+        if a < 1e150:
+            offset = 0.5 * (1.0 - abs(A) ** 2 * r * r) / abs(q)
+        else:  # (1 - a)(1 + a) / |q|, divided first: a^2 overflows a double, the offset does not
+            offset = 0.5 * (1.0 - a) * ((1.0 + a) / abs(q))
         zeta = 0.5 * math.pi if offset >= -_EPS else None
         return DiskGeometry(
             kind="half-plane",

@@ -262,14 +262,18 @@ def subordination_pullback(w, target: JanowskiParams) -> np.ndarray:
     the points w.
 
     Values <= 1 certify membership in the image of the unit disk.  Points
-    that land on the branch cut of the outer root raise BranchUndefined;
-    points swallowed by the pole of the inverse come back as inf.
+    that land on the branch cut of the outer root raise BranchUndefined.
+    Points with no preimage come back as inf: those swallowed by the pole
+    of the inverse, and those at or past the ends |arg| = alpha pi of the
+    sector that holds the target's image, base = (w - gamma)/(1 - gamma).
     """
     base = (np.atleast_1d(np.asarray(w, dtype=complex)) - target.gamma) / (1.0 - target.gamma)
     if np.any((base.real <= 0.0) & (base.imag == 0.0)):
         raise BranchUndefinedError("sample on the branch cut of the inverse power")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.abs(_invert_normalized(target, base))
+    z, phi = _invert_normalized(target, base)
+    q = np.abs(z)
+    if phi is not None and (phi.max() >= math.pi or phi.min() <= -math.pi):  # two reductions, no mask
+        q[np.abs(phi) >= math.pi] = math.inf
     return np.where(np.isfinite(q), q, np.inf)
 
 

@@ -14,7 +14,19 @@ the best dominant are both int_0^1 h e^G ds along the radial segment to
 z, with G(s) = int_0^s g, and `_nested_integral` computes both integrals
 in one left-to-right pass over Gauss-Legendre panels. Integrands are
 written with complex log1p/expm1 equivalents so they stay accurate near
-the origin, where the naive quotient forms cancel.
+the origin, where the naive quotient forms cancel; their guards for t = 0
+and for 1 + x = 1 run only on a panel where a node hits them.
+
+Scalars stay scalar, as in `envelope`: `operator_dominant` evaluates a
+Python or numpy float or complex z with cmath.log and cmath.exp, and an
+array with `envelope._log` and np.exp, unchanged bit for bit. The two agree
+to within 16 eps (max(1, |h|) + kappa T), kappa = |Az|/|1 + Az| +
+b|z|/|1 - bz| the condition of the base map and T the size of the terms it
+scales: at most 3.3 eps on that scale over 30000 seeded draws, and 4.6 eps
+max(1, |h|) where kappa < 1. `best_dominant` hands its callables Python
+complex points, so a psi built on `eval_powered` stays on the scalar path:
+about 60 us a call against 290 us when each node went through numpy (one
+core of a 2-vCPU x86-64 machine).
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from typing import Callable
 
 from .envelope import _log
 from .errors import (
+    SCALAR,
     BranchUndefinedError,
     DegenerateMapError,
     NoConvergenceError,
@@ -39,6 +52,7 @@ from .errors import (
     QuadratureFailureError,
     require_finite,
     require_finite_args,
+    require_points,
     require_range,
 )
 
@@ -123,12 +137,15 @@ def hyper_3f2(
 
 
 def _clog1p_arr(x: np.ndarray) -> np.ndarray:
-    """log(1 + x) for complex x (array or scalar) without cancellation at
-    small |x| (Kahan). Keeps np.log, not `envelope._log`: the trick
-    log(u) x / (u - 1) needs a correctly rounded complex log, and
-    log(hypot) loses the relative accuracy of Re log u near |u| = 1."""
+    """log(1 + x) for a complex numpy array or scalar x without
+    cancellation at small |x| (Kahan). Keeps np.log, not `envelope._log`:
+    the trick log(u) x / (u - 1) needs a correctly rounded complex log, and
+    log(hypot) loses the relative accuracy of Re log u near |u| = 1. The
+    guard for u = 1 runs only when an entry hits it."""
     u = 1.0 + x
     plain = u == 1.0
+    if not plain.any():
+        return np.log(u) * x / (u - 1.0)
     safe = np.where(plain, 2.0, u)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(safe) * x / (safe - 1.0)
@@ -136,10 +153,13 @@ def _clog1p_arr(x: np.ndarray) -> np.ndarray:
 
 
 def _cexpm1_arr(y: np.ndarray) -> np.ndarray:
-    """exp(y) - 1 for complex y (array or scalar) without cancellation at
-    small |y| (Kahan). Keeps np.log for the reason given at `_clog1p_arr`."""
+    """exp(y) - 1 for a complex numpy array or scalar y without
+    cancellation at small |y| (Kahan), guarded as `_clog1p_arr`, which gives
+    the reason for np.log."""
     u = np.exp(y)
     plain = u == 1.0
+    if not plain.any():
+        return (u - 1.0) * y / np.log(u)
     safe = np.where(plain, 2.0, u)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (safe - 1.0) * y / np.log(safe)
@@ -147,12 +167,14 @@ def _cexpm1_arr(y: np.ndarray) -> np.ndarray:
 
 
 def _kernel_rate(A: complex, b: float, alpha: float, t: np.ndarray) -> np.ndarray:
-    """Integrand (((1 + A t) / (1 - b t))^alpha - 1) / t, finite at t = 0."""
+    """Integrand (((1 + A t) / (1 - b t))^alpha - 1) / t, finite at t = 0;
+    the guard for |t| < 1e-300 runs only when a node hits it."""
     t = np.asarray(t, dtype=complex)
-    tiny = np.abs(t) < 1e-300
-    tt = np.where(tiny, 1.0, t)
-    ell = _clog1p_arr(A * tt) - _clog1p_arr(-b * tt)
-    return np.where(tiny, alpha * (A + b), _cexpm1_arr(alpha * ell) / tt)
+    tiny = abs(t) < 1e-300
+    hit = tiny.any()
+    tt = np.where(tiny, 1.0, t) if hit else t
+    rate = _cexpm1_arr(alpha * (_clog1p_arr(A * tt) - _clog1p_arr(-b * tt))) / tt
+    return np.where(tiny, alpha * (A + b), rate) if hit else rate
 
 
 @functools.cache
@@ -191,7 +213,7 @@ def _nested_integral(f: Callable[[np.ndarray], tuple], tol: float) -> tuple[comp
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         g, h = f(mid + half * x)
         y = h * np.exp(G + half * (cumulative @ g))
-        if half * max(np.max(np.abs(tail @ g)), np.max(np.abs(tail @ y))) <= tol:
+        if half * max(abs(tail @ g).max(), abs(tail @ y).max()) <= tol:
             G += half * (w @ g)
             total += half * (w @ y)
         else:
@@ -236,10 +258,11 @@ def kernel_integral(
         if abs(A + b) < 1e-14:
             return z
         if b == 0.0:
-            return complex(_cexpm1_arr(A * z)) / A
+            return complex(_cexpm1_arr(np.complex128(A * z))) / A
+        log1p = complex(_clog1p_arr(np.complex128(-b * z)))
         if abs(A) < 1e-14:
-            return -complex(_clog1p_arr(-b * z)) / b
-        return (cmath.exp((-A / b) * complex(_clog1p_arr(-b * z))) - 1.0) / A
+            return -log1p / b
+        return (cmath.exp((-A / b) * log1p) - 1.0) / A
     if method != "quad":
         raise OutOfRangeError(f"unknown method {method!r}")
     outer, _ = _nested_integral(lambda s: (z * _kernel_rate(A, b, alpha, s * z), 1.0), tol)
@@ -292,22 +315,31 @@ class DominantSpec:
 def operator_dominant(spec: DominantSpec, z) -> complex | np.ndarray:
     """Evaluate the dominant h(z) = Q^(alpha gamma) (mu delta + mu rho Q^gamma
     + eta gamma (A + b) z / ((1 + A z)(1 - b z))), Q = (1+Az)/(1-bz), at a
-    scalar or a non-empty array z of finite points."""
-    z = np.asarray(z, dtype=complex)
-    if z.size == 0 or not np.isfinite(z).all():
-        raise ParameterError("z must be a non-empty set of finite points")
-    num = 1.0 + complex(spec.A) * z
+    scalar or a non-empty array z of finite points.
+
+    A Python or numpy float or complex z is evaluated in Python complex
+    arithmetic (cmath.log and cmath.exp) and returns a complex; other input
+    goes through `envelope._log` and np.exp. A point within 1e-14 of the
+    zero -1/A or the pole 1/b raises; |1 + A z| >= 1 - |A| |z| and
+    |1 - b z| >= 1 - b |z|, so each is tested only where max|z| reaches it."""
+    scalar = isinstance(z, SCALAR)
+    z = complex(z) if scalar else np.asarray(z, dtype=complex)
+    radius = require_points("z", z)
+    A = complex(spec.A)
+    num = 1.0 + A * z
     den = 1.0 - spec.b * z
-    if np.min(np.abs(den)) < 1e-14 or np.min(np.abs(num)) < 1e-14:
+    if ((spec.b * radius >= 1.0 - 1e-14 and np.min(np.abs(den)) < 1e-14)
+            or (math.hypot(A.real, A.imag) * radius >= 1.0 - 1e-14 and np.min(np.abs(num)) < 1e-14)):
         raise PoleOnBoundaryError("evaluation point hits a zero or pole of the base map")
-    q_log = _log(num) - _log(den)  # sum of principal logs: its powers keep that branch
+    # sum of principal logs: its powers keep that branch
+    q_log, exp = (cmath.log(num) - cmath.log(den), cmath.exp) if scalar else (_log(num) - _log(den), np.exp)
     bracket = (
         complex(spec.mu) * complex(spec.delta)
-        + complex(spec.mu) * complex(spec.rho) * np.exp(spec.gamma * q_log)
-        + complex(spec.eta) * spec.gamma * (complex(spec.A) + spec.b) * z / (num * den)
+        + complex(spec.mu) * complex(spec.rho) * exp(spec.gamma * q_log)
+        + complex(spec.eta) * spec.gamma * (A + spec.b) * z / (num * den)
     )
-    out = np.exp(spec.alpha * spec.gamma * q_log) * bracket
-    return complex(out) if out.ndim == 0 else out
+    out = exp(spec.alpha * spec.gamma * q_log) * bracket
+    return out if scalar or out.ndim else complex(out)
 
 
 def best_dominant(
@@ -322,7 +354,8 @@ def best_dominant(
 
     Both callables must equal 1 at the origin (otherwise the exponent
     integral diverges) and lambda must keep positive real part along the
-    segment; violations raise NonCaratheodoryLambdaError.
+    segment; violations raise NonCaratheodoryLambdaError. They are called
+    at one point at a time, a Python complex at the quadrature nodes.
     """
     require_finite_args("best_dominant", z=z)
     _require_tol("best_dominant", tol)
@@ -340,8 +373,9 @@ def best_dominant(
 
     def f(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # G(s) = int_0^s (psi/lambda - 1)(u z) du / u, h = 1/lambda
-        lam_s = np.array([complex(lam(t)) for t in s * z])
-        psi_s = np.array([complex(psi(t)) for t in s * z])
+        ts = (s * z).tolist()  # Python complex points, which scalar callables take without numpy
+        lam_s = np.array([complex(lam(t)) for t in ts])
+        psi_s = np.array([complex(psi(t)) for t in ts])
         return (psi_s / lam_s - 1.0) / s, 1.0 / lam_s
 
     outer, G1 = _nested_integral(f, tol)

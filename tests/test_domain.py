@@ -10,6 +10,7 @@ is left out.
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -296,6 +297,18 @@ def test_janowski_params_keep_a_huge_finite_gap():
     # R = |A - B| r / (1 - |B|^2 r^2) stays below the largest double
     disk = image_disk(JanowskiParams(1.2e308 + 1.2e308j, -1.0), 0.5)
     assert disk.radius == pytest.approx(math.hypot(1.2e308, 1.2e308) * 0.5 / 0.75)
+
+
+@pytest.mark.parametrize("A", [1e300 + 1e300j, 1e160, -3e200j])
+def test_half_plane_offset_of_a_huge_a_stays_finite(A):
+    # (1 - |A|^2 r^2) / (2 |q|): the square overflows a double, once with a bare OverflowError
+    p = JanowskiParams(A, -1.0, 0.5)
+    geo = image_disk(p, 1.0)
+    q = 1.0 + p.A  # 1 - A conj(B) r^2
+    assert geo.kind == "half-plane" and geo.normal == q / abs(q)
+    a = mp.mpf(abs(p.A))
+    assert geo.offset == pytest.approx(float((1 - a * a) / (2 * abs(mp.mpc(q)))), rel=1e-14)
+    assert geo.zeta is None  # the origin is interior
 
 
 def test_largest_seeds_get_distinct_streams():

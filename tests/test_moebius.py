@@ -177,6 +177,74 @@ def test_powered_pole_on_circle_rejected_pointwise():
     assert np.isfinite(eval_powered(p, 1.0 - 1e-12))
 
 
+EPS = np.finfo(float).eps
+
+
+def _powered_points(rng, p: JanowskiParams) -> list[complex]:
+    """Points for one map: inside its working radius (one of them real),
+    |A| |z| -> 1 (and just past it), near and at the pole -1/B and near the
+    zero -1/A of the numerator, and one non-finite point."""
+    turn = np.exp(2j * np.pi * rng.uniform(size=4))
+    turn[0] = 1.0
+    zs = list(rng.uniform(-1.0, 1.0, 4) * turn / max(abs(p.A), abs(p.B), 0.5))
+    if p.A:
+        zs += list(turn / abs(p.A) * (1.0 - 1e-12)) + [turn[0] / abs(p.A) * 1.01]
+        zs += [-1.0 / p.A * (1.0 - 10.0 ** -k) * cmath.exp(1j * 10.0 ** -k * rng.normal()) for k in (2, 6, 10)]
+    if p.B:
+        zs += [-1.0 / p.B * (1.0 - 10.0 ** -k) * cmath.exp(1j * 10.0 ** -k * rng.normal()) for k in (1, 3, 6, 9, 12)]
+        zs += [-1.0 / p.B]
+    return [complex(z) for z in zs] + [complex(math.nan, 0.0)]
+
+
+def test_scalar_eval_powered_agrees_with_the_array_path():
+    """A Python or numpy scalar z is evaluated in Python complex arithmetic.
+    On seeded maps (gamma != 0 in most, alpha down to 1e-3 and alpha = 1,
+    |B| up to 1, argument-unsafe ones among them) and the points of
+    `_powered_points`, each scalar call returns a Python complex within
+    16 eps (max(1, |h|) + kappa |h - gamma|) of the one-element array call,
+    kappa = alpha (|Az|/|1 + Az| + |Bz|/|1 + Bz|), or raises the same error
+    class. kappa is the condition of the quotient: numpy may round the
+    products A z and B z with a fused multiply-add where CPython does not,
+    so next to the pole or the zero the two paths part by that much."""
+    rng = np.random.default_rng(20261020)
+    compared = raised = 0
+    for k in range(300):
+        alpha = (1e-3, 1.0, float(rng.uniform(1e-3, 1.0)))[k % 3]
+        gamma = complex(rng.uniform(0.0, 2.0) * cmath.exp(2j * math.pi * rng.uniform())) if k % 4 else 0j
+        A, B = (complex(rng.uniform(0.0, hi) * cmath.exp(2j * math.pi * rng.uniform())) for hi in (1.2, 1.0))
+        if k % 5 == 0:
+            B = B / abs(B)  # the pole on the unit circle
+        p = JanowskiParams(A, B, alpha, gamma)
+        for z in _powered_points(rng, p):
+            try:
+                want = eval_powered(p, np.array([z]))[0]
+            except ParameterError as err:
+                for scalar in (z, np.complex128(z)):
+                    with pytest.raises(type(err)):
+                        eval_powered(p, scalar)
+                raised += 1
+                continue
+            kappa = alpha * (abs(A * z) / abs(1.0 + A * z) + abs(B * z) / abs(1.0 + B * z))
+            bound = 16 * EPS * (max(1.0, abs(want)) + kappa * abs(want - gamma))
+            scalars = [z, np.complex128(z)] + ([z.real, np.float64(z.real)] if z.imag == 0.0 else [])
+            for scalar in scalars:
+                got = eval_powered(p, scalar)
+                assert type(got) is complex and abs(got - want) <= bound, (p, z, got, want)
+            compared += 1
+    assert compared > 3000 and raised > 300
+
+
+@pytest.mark.filterwarnings("error")
+def test_invert_powered_at_a_over_b_is_inf():
+    # w = A/B is the image of z = infinity: once -inf+nanj with two RuntimeWarnings
+    p = JanowskiParams(0.5, -1.0)
+    assert complex(invert_powered(p, -0.5)) == math.inf
+    got = invert_powered(p, [-0.5, 1.2])
+    assert got[0] == math.inf and got[1] == pytest.approx(0.2 / 1.7, abs=1e-15)
+    q = JanowskiParams(0.8, 0.5, 1.0, 0.2 + 0.1j)  # the shift leaves w~ an ulp from A/B = 1.6
+    assert 1e14 < abs(complex(invert_powered(q, q.gamma + (1.0 - q.gamma) * 1.6))) < math.inf
+
+
 @given(
     st.complex_numbers(max_magnitude=2.0),
     st.complex_numbers(max_magnitude=0.99),

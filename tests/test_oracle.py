@@ -179,6 +179,51 @@ class TestPullback:
         # on the cut (-inf, 0], so a sample there is outside it: no BranchUndefinedError
         assert verify_subordination(np.array([1.0, -0.5 + 0j]), JanowskiParams(0.5, 0.0, 0.5)) is False
 
+    @pytest.mark.filterwarnings("error")
+    def test_verify_subordination_is_false_off_the_image(self):
+        """Seeded points that no argument-safe target's image holds, whose
+        principal root base^(1/alpha), base = (w - gamma)/(1 - gamma), can
+        wrap round into the first-order disk: past the ends |arg base| =
+        alpha pi of the sector (near the origin, too, where the image of an
+        origin touch |A| = 1 comes close), at and near A/B (the image of
+        z = infinity) and at huge |w|, for alpha in (0, 1] and gamma != 0 in
+        half. The image at r = 1 lies in |arg base| < alpha pi and, with
+        |B| <= 0.9, in |base| <= (1 + |A|)^alpha / 0.1^alpha. The values of
+        each target at |z| <= 0.999 still pull back to within 1e-12 of |z|."""
+        rng = np.random.default_rng(20261020)
+
+        def turn() -> complex:
+            return cmath.exp(2j * math.pi * rng.uniform())
+
+        assert not verify_subordination(np.array([-1.0 + 1e-3j]), JanowskiParams(0.5, -0.5, 0.5))
+        checked = 0
+        for k in range(200):
+            alpha = (1.0, float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 0.2)))[k % 3]
+            gamma = complex(rng.uniform(0.0, 0.5) * turn()) if k % 4 > 1 else 0j
+            B = complex(rng.uniform(0.05, 0.9) * turn())
+            A = turn() if k % 2 else complex(rng.uniform(0.0, 1.0) * turn())  # odd k: an origin touch
+            if abs(A - B) < 0.05:
+                continue
+            target = JanowskiParams(A, B, alpha, gamma)
+            z = 0.999 * np.sqrt(rng.uniform(size=16)) * np.exp(2j * np.pi * rng.uniform(size=16))
+            assert np.abs(subordination_pullback(eval_powered(target, z), target) - np.abs(z)).max() <= 1e-12
+            bases = []
+            # near the origin only unshifted: w = gamma + (1 - gamma) base rounds base by ~eps |gamma|
+            for size in (10.0 ** rng.uniform(-12.0 if gamma == 0.0 else -3.0, -3.0), 10.0 ** rng.uniform(-3.0, 3.0)):
+                if alpha == 1.0:  # past the ends is the cut itself, with either sign of zero
+                    bases += [complex(-size, 0.0), complex(-size, -0.0)]
+                    continue
+                end = alpha * math.pi + rng.uniform(0.05, 1.0) * (1.0 - alpha) * math.pi
+                bases += [size * cmath.exp(1j * s * end) for s in (1.0, -1.0)]
+            for delta in (0.0, 1e-12, 1e-6):  # w~ at and near A/B, a base with an argument inside the sector
+                bases.append(((A / B) * (1.0 + delta * turn())) ** alpha)
+            bases.append(10.0 ** rng.uniform(10.0, 300.0) * turn())
+            for base in bases:
+                w = gamma + (1.0 - gamma) * base
+                assert verify_subordination(np.array([w]), target) is False, (target, w)
+                checked += 1
+        assert checked > 1500
+
     def test_verify_subordination_accepts_composites(self):
         target = JanowskiParams(1.0, 0.0, 0.5)
         omega = random_schwarz(6, 4).dilated(0.7)

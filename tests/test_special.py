@@ -355,6 +355,54 @@ class TestOperatorDominant:
         assert type(operator_dominant(spec, 0.5)) is complex
         assert type(operator_dominant(spec, np.complex128(0.5j))) is complex
 
+    def test_scalar_point_agrees_with_the_array_path(self):
+        """A Python or numpy scalar z is evaluated with cmath. On seeded specs
+        (alpha and gamma down to 1e-3 and at 1) at points in the disk, near and
+        at the pole 1/b and near and at the zero -1/A, each scalar call returns
+        a Python complex within 16 eps (max(1, |h|) + kappa T) of the
+        one-element array call, or raises the same error class. kappa =
+        |Az|/|1 + Az| + b|z|/|1 - bz| is the condition of the base map, whose
+        products numpy may round with a fused multiply-add, and T = |Q^(alpha
+        gamma)| (|mu rho Q^gamma| + |eta gamma (A + b) z / ((1 + Az)(1 - bz))|)
+        the size of the terms it scales."""
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(20261020)
+
+        def polar(hi: float) -> complex:
+            return complex(rng.uniform(0.0, hi) * cmath.exp(2j * math.pi * rng.uniform()))
+
+        compared = raised = 0
+        for k in range(200):
+            alpha = (1e-3, 1.0, float(rng.uniform()))[k % 3]
+            gamma = (1.0, 1e-3, float(rng.uniform()))[k // 3 % 3]
+            spec = DominantSpec(A=polar(1.0), b=float(rng.uniform()), alpha=alpha, gamma=gamma,
+                                mu=polar(1.0), eta=polar(1.0), delta=polar(1.0), rho=polar(1.0))
+            A, b = spec.A, spec.b
+            zs = [polar(1.0) for _ in range(6)] + [1.0 / b, -1.0 / A, complex(math.inf, 0.0)]
+            for j in (1, 4, 8, 12):
+                turn = cmath.exp(1j * 10.0 ** -j * rng.normal())
+                zs += [(1.0 - 10.0 ** -j) * turn / b, -(1.0 - 10.0 ** -j) * turn / A]
+            for z in map(complex, zs):
+                try:
+                    want = operator_dominant(spec, np.array([z]))[0]
+                except ParameterError as err:
+                    for scalar in (z, np.complex128(z)):
+                        with pytest.raises(type(err)):
+                            operator_dominant(spec, scalar)
+                    raised += 1
+                    continue
+                num, den = 1.0 + A * z, 1.0 - b * z
+                Q = num / den
+                kappa = abs(A * z) / abs(num) + abs(b * z) / abs(den)
+                terms = abs(Q ** (alpha * gamma)) * (abs(spec.mu * spec.rho * Q ** gamma)
+                                                     + abs(spec.eta * gamma * (A + b) * z / (num * den)))
+                bound = 16 * eps * (max(1.0, abs(want)) + kappa * terms)
+                for scalar in (z, np.complex128(z)):
+                    got = operator_dominant(spec, scalar)
+                    assert type(got) is complex and abs(got - want) <= bound, (spec, z, got, want)
+                compared += 1
+        assert compared > 2500 and raised >= 600
+
     def test_pole_anywhere_in_an_array_raises(self):
         spec = DominantSpec(A=0.5, b=0.8, alpha=1.0, gamma=1.0, mu=1.0, eta=1.0, delta=1.0, rho=0.0)
         with pytest.raises(PoleOnBoundaryError):
