@@ -77,10 +77,9 @@ _NO_ARG_FLOOR = 1e-9  # below this min |h| on the circle, a shifted view reports
 # low-level powered evaluation
 
 
-def _power(w, a: float, with_phase: bool = False):
+def _power(w, a: float) -> np.ndarray:
     """Principal-branch w^a in polar form, |w|^a (cos phi + i sin phi) with
-    phi = a arg w, filled part by part from real kernels; with `with_phase`,
-    the pair (w^a, phi).
+    phi = a arg w, filled part by part from real kernels.
 
     arg w lies in (-pi, pi] and keeps the sign of a zero imaginary part, so
     w = -1 - 0j takes the -pi side, as np.log does; 0^a = 0 for a > 0
@@ -89,11 +88,15 @@ def _power(w, a: float, with_phase: bool = False):
     up to about 30 ulps at large |a log w|.
     """
     phi = a * np.arctan2(w.imag, w.real)  # np.angle's own kernel, without its wrapper
-    mod = np.abs(w) ** a
+    return _polar(np.abs(w) ** a, phi)
+
+
+def _polar(mod, phi) -> np.ndarray:
+    """mod (cos phi + i sin phi), filled part by part from real kernels."""
     out = np.empty(np.shape(phi), dtype=complex)
     np.multiply(mod, np.cos(phi), out=out.real)
     np.multiply(mod, np.sin(phi), out=out.imag)
-    return (out, phi) if with_phase else out
+    return out
 
 
 def _log(w) -> np.ndarray:
@@ -119,6 +122,15 @@ def _unit_circle(n: int, size: int | None = None) -> np.ndarray:
     return z
 
 
+def _points(name: str, z) -> tuple[complex | np.ndarray, float, bool]:
+    """z as a Python complex if it is a SCALAR, else as a complex array,
+    with its largest modulus from `require_points` and whether it is a
+    scalar: the one preamble of the functions with a scalar path."""
+    scalar = isinstance(z, SCALAR)
+    z = complex(z) if scalar else np.asarray(z, dtype=complex)
+    return z, require_points(name, z), scalar
+
+
 def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     """Value of the powered, shifted map at z (principal branch, anchored at 1).
 
@@ -131,9 +143,7 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     arithmetic and returns a complex; other input goes through `_power`
     (see the module docstring for how far the two agree).
     """
-    scalar = isinstance(z, SCALAR)
-    z = complex(z) if scalar else np.asarray(z, dtype=complex)
-    radius = require_points("z", z)
+    z, radius, scalar = _points("z", z)
     _branch_guard(p, radius)
     denom = 1.0 + p.B * z
     if abs(p.B) * radius >= 1.0 - 1e-14 and np.min(np.abs(denom)) < 1e-14:
@@ -162,14 +172,17 @@ def invert_powered(p: JanowskiParams, w) -> np.ndarray:
 def _invert_normalized(p: JanowskiParams, base: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The preimages (not finite at w~ = A/B) of the normalized values
     base = (w - gamma)/(1 - gamma), and phi = arg(base) / alpha, the
-    argument `_power` gives w~ (None at alpha = 1, where w~ = base). A value
-    with |phi| >= pi lies at or past the ends of the sector |arg| < alpha pi
-    that holds the image of an argument-safe map, and its w~ has wrapped
-    round to a point that is no preimage."""
+    argument of the principal root w~ = `_power(base, 1/alpha)` (None at
+    alpha = 1, where w~ = base). A value with |phi| >= pi lies at or past
+    the ends of the sector |arg| < alpha pi that holds the image of an
+    argument-safe map, and its w~ has wrapped round to a point that is no
+    preimage."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p.alpha == 1.0:  # the power 1 is the identity, kept exact
             return (base - 1.0) / (p.A - p.B * base), None
-        root, phi = _power(base, 1.0 / p.alpha, with_phase=True)
+        a = 1.0 / p.alpha
+        phi = a * np.arctan2(base.imag, base.real)  # as in `_power`, kept for the caller
+        root = _polar(np.abs(base) ** a, phi)
         return (root - 1.0) / (p.A - p.B * root), phi
 
 

@@ -71,7 +71,10 @@ class JanowskiParams:
         if math.hypot((self.A - self.B).real, (self.A - self.B).imag) == math.inf:
             raise OutOfRangeError("|A - B| overflows a double")
         require_map(self.A, self.B, self.alpha, self.gamma)
-        # an attribute, not a field: repr, equality and hashing see the four parameters only
+        # an attribute, not a field: repr, equality, hashing and asdict see the
+        # four parameters only. Not functools.cached_property: on CPython 3.11
+        # its write through __dict__ makes every later attribute read of the
+        # instance about three times slower.
         safe = abs(self.A - self.B) <= abs(1.0 - self.A * self.B.conjugate()) + _EPS
         object.__setattr__(self, "argument_safe", safe)
 
@@ -129,11 +132,10 @@ def image_disk(p: JanowskiParams, r: float) -> DiskGeometry:
     if abs(denom) <= _EPS:
         # Circle through the pole: the image degenerates to the line
         # Re(conj(q) w) = (1 - |A|^2 r^2) / 2. q = 0 would need A = B.
+        # (1 - a)(1 + a) / |q| with a = |A| r, divided first: a^2 overflows
+        # a double for huge |A|, the offset does not
         a, normal = abs(A) * r, q / abs(q)
-        if a < 1e150:
-            offset = 0.5 * (1.0 - abs(A) ** 2 * r * r) / abs(q)
-        else:  # (1 - a)(1 + a) / |q|, divided first: a^2 overflows a double, the offset does not
-            offset = 0.5 * (1.0 - a) * ((1.0 + a) / abs(q))
+        offset = 0.5 * (1.0 - a) * ((1.0 + a) / abs(q))
         zeta = 0.5 * math.pi if offset >= -_EPS else None
         return DiskGeometry(
             kind="half-plane",
