@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NumericalError,
     OutOfRangeError,
     PoleOnBoundaryError,
     require_finite,
@@ -129,8 +130,9 @@ def image_disk(p: JanowskiParams, r: float) -> DiskGeometry:
     A, B = p.A, p.B
     q = 1.0 - A * B.conjugate() * r * r
     denom = 1.0 - abs(B) ** 2 * r * r
-    if abs(denom) <= _EPS:
-        # Circle through the pole: the image degenerates to the line
+    if denom <= _EPS:
+        # Circle through the pole (|B| r up to the 1 + 1e-12 that require_map
+        # admits): the image degenerates to the line
         # Re(conj(q) w) = (1 - |A|^2 r^2) / 2. q = 0 would need A = B.
         # (1 - a)(1 + a) / |q| with a = |A| r, divided first: a^2 overflows
         # a double for huge |A|, the offset does not
@@ -146,6 +148,8 @@ def image_disk(p: JanowskiParams, r: float) -> DiskGeometry:
         )
     center = q / denom
     radius = abs(A - B) * r / denom
+    if not (cmath.isfinite(center) and math.isfinite(radius)):
+        raise NumericalError(f"the image disk of |z| = {r} overflows a double")
     zeta: float | None
     if radius <= abs(center) + _EPS:
         zeta = math.asin(min(1.0, radius / abs(center)))

@@ -91,7 +91,9 @@ class SchwarzPoly:
     """Polynomial Schwarz function w(z) = scale * z * sum_k c_k z^k.
 
     `coefficients` holds the unnormalized c_k; `scale` absorbs the
-    normalization that pins the boundary supremum strictly below 1.
+    normalization that pins the boundary supremum strictly below 1. That is
+    checked from the bound scale * sum |c_k|, and on a 4096-point grid only
+    where the bound reaches 1: a trial's dilation by rho <= 0.6 never does.
     """
 
     coefficients: tuple[complex, ...]
@@ -106,6 +108,8 @@ class SchwarzPoly:
             raise OutOfRangeError("degree above 16 is not supported")
         if not 0.0 < self.scale:
             raise OutOfRangeError(f"scale must be positive, got {self.scale}")
+        if self.scale * math.fsum(map(abs, self.coefficients)) * (1.0 + 2.0**-40) < 1.0:
+            return  # |w| <= scale * sum |c_k| on the closed disk, certified past rounding
         sup = float(np.abs(self.value(_unit_circle(4096))).max())
         if sup >= 1.0:
             raise ParameterError(f"not a Schwarz function: boundary modulus reaches {sup}")
@@ -170,10 +174,15 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     exceeds the grid maximum by less than a 1e-7 relative factor, so the
     normalized polynomial is rigorously Schwarz.  Degree 1 is the
     deterministic near-identity w(z) = (1 - 1e-6) z. The peak is screened
-    by `_screened_peak`.
+    by `_screened_peak`. Draws are frozen and shared, keyed by (seed, degree),
+    in an LRU cache of 128: the trials of one seed draw once for every theorem
+    id, which criterion 7 (25 odd seeds) and `verify --seeds N`, N <= 256, hit.
     """
-    seed = require_index("seed", seed, 0, _SEED_END)
-    degree = require_index("degree", degree, 1, 17)
+    return _draw(require_index("seed", seed, 0, _SEED_END), require_index("degree", degree, 1, 17))
+
+
+@functools.lru_cache(maxsize=128)
+def _draw(seed: int, degree: int) -> SchwarzPoly:
     if degree == 1:
         return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
     rng = _rng(seed, 0)
@@ -377,8 +386,9 @@ def empirical_bounds(p: JanowskiParams, r: float, n: int = 200_000) -> BoundRepo
     branch guard keeps the origin out of the open image disk), so h is not
     formed: the shifted view restates the primary ranges, with no argument
     range once the modulus falls below `_NO_ARG_FLOOR`, as for any h. Only the samples
-    kept by the two-level screen of `_screened` are formed, with their full
-    grid bits, so the report is the same; its subgrid values are not reported.
+    kept by the two-level screen of `_screened` are formed, in one pass with
+    their full grid bits, so the report is the same; its subgrid values are
+    not reported.
     """
     n = require_index("n", n, 16)
     g = complex(p.gamma)

@@ -20,6 +20,7 @@ from janowski import (
     DominantSpec,
     JanowskiError,
     JanowskiParams,
+    NumericalError,
     OutOfRangeError,
     ParameterError,
     RadiusProblem,
@@ -309,6 +310,28 @@ def test_half_plane_offset_of_a_huge_a_stays_finite(A):
     a = mp.mpf(abs(p.A))
     assert geo.offset == pytest.approx(float((1 - a * a) / (2 * abs(mp.mpc(q)))), rel=1e-14)
     assert geo.zeta is None  # the origin is interior
+
+
+def test_overflowing_image_disk_raises():
+    # 1 - |B|^2 r^2 ~ 2e-11 clears the half-plane test, and q / (1 - |B|^2 r^2)
+    # overflows: the disk was returned with center and radius inf
+    with pytest.raises(NumericalError, match="overflows a double"):
+        image_disk(JanowskiParams(1e300, -(1 - 1e-11)), 1.0)
+
+
+@pytest.mark.parametrize("B", [
+    1 + 5e-13, -(1 + 1e-12), 1j * (1 + 8e-13), cmath.exp(0.3j), cmath.exp(2.5j), cmath.exp(-1j * math.pi / 3),
+], ids=["1+5e-13", "-(1+1e-12)", "i(1+8e-13)", "exp(0.3i)", "exp(2.5i)", "exp(-i pi/3)"])
+def test_admitted_b_band_maps_the_unit_circle_to_a_half_plane(B):
+    # |B| up to the 1 + 1e-12 that require_map admits; past |B| = 1,
+    # 1 - |B|^2 went below -1e-12 and gave a negative radius (a bare math domain error)
+    p = JanowskiParams(0.5, B)
+    geo = image_disk(p, 1.0)
+    q = 1.0 - 0.5 * p.B.conjugate()
+    assert geo.kind == "half-plane" and geo.normal == q / abs(q)
+    assert geo.offset == pytest.approx(0.375 / abs(q), rel=1e-12)
+    with pytest.raises(OutOfRangeError, match="the image is a half-plane"):
+        envelope_bounds(p, 1.0)
 
 
 def test_largest_seeds_get_distinct_streams():

@@ -40,6 +40,14 @@ from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
 
 
+def _grid_checks(monkeypatch) -> list:
+    """Sizes of the grids `SchwarzPoly.value` evaluates; in the library only
+    the 4096-point check of `SchwarzPoly` calls it."""
+    calls, value = [], SchwarzPoly.value
+    monkeypatch.setattr(SchwarzPoly, "value", lambda self, z: calls.append(np.size(z)) or value(self, z))
+    return calls
+
+
 class TestSchwarzPoly:
     def test_scaled_identity(self):
         c = 0.3 + 0.2j
@@ -140,6 +148,20 @@ class TestSchwarzPoly:
         # a NaN boundary modulus used to pass the sup >= 1 check
         with pytest.raises(ParameterError, match="must be finite"):
             SchwarzPoly(coefficients, scale)
+
+    def test_coefficient_bound_below_one_skips_the_grid(self, monkeypatch):
+        calls = _grid_checks(monkeypatch)
+        SchwarzPoly((0.5 + 0.5j, -0.25, 0.1j), 0.99 / (abs(0.5 + 0.5j) + 0.35))
+        SchwarzPoly.scaled_identity(0.9 - 0.3j)
+        SchwarzPoly((1.0 + 0.0j,), _HEADROOM)  # the degree-1 draw
+        assert calls == []
+
+    def test_inconclusive_bound_falls_back_to_the_grid(self, monkeypatch):
+        s = random_schwarz(7, 9)
+        assert s.scale * math.fsum(map(abs, s.coefficients)) >= 1.0
+        calls = _grid_checks(monkeypatch)
+        SchwarzPoly(s.coefficients, s.scale)
+        assert calls == [4096]
 
 
 def _operator_omega(seed: int) -> SchwarzPoly:
@@ -335,6 +357,43 @@ class TestDominantCurveCache:
             for tid in ("T5.7", "C5.12"):
                 implication_trial(tid, seed=seed)
         assert oracle._dominant_curve.cache_info().currsize == 0
+
+
+class TestDrawCache:
+    def test_reports_do_not_depend_on_sharing_the_draw(self):
+        def reports(pairs, clear_each):
+            oracle._draw.cache_clear()
+            out = {}
+            for tid, seed in pairs:
+                if clear_each:
+                    oracle._draw.cache_clear()
+                out[tid, seed] = implication_trial(tid, seed=seed).to_json()
+            return out
+
+        seed_major = [(tid, s) for s in range(100) for tid in THEOREM_IDS]
+        id_major = [(tid, s) for tid in THEOREM_IDS for s in range(100)]
+        first = reports(seed_major, False)
+        assert reports(id_major, False) == first
+        assert oracle._draw.cache_info().hits == (len(THEOREM_IDS) - 1) * 50  # id-major: 50 odd seeds fit
+        assert reports(seed_major, True) == first
+
+    def test_campaign_draws_and_checks_once_per_odd_seed(self, monkeypatch):
+        """Seed-major, as the benchmark runs: each odd seed's draw is screened
+        once and its 6 other ids hit the cache; no dilated or identity test
+        function evaluates the grid, and a draw does at most once. Seed 1665
+        draws degree 2, whose z (c_0 + c_1 z) reaches |c_0| + |c_1| on the
+        circle, so the coefficient bound certifies it without the grid."""
+        calls = _grid_checks(monkeypatch)
+        oracle._draw.cache_clear()
+        seeds = range(1660, 1670)
+        for seed in seeds:
+            for tid in THEOREM_IDS:
+                implication_trial(tid, seed=seed)
+        odd = len(seeds) // 2
+        assert calls == [4096] * (odd - 1)
+        info = oracle._draw.cache_info()
+        assert (info.misses, info.hits) == (odd, (len(THEOREM_IDS) - 1) * odd)
+        assert _effective_schwarz(1665, 0.2, 0.25)[0].degree == 2
 
 
 def _angle_sum_contains(points, curve):
