@@ -241,29 +241,25 @@ def sample_curve(p: JanowskiParams, r: float, n: int = 2048) -> EnvelopeCurve:
 def _curve_blocks(p: JanowskiParams, r: float, n: int, keep: np.ndarray | None = None):
     """The n-point curve of `sample_curve` as blocks (w, M, N) of up to
     _BLOCK consecutive samples, so a consumer never holds a full-length array;
-    with `keep`, sorted indices, one block of only those samples, formed in
-    one pass with their full bits.
+    with `keep`, sorted indices, only those samples, _BLOCK at a time.
 
     The block from index k0 on is the first min(n, _BLOCK) points of
     `_unit_circle(n)` times the scalar R e^{i k0 s}, s = 2 pi / n (math.cos
-    and math.sin), plus C. The first block is thus C + R e^{it} itself. A
-    kept sample k is point k mod _BLOCK times its block's factor, taken as an
-    array element: numpy's complex product by an equal array element and by
-    the scalar agree bit for bit. At n = 200000 the rotated e^{it} lies
-    within 1.14e-15 of e^{2 pi i k / n} (cos and sin of t_k: 1.26e-15, over
-    2028 indices with every block boundary); the tests bound each sample's
-    distance from C + R e^{2 pi i k / n} by 2e-15 (|C| + R). No state joins
-    the blocks.
+    and math.sin), plus C; a kept sample takes its block's factor as an array
+    element, with the same bits. The first block is thus C + R e^{it} itself.
+    At n = 200000 the rotated e^{it} lies within 1.14e-15 of e^{2 pi i k / n}
+    (cos and sin of t_k: 1.26e-15, over 2028 indices with every block
+    boundary); the tests bound each sample's distance from
+    C + R e^{2 pi i k / n} by 2e-15 (|C| + R). No state joins the blocks.
     """
     C, R = _circle_geometry(p, r)
     step = 2.0 * np.pi / n
     base = _unit_circle(n, _BLOCK) if n > _BLOCK else _unit_circle(n)
-    factors = [R * complex(math.cos(k0 * step), math.sin(k0 * step)) for k0 in range(0, n, _BLOCK)]
+    factor = np.array([R * complex(math.cos(k0 * step), math.sin(k0 * step)) for k0 in range(0, n, _BLOCK)])
     if keep is None:
-        parts = ((base[: n - k0], f) for k0, f in zip(range(0, n, _BLOCK), factors))
+        parts = ((base[: n - k0], factor[k0 // _BLOCK]) for k0 in range(0, n, _BLOCK))
     else:
-        block, at = np.divmod(keep, _BLOCK)
-        parts = [(base[at], np.array(factors)[block])]
+        parts = ((base[k % _BLOCK], factor[k // _BLOCK]) for k in np.split(keep, range(_BLOCK, keep.size, _BLOCK)))
     for z, f in parts:
         w = z * f
         w += C

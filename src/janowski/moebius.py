@@ -131,9 +131,8 @@ def image_disk(p: JanowskiParams, r: float) -> DiskGeometry:
     q = 1.0 - A * B.conjugate() * r * r
     denom = 1.0 - abs(B) ** 2 * r * r
     if denom <= _EPS:
-        # Circle through the pole (|B| r up to the 1 + 1e-12 that require_map
-        # admits): the image degenerates to the line
-        # Re(conj(q) w) = (1 - |A|^2 r^2) / 2. q = 0 would need A = B.
+        # Circle through the pole, or past it by the 1e-12 that require_map admits: the image
+        # degenerates to the line Re(conj(q) w) = (1 - |A|^2 r^2) / 2. q = 0 would need A = B.
         # (1 - a)(1 + a) / |q| with a = |A| r, divided first: a^2 overflows
         # a double for huge |A|, the offset does not
         a, normal = abs(A) * r, q / abs(q)

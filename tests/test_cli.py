@@ -179,6 +179,18 @@ class TestActions:
         assert data["result"]["unsound"] == 0
         assert len(data["result"]["reports"]) == 4
 
+    def test_verify_runs_seed_major_and_lists_id_major(self, capsys, monkeypatch):
+        # seed-major, every id of a seed reuses its Schwarz draw for any --seeds
+        import janowski
+
+        calls, trial = [], janowski.implication_trial
+        spy = lambda tid, seed: calls.append((tid, seed)) or trial(tid, seed=seed)
+        monkeypatch.setattr(janowski, "implication_trial", spy)
+        data = report(capsys, "verify", "--seeds", "3", "--seed", "5")
+        assert calls == [(tid, seed) for seed in (5, 6, 7) for tid in THEOREM_IDS]
+        listed = [(rep["theorem_id"], rep["seed"]) for rep in data["result"]["reports"]]
+        assert listed == [(tid, seed) for tid in THEOREM_IDS for seed in (5, 6, 7)]
+
 
 class TestExitCodes:
     def test_missing_flags_is_parameter_failure(self, capsys):

@@ -290,8 +290,10 @@ def test_curve_blocks_join_to_the_whole_array_curve(n):
     w, M, N = (np.concatenate(parts) for parts in zip(*blocks))
     want = _whole_array_curve(p, 1.0, n)
     assert [x.tobytes() for x in (w, M, N)] == [x.tobytes() for x in want]
-    keep = np.arange(0, n, 3)  # kept samples come in one block, each with its full bits
-    (kept,) = _curve_blocks(p, 1.0, n, keep)
+    keep = np.arange(0, n, 3)  # kept samples come _BLOCK at a time, each with its full bits
+    blocks = list(_curve_blocks(p, 1.0, n, keep))
+    assert [b[0].size for b in blocks] == [min(_BLOCK, keep.size - s) for s in range(0, keep.size, _BLOCK)]
+    kept = (np.concatenate(parts) for parts in zip(*blocks))
     assert [x.tobytes() for x in kept] == [x[keep].tobytes() for x in want]
     curve = sample_curve(p, 1.0, n)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)

@@ -40,6 +40,12 @@ from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
 
 
+def _clear_seed_caches() -> None:
+    """Forget every draw, test function and uniform shared between the trials of a seed."""
+    for cache in (oracle._draw, oracle._effective_schwarz, oracle._uniforms):
+        cache.cache_clear()
+
+
 def _grid_checks(monkeypatch) -> list:
     """Sizes of the grids `SchwarzPoly.value` evaluates; in the library only
     the 4096-point check of `SchwarzPoly` calls it."""
@@ -70,7 +76,8 @@ class TestSchwarzPoly:
 
     def test_deterministic(self):
         a = random_schwarz(42, 7)
-        b = random_schwarz(42, 7)
+        b = oracle._draw.__wrapped__(42, 7)  # a fresh draw, past the shared cache
+        assert a is not b
         assert a.coefficients == b.coefficients
         assert a.scale == b.scale
         assert random_schwarz(43, 7).coefficients != a.coefficients
@@ -166,7 +173,7 @@ class TestSchwarzPoly:
 
 def _operator_omega(seed: int) -> SchwarzPoly:
     """The test function of the operator trials (T5.7, C5.12) at an odd seed."""
-    return _effective_schwarz(seed, rho=oracle._OMEGA_RHO, c_max=0.88, z=_unit_circle(16))[0]
+    return _effective_schwarz(seed, rho=oracle._OMEGA_RHO, c_max=0.88, n=16)[0]
 
 
 class TestPullback:
@@ -324,6 +331,7 @@ class TestImplicationTrials:
 
     def test_reports_are_deterministic(self):
         a = implication_trial("T5.5", seed=12).to_json()
+        _clear_seed_caches()  # so b samples its test function afresh
         b = implication_trial("T5.5", seed=12).to_json()
         assert a == b
 
@@ -362,11 +370,11 @@ class TestDominantCurveCache:
 class TestDrawCache:
     def test_reports_do_not_depend_on_sharing_the_draw(self):
         def reports(pairs, clear_each):
-            oracle._draw.cache_clear()
+            _clear_seed_caches()
             out = {}
             for tid, seed in pairs:
                 if clear_each:
-                    oracle._draw.cache_clear()
+                    _clear_seed_caches()
                 out[tid, seed] = implication_trial(tid, seed=seed).to_json()
             return out
 
@@ -378,13 +386,14 @@ class TestDrawCache:
         assert reports(seed_major, True) == first
 
     def test_campaign_draws_and_checks_once_per_odd_seed(self, monkeypatch):
-        """Seed-major, as the benchmark runs: each odd seed's draw is screened
-        once and its 6 other ids hit the cache; no dilated or identity test
-        function evaluates the grid, and a draw does at most once. Seed 1665
-        draws degree 2, whose z (c_0 + c_1 z) reaches |c_0| + |c_1| on the
-        circle, so the coefficient bound certifies it without the grid."""
+        """Seed-major, as the benchmark runs: T5.4 and C5.12 reuse the test
+        function of T3.3 and T5.7, and each odd seed's draw is screened once
+        and hit by its 4 other ids; no dilated or identity test function
+        evaluates the grid, and a draw does at most once. Seed 1665 draws
+        degree 2, whose z (c_0 + c_1 z) reaches |c_0| + |c_1| on the circle,
+        so the coefficient bound certifies it without the grid."""
         calls = _grid_checks(monkeypatch)
-        oracle._draw.cache_clear()
+        _clear_seed_caches()
         seeds = range(1660, 1670)
         for seed in seeds:
             for tid in THEOREM_IDS:
@@ -392,8 +401,17 @@ class TestDrawCache:
         odd = len(seeds) // 2
         assert calls == [4096] * (odd - 1)
         info = oracle._draw.cache_info()
-        assert (info.misses, info.hits) == (odd, (len(THEOREM_IDS) - 1) * odd)
+        assert (info.misses, info.hits) == (odd, 4 * odd)
+        info = oracle._effective_schwarz.cache_info()
+        assert (info.misses, info.hits) == (5 * len(seeds), 2 * len(seeds))
+        info = oracle._uniforms.cache_info()  # stream 2 for each test function, stream 1 for T3.3's pole
+        assert (info.misses, info.hits) == (2 * len(seeds), 4 * len(seeds))
         assert _effective_schwarz(1665, 0.2, 0.25)[0].degree == 2
+
+    def test_shared_samples_are_read_only(self):
+        for seed in (1660, 1661):
+            _, z, w, zdw = _effective_schwarz(seed, oracle._OMEGA_RHO, 0.88, 512, (0.35, 1.0))
+            assert z.size == 1024 and not any(x.flags.writeable for x in (z, w, zdw))
 
 
 def _angle_sum_contains(points, curve):
@@ -479,8 +497,11 @@ class TestWindingContains:
 @pytest.mark.parametrize("call,limit", [
     (lambda: empirical_bounds(JanowskiParams(0.7 + 0.3j, -0.4, 0.6, 0.2 - 0.3j), 0.8, 200_000), 4 << 20),
     (lambda: empirical_bounds(JanowskiParams(0.7 + 0.3j, -0.4, 0.6), 0.8, 200_000), 4 << 20),
-    (lambda: random_schwarz(5, 16), 1 << 19),
-], ids=["empirical_bounds-200k", "empirical_bounds-200k-gamma0", "random_schwarz"])
+    (lambda: oracle._draw.__wrapped__(5, 16), 1 << 19),  # a fresh draw: a cached one screens nothing
+    # R = 2e-12, twice the rounding slack: the screen keeps every sample, and its index arrays
+    # are full-length (3.9 MiB in all), but the samples are formed 16384 at a time (20 MiB at once)
+    (lambda: empirical_bounds(JanowskiParams(0.5, 0.3, 0.6), 1e-11, 200_000), 6 << 20),
+], ids=["empirical_bounds-200k", "empirical_bounds-200k-gamma0", "random_schwarz", "empirical_bounds-200k-all-kept"])
 def test_working_memory_stays_small(call, limit):
     """The oracle streams cache-sized blocks and the Schwarz peak forms
     only its screened windows, so neither holds a full-length array."""
