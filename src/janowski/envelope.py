@@ -22,15 +22,19 @@ interval.
 Powers use the principal branch. With the argument-safe condition
 |A - B| <= |1 - A conj(B)| and |A| r <= 1 the curve never meets the cut
 (-inf, 0], so the principal branch is the continuous branch anchored at
-value 1 for z = 0. The primary report describes (h - g)/(1 - g); the shifted
-view of h restates its Re/Im exactly and takes |h| and arg h from the convex
-image: tangents, nearest and a chord-certified farthest point
-(`_shifted_view`), about 0.2 ms a call against 0.03 ms with g = 0.
+value 1 for z = 0. An array base takes its powers from `_powers`, one
+arctan2 and one abs for all its exponents; the exponents 0, 1/2 and 1 are
+exact there (1, np.sqrt(w) and w itself), any other takes the polar form
+|w|^a e^{i a arg w} from real kernels. The primary report describes
+(h - g)/(1 - g); the shifted view of h restates its Re/Im exactly and takes
+|h| and arg h from the convex image: tangents, nearest and a
+chord-certified farthest point (`_shifted_view`), about 0.2 ms a call
+against 0.03 ms with g = 0.
 
 Scalars stay scalar: `eval_powered` evaluates a Python or numpy float or
 complex z in Python complex arithmetic, h = (1 - g) q ** a + g with
-q = (1 + Az)/(1 + Bz), whose complex ** float is the polar form of `_power`
-from libm, and an array through the numpy kernels `_power` and `_log`,
+q = (1 + Az)/(1 + Bz), whose complex ** float is the polar form from libm
+(exact at a = 1), and an array through the numpy kernels `_power` and `_log`,
 whose results the rule leaves bit for bit. numpy may take arctan2, hypot
 and pow from vector kernels and fuse the complex products Az and Bz (FMA),
 so the two paths agree to within 16 eps (max(1, |h|) + kappa |h - g|),
@@ -78,17 +82,35 @@ _NO_ARG_FLOOR = 1e-9  # below this min |h| on the circle, a shifted view reports
 
 
 def _power(w, a: float) -> np.ndarray:
-    """Principal-branch w^a in polar form, |w|^a (cos phi + i sin phi) with
-    phi = a arg w, filled part by part from real kernels.
+    """Principal-branch w^a, the one power of `_powers`."""
+    return _powers(w, (a,))[0]
 
-    arg w lies in (-pi, pi] and keeps the sign of a zero imaginary part, so
-    w = -1 - 0j takes the -pi side, as np.log does; 0^a = 0 for a > 0
-    needs no log(0). The real kernels cost about a quarter of numpy's
-    complex log and are accurate to a few ulps, where exp(a log w) loses
-    up to about 30 ulps at large |a log w|.
+
+def _powers(w, exponents) -> list[np.ndarray]:
+    """Principal-branch w^a for each a of `exponents`, from one arg w and one |w|.
+
+    Exponents 0, 1/2 and 1 are exact: 1, np.sqrt(w) and w itself (not a
+    copy; no caller writes into a power). Any other a takes the polar form
+    |w|^a (cos phi + i sin phi), phi = a arg w, filled part by part from
+    real kernels. arg w lies in (-pi, pi] and keeps the sign of a zero
+    imaginary part, so w = -1 - 0j takes the -pi side, as np.log and
+    np.sqrt do; 0^a = 0 for a > 0 needs no log(0). The real kernels cost
+    about a quarter of numpy's complex log and are accurate to a few ulps,
+    where exp(a log w) loses up to about 30 ulps at large |a log w|.
     """
-    phi = a * np.arctan2(w.imag, w.real)  # np.angle's own kernel, without its wrapper
-    return _polar(np.abs(w) ** a, phi)
+    out, arg, mod = [], None, None
+    for a in exponents:
+        if a == 0.0:
+            out.append(np.ones(np.shape(w), dtype=complex))
+        elif a == 1.0:
+            out.append(w)
+        elif a == 0.5:
+            out.append(np.sqrt(w))
+        else:
+            if arg is None:
+                arg, mod = np.arctan2(w.imag, w.real), np.abs(w)  # np.angle's own kernel, without its wrapper
+            out.append(_polar(mod**a, a * arg))
+    return out
 
 
 def _polar(mod, phi) -> np.ndarray:
@@ -148,7 +170,7 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     denom = 1.0 + p.B * z
     if abs(p.B) * radius >= 1.0 - 1e-14 and np.min(np.abs(denom)) < 1e-14:
         raise PoleOnBoundaryError("z hits the pole of the first-order map")
-    if scalar:  # complex ** float is the polar form of `_power`, from libm
+    if scalar:  # complex ** float is the polar form, from libm
         return (1.0 - p.gamma) * ((1.0 + p.A * z) / denom) ** p.alpha + p.gamma
     out = (1.0 - p.gamma) * _power((1.0 + p.A * z) / denom, p.alpha) + p.gamma
     return complex(out) if out.ndim == 0 else out
@@ -176,13 +198,13 @@ def _invert_normalized(p: JanowskiParams, base: np.ndarray) -> tuple[np.ndarray,
     alpha = 1, where w~ = base). A value with |phi| >= pi lies at or past
     the ends of the sector |arg| < alpha pi that holds the image of an
     argument-safe map, and its w~ has wrapped round to a point that is no
-    preimage."""
+    preimage. The root for 1/alpha = 2 is base * base, exact as in `_powers`."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p.alpha == 1.0:  # the power 1 is the identity, kept exact
             return (base - 1.0) / (p.A - p.B * base), None
         a = 1.0 / p.alpha
-        phi = a * np.arctan2(base.imag, base.real)  # as in `_power`, kept for the caller
-        root = _polar(np.abs(base) ** a, phi)
+        phi = a * np.arctan2(base.imag, base.real)  # as in `_powers`, kept for the caller
+        root = base * base if a == 2.0 else _polar(np.abs(base) ** a, phi)
         return (root - 1.0) / (p.A - p.B * root), phi
 
 

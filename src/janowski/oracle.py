@@ -17,6 +17,17 @@ Honesty conventions used throughout:
 * Reports are plain data with one-line JSON serialization so long runs
   can be streamed and audited.
 
+Winding containment (the poly-mode T5.7 and C5.12 trials, against a dominant
+that need not be univalent) counts signed crossings of each sample's ray.
+Each table row's 4096-point dominant curve is cached with an inscribed disk:
+centred at the curve's mean, its radius is (1 - 1e-9) times the least distance
+from the centre to an edge, less 4e-12, and its flag is the centre's crossing
+count. A sample strictly inside that disk cannot be separated from the centre
+by the curve, so it takes the centre's flag; only the others, NaN samples
+among them, are counted. The flags are those of the full count, and the
+disk takes 98 % of the 2048 samples of a trial over odd seeds 1-399 (71 %
+at the least), which halves the cost of these trials.
+
 Trial contract: a trial is a function of its seed alone.  The seed picks
 the trial's parameters from fixed tables and its test function through
 `_effective_schwarz`; the trial returns only its evidence, the tuple
@@ -45,8 +56,8 @@ from .envelope import (
     _circle_geometry,
     _curve_blocks,
     _invert_normalized,
-    _log,
     _power,
+    _powers,
     _unit_circle,
     sector_image,
     tilt_angle,
@@ -149,17 +160,14 @@ class SchwarzPoly:
 
     def _poly(self, zz: np.ndarray) -> np.ndarray:
         """p(z) = sum_k c_k z^k, the one polynomial that value and deriv share."""
-        return np.polynomial.polynomial.polyval(zz, np.asarray(self.coefficients))
+        return _horner(zz, self.coefficients)
 
     def _value(self, zz: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.scale * zz * p
 
     def _deriv(self, zz: np.ndarray, p: np.ndarray) -> np.ndarray:
-        coef = np.asarray(self.coefficients)
-        if len(coef) > 1:
-            dp = np.polynomial.polynomial.polyval(zz, coef[1:] * np.arange(1, len(coef)))
-        else:
-            dp = np.zeros_like(zz)
+        coef = self.coefficients
+        dp = _horner(zz, [k * c for k, c in enumerate(coef) if k]) if len(coef) > 1 else np.zeros_like(zz)
         return self.scale * (p + zz * dp)
 
     def dilated(self, rho: float) -> "SchwarzPoly":
@@ -167,6 +175,17 @@ class SchwarzPoly:
         require_range("rho", rho, "(0, 1]")
         coef = tuple(c * rho**k for k, c in enumerate(self.coefficients))
         return SchwarzPoly(coef, self.scale * rho)
+
+
+def _horner(x: np.ndarray, coef) -> np.ndarray:
+    """sum_k coef_k x^k by Horner's rule in place, out *= x; out += coef_k: the
+    bits of numpy's polyval, whose c_k + out * x differs only in the order of
+    an addition, which commutes."""
+    out = np.full(np.shape(x), coef[-1], dtype=complex)
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
 def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
@@ -201,7 +220,7 @@ def _draw(seed: int, degree: int) -> SchwarzPoly:
 
 def _screened_peak(z: np.ndarray, coef: np.ndarray) -> float:
     """Largest |T| over the unit grid z, T(z) = z sum_k coef_k z^k. Only the
-    samples `_screen` keeps are formed, as polyval(z, coef) times z in place,
+    samples `_screen` keeps are formed, as `_horner`(z, coef) times z in place,
     the order of the whole grid's elided z * polyval(z, coef); they keep their
     grid bits, so the result is the whole grid's maximum, the same float.
 
@@ -214,7 +233,7 @@ def _screened_peak(z: np.ndarray, coef: np.ndarray) -> float:
     tiny = _ROUNDING * size
 
     def modulus(zk):
-        v = np.polynomial.polynomial.polyval(zk, coef)
+        v = _horner(zk, coef)
         return np.abs(np.multiply(v, zk, out=v))
 
     def bounds(j, half):
@@ -281,16 +300,21 @@ def subordination_pullback(w, target: JanowskiParams) -> np.ndarray:
     that land on the branch cut of the outer root raise BranchUndefined.
     Points with no preimage come back as inf: those swallowed by the pole
     of the inverse, and those at or past the ends |arg| = alpha pi of the
-    sector that holds the target's image, base = (w - gamma)/(1 - gamma).
+    sector that holds the target's image, base = (w - gamma)/(1 - gamma),
+    which is w itself at gamma = 0.
     """
-    base = (np.atleast_1d(np.asarray(w, dtype=complex)) - target.gamma) / (1.0 - target.gamma)
+    base = np.atleast_1d(np.asarray(w, dtype=complex))
+    if target.gamma != 0.0:
+        base = (base - target.gamma) / (1.0 - target.gamma)
     if np.any((base.real <= 0.0) & (base.imag == 0.0)):
         raise BranchUndefinedError("sample on the branch cut of the inverse power")
     z, phi = _invert_normalized(target, base)
     q = np.abs(z)
     if phi is not None and (phi.max() >= math.pi or phi.min() <= -math.pi):  # two reductions, no mask
         q[np.abs(phi) >= math.pi] = math.inf
-    return np.where(np.isfinite(q), q, np.inf)
+    if q.size and math.isnan(q.max()):  # a NaN preimage is none either; the max propagates NaN
+        q[np.isnan(q)] = math.inf
+    return q
 
 
 def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol: float = 1e-9) -> bool:
@@ -311,11 +335,27 @@ def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol:
 
 _ON_VERTEX = 1e-12  # a point this close to a curve vertex counts as contained
 _PAIR_BLOCK = 1 << 16  # (point, edge) pairs tested at once, bounding the working memory
+_Disk = tuple[complex, float, bool]  # (centre, radius, flag of the centre) of `_inscribed_disk`
 
 
-def _winding_contains(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
+def _winding_contains(points: np.ndarray, curve: np.ndarray, disk: _Disk | None = None) -> np.ndarray:
     """Nonzero-rule membership of the 1-d `points` w.r.t. the closed polygon
-    through the samples `curve`.
+    through the samples `curve` (`_crossings`). With the curve's
+    `_inscribed_disk` (centre, radius, flag), a point strictly inside the
+    disk takes the centre's flag and only the others, NaN points among
+    them, are counted: the flags are the same."""
+    if disk is None:
+        return _crossings(points, curve)
+    centre, radius, flag = disk
+    rest = ~(np.abs(points - centre) < radius)
+    flags = np.full(points.size, flag)
+    flags[rest] = _crossings(points[rest], curve)
+    return flags
+
+
+def _crossings(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """Nonzero-rule membership of the 1-d `points` w.r.t. the closed polygon
+    through the samples `curve`, by a crossing count.
 
     A point is inside when its winding number is nonzero, so a region the
     curve covers twice (winding 2) is inside too, where an even-odd count
@@ -357,6 +397,29 @@ def _winding_contains(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
     flags = np.empty(points.size, dtype=bool)
     flags[order] = hit | (winding != 0)
     return flags
+
+
+def _inscribed_disk(curve: np.ndarray) -> _Disk:
+    """(centre, radius, flag): a disk about the mean of the closed polygon
+    `curve` that no edge meets, and the `_crossings` flag of its centre.
+
+    The radius is (1 - 1e-9) times the least distance from the centre to an
+    edge, less 4e-12. Every point strictly inside then lies over 2e-12 from
+    each edge, so no vertex is within 1e-12 of it, and the segment to the
+    centre crosses no edge: its winding number, and so its flag, is the
+    centre's. The factor absorbs the rounding of the distances, and of the
+    crossing count of points that far from every edge. A NaN curve gives a
+    NaN radius, which holds no point.
+    """
+    centre = complex(curve.mean())
+    d = curve - centre
+    edge = np.roll(curve, -1) - curve
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -(d.real * edge.real + d.imag * edge.imag) / (edge.real**2 + edge.imag**2)
+    t = np.fmin(np.fmax(t, 0.0), 1.0)  # the nearest point of each edge; fmax maps a point edge's NaN to 0
+    gap = float(np.abs(d + t * edge).min())
+    flag = bool(_crossings(np.array([centre]), curve)[0])
+    return centre, (1.0 - 1e-9) * gap - 4.0 * _ON_VERTEX, flag
 
 
 def _sector_margin(args: np.ndarray, lo: float, hi: float) -> float:
@@ -516,13 +579,17 @@ class TrialReport:
 _Evidence = tuple[bool, bool, float, dict]
 
 
-def _log_ratio(target: JanowskiParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """With target's A and B: the base q = (1 + A w)/(1 + B w), log(1 + A w) - log(1 + B w),
-    a log of q that stays principal for |arg| < pi, and its w-derivative
-    A/(1 + A w) - B/(1 + B w). Powers of q are principal `_power`s."""
+def _ratio(target: JanowskiParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """With target's A and B: num = 1 + A w, den = 1 + B w, the base q = num / den
+    and its log-derivative A / num - B / den. Powers of q are principal `_powers`."""
     num = 1.0 + target.A * w
     den = 1.0 + target.B * w
-    return num / den, _log(num) - _log(den), target.A / num - target.B / den
+    return num, den, num / den, target.A / num - target.B / den
+
+
+def _arg_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """arg num - arg den, the argument of q = num / den that stays principal for |arg q| < pi."""
+    return np.arctan2(num.imag, num.real) - np.arctan2(den.imag, den.real)
 
 
 def _max_pullback(samples: np.ndarray, target: JanowskiParams) -> float:
@@ -546,7 +613,7 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
     target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, alpha)
-    base, logbase, dlog = _log_ratio(target, w)
+    num, den, base, dlog = _ratio(target, w)
     p = _power(base, alpha)
     zdp = alpha * p * dlog * zdw
     gratio = 1.0 - cg * z  # g/(z g') for the comparison g(z) = z/(1 - cg z)
@@ -566,7 +633,7 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
     hypothesis = ratio_ok and hyp_margin > _SAFETY
 
     sector = sector_image(alpha, m)
-    con_margin = _sector_margin(alpha * logbase.imag, sector.lo, sector.hi)
+    con_margin = _sector_margin(alpha * _arg_ratio(num, den), sector.lo, sector.hi)
     max_pull = _max_pullback(p, target)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, {
@@ -593,17 +660,18 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.35, c_max=0.5)
     target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, beta)
-    base, logbase, dlog = _log_ratio(target, w)
+    num, den, base, dlog = _ratio(target, w)
+    arg_base = _arg_ratio(num, den)
     # z p'/p for p = base^beta, evaluated without forming p first
     x = (a + c * z) * beta * (dlog * zdw)
     shifted = 1.0 + x
     safe = bool(np.all(shifted.real > 0.0))
-    arg_expr = alpha * beta * logbase.imag + gamma * np.angle(shifted)
+    arg_expr = alpha * beta * arg_base + gamma * np.angle(shifted)
     hyp_margin = _sector_margin(arg_expr, -sp.mu1 * math.pi / 2.0, sp.mu2 * math.pi / 2.0)
     hypothesis = safe and hyp_margin > _SAFETY
 
     sector = sector_image(beta, m)
-    con_margin = _sector_margin(beta * logbase.imag, sector.lo, sector.hi)
+    con_margin = _sector_margin(beta * arg_base, sector.lo, sector.hi)
     max_pull = _max_pullback(_power(base, beta), target)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, {
@@ -629,7 +697,7 @@ def _trial_inverse_coefficient(seed: int) -> _Evidence:
 
     _, _, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
     target = JanowskiParams(A, -b, alpha)
-    base, _, dlog = _log_ratio(target, w)
+    *_, base, dlog = _ratio(target, w)
     p = _power(base, alpha)
     coeff = alpha * dlog * zdw / p  # z p'/p^2
     criterion = silverman_inclusion(A, b, alpha, beta)
@@ -708,6 +776,12 @@ def _dominant_curve(spec: DominantSpec) -> np.ndarray:
     return curve
 
 
+@functools.lru_cache(maxsize=8)
+def _dominant_disk(spec: DominantSpec) -> _Disk:
+    """The `_inscribed_disk` of `_dominant_curve(spec)`, cached per spec."""
+    return _inscribed_disk(_dominant_curve(spec))
+
+
 def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     """First-order operator subordination against its exact dominant.
 
@@ -716,19 +790,17 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     c z; the trial then checks that exact identity through the standalone
     dominant evaluator.  Odd seeds use a genuine polynomial Schwarz function
     and fall back to a winding count against the sampled dominant curve,
-    which depends only on the table row and is cached per row
-    (`_dominant_curve`); the cut clearance is that of the image disk of
-    |z| = _CURVE_RADIUS.  `detail` holds the calling id's own parameters;
-    the trial adds its evidence to it.
+    which depends only on the table row and is cached per row with its
+    inscribed disk (`_dominant_curve`, `_dominant_disk`); the cut clearance
+    is that of the image disk of |z| = _CURVE_RADIUS.  `detail` holds the
+    calling id's own parameters; the trial adds its evidence to it.
     """
     radii = (1.0,) if seed % 2 == 0 else (0.35, 0.65, 0.9, 1.0)
     omega, z, w, zdw = _effective_schwarz(seed, _OMEGA_RHO, 0.88, 512, radii)
     target = JanowskiParams(spec.A, -spec.b, spec.gamma)
-    base, _, dlog = _log_ratio(target, w)
-    p = _power(base, spec.gamma)
+    *_, base, dlog = _ratio(target, w)
+    p, p_alpha, p_alpha_m1 = _powers(base, (spec.gamma, spec.alpha * spec.gamma, (spec.alpha - 1.0) * spec.gamma))
     zdp = spec.gamma * p * dlog * zdw
-    p_alpha = _power(base, spec.alpha * spec.gamma)
-    p_alpha_m1 = _power(base, (spec.alpha - 1.0) * spec.gamma)
     e_samples = complex(spec.mu) * p_alpha * (complex(spec.delta) + complex(spec.rho) * p) + complex(spec.eta) * zdp * p_alpha_m1
     if seed % 2 == 0:
         reference = operator_dominant(spec, omega.linear_coefficient * z)
@@ -739,7 +811,7 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     else:
         disk = image_disk(target, _CURVE_RADIUS)  # holds 1, so Re center > 1/2
         clearance = abs(disk.center) - disk.radius
-        contained = _winding_contains(e_samples, _dominant_curve(spec))
+        contained = _winding_contains(e_samples, _dominant_curve(spec), _dominant_disk(spec))
         hypothesis = bool(np.all(contained)) and clearance > 1e-9
         detail["contained_fraction"] = float(np.mean(contained))
         detail["cut_clearance"] = clearance
@@ -754,8 +826,9 @@ def _trial_operator_dominant(seed: int) -> _Evidence:
     """T5.7: the operator trial on a seed-chosen row of the operator tables."""
     table = _OPERATOR_TABLE_A if seed % 2 == 0 else _OPERATOR_TABLE_B
     A, b, alpha, gamma, mu, eta, delta, rho = table[(seed // 2) % 4]
-    spec = DominantSpec(complex(A), b, alpha, gamma, complex(mu), complex(eta), complex(delta), complex(rho))
-    return _operator_trial(seed, spec, asdict(spec))
+    params = {"A": complex(A), "b": b, "alpha": alpha, "gamma": gamma,
+              "mu": complex(mu), "eta": complex(eta), "delta": complex(delta), "rho": complex(rho)}
+    return _operator_trial(seed, DominantSpec(**params), params)  # the detail starts as the spec's fields
 
 
 _COMBO_TABLE_A = (
@@ -803,7 +876,7 @@ def _trial_first_order(seed: int) -> _Evidence:
 
     _, z, w, zdw = _effective_schwarz(seed, rho=0.3, c_max=0.45)
     target = JanowskiParams(A, B, alpha)
-    base, _, dlog = _log_ratio(target, w)
+    *_, base, dlog = _ratio(target, w)
     p = _power(base, alpha)
     zdp = alpha * p * dlog * zdw
     denom = beta * p + gamma

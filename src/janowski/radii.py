@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateMapError,
     NoRootError,
+    NumericalError,
     OutOfRangeError,
     require_finite,
     require_finite_args,
@@ -63,24 +64,32 @@ class RadiusProblem:
 
 def _radius_terms(prob: RadiusProblem) -> tuple[float, float, int]:
     """(num, den, e): the radius quotient num / den, each term the printed one
-    divided by 2^e. (A, B) = 2^e1 (a, b) and (C, D) = 2^e2 (c, d), e = e1 + e2,
+    divided by 2^e |1 - gamma|^(1/alpha - 1). The printed num holds
+    |1 - gamma|^(1/alpha) and den |1 - gamma|^(1/alpha - 1), so that factor
+    cancels exactly and no power is formed, which would overflow or underflow
+    at small alpha. (A, B) = 2^e1 (a, b) and (C, D) = 2^e2 (c, d), e = e1 + e2,
     so |A - B|, |C - D| and the cross term cannot overflow, and the power-of-two
     scale keeps every bit of a finite quotient and every verdict num >= den."""
     (A, B, e1), (C, D, e2) = _scaled_pair(prob.A, prob.B), _scaled_pair(prob.C, prob.D)
     gamma, delta = complex(prob.gamma), complex(prob.delta)
-    inv_a = 1.0 / prob.alpha
-    num = math.ldexp(prob.alpha * abs(A - B) * abs(1.0 - gamma) ** inv_a, -e2)
+    num = math.ldexp(prob.alpha * abs(A - B) * _modulus(1.0 - gamma), -e2)
     cross = A * D * (gamma - 1.0) + B * (C * (1.0 - delta) + D * (delta - gamma))
-    den = prob.beta * abs(1.0 - gamma) ** (inv_a - 1.0) * (
-        math.ldexp(abs(C - D) * abs(delta - 1.0), -e1) + abs(cross)
-    )
+    den = prob.beta * (math.ldexp(abs(C - D) * _modulus(delta - 1.0), -e1) + _modulus(cross))
     return num, den, e1 + e2
+
+
+def _modulus(z: complex) -> float:
+    """|z|, inf or NaN past the largest double, where abs() of a complex raises OverflowError."""
+    return math.hypot(z.real, z.imag)
 
 
 def subordination_radius(prob: RadiusProblem) -> float:
     """Radius (capped at 1) on which source-subordinate functions are
-    target-subordinate: num / den of `_radius_terms`."""
+    target-subordinate: num / den of `_radius_terms`. Raises NumericalError
+    when a term overflows, as at shifts near the largest double."""
     num, den, _ = _radius_terms(prob)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise NumericalError("a subordination-radius term overflows a double")
     if den == 0.0:
         return 1.0
     return min(num / den, 1.0)

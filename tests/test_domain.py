@@ -52,6 +52,7 @@ from janowski import (
     sector_image,
     silverman_inclusion,
     starlike_radius,
+    subordination_radius,
     tilt_angle,
     uralegaddi_radius,
     verify_subordination,
@@ -332,6 +333,35 @@ def test_admitted_b_band_maps_the_unit_circle_to_a_half_plane(B):
     assert geo.offset == pytest.approx(0.375 / abs(q), rel=1e-12)
     with pytest.raises(OutOfRangeError, match="the image is a half-plane"):
         envelope_bounds(p, 1.0)
+
+
+def _printed_radius(prob: RadiusProblem) -> float:
+    """min(num / den, 1) of the printed terms, |1 - gamma|^(1/alpha) and
+    |1 - gamma|^(1/alpha - 1) included, at 50 digits, where no power overflows."""
+    with mp.workdps(50):
+        A, B, C, D, g, d = (mp.mpc(getattr(prob, f)) for f in "A B C D gamma delta".split())
+        inv_a = 1 / mp.mpf(prob.alpha)
+        cross = A * D * (g - 1) + B * (C * (1 - d) + D * (d - g))
+        num = prob.alpha * abs(A - B) * abs(1 - g) ** inv_a
+        den = prob.beta * abs(1 - g) ** (inv_a - 1) * (abs(C - D) * abs(d - 1) + abs(cross))
+        return float(min(num / den, 1))
+
+
+@pytest.mark.parametrize("gamma", [5.0, 1e300, 1 - 1e-9, 0.2 - 3j], ids=["5", "1e300", "1-1e-9", "0.2-3i"])
+def test_subordination_radius_at_a_small_power(gamma):
+    # |1 - gamma|^(1/alpha) at alpha = 1e-3 overflowed with a bare OverflowError
+    # (|1 - gamma| > 1), or its partner |1 - gamma|^(1/alpha - 1) in den underflowed
+    # to 0 and the radius came back as 1 (1 - 1e-9); the factor cancels exactly
+    prob = RadiusProblem(0.5, 0.2, 1e-3, gamma, 0.3, 0.1, 0.5, 0.0)
+    assert subordination_radius(prob) == pytest.approx(_printed_radius(prob), rel=1e-14)
+    assert subordination_radius(prob) < 0.05
+
+
+def test_overflowing_subordination_radius_raises():
+    # the shift's own modulus and the cross term overflow a double
+    prob = RadiusProblem(0.5, 0.2, 0.5, -1.7e308 - 1.7e308j, 0.3, 0.1, 0.5, 0.0)
+    with pytest.raises(NumericalError, match="overflows a double"):
+        subordination_radius(prob)
 
 
 def test_largest_seeds_get_distinct_streams():

@@ -46,6 +46,7 @@ from janowski.envelope import (
     _log,
     _newton,
     _power,
+    _powers,
     _unit_circle,
 )
 from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
@@ -565,6 +566,53 @@ def test_power_of_zero_is_exactly_zero(a):
     zeros = np.array([0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)])
     assert (_power(zeros, a) == 0.0).all()
     assert _power(0j, a) == 0.0
+
+
+def _exact_exponent_bases() -> np.ndarray:
+    rng = np.random.default_rng(2039)
+    seeded = 10.0 ** rng.uniform(-6.0, 6.0, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+    huge_and_tiny = [1e300, 1e-300, 1e300j, -1e-300j, 1e300 * cmath.exp(2.5j), 1e-300 * cmath.exp(-0.7j)]
+    cut = [complex(x, s) for x in (-1.0, -4.0, -1e300, -1e-300) for s in (0.0, -0.0)]
+    return np.array(list(seeded) + huge_and_tiny + cut + [0j, complex(0.0, -0.0)])
+
+
+EXACT_EXPONENT_BASES = _exact_exponent_bases()
+
+
+def _polar_power(w: np.ndarray, a: float) -> np.ndarray:
+    """|w|^a (cos phi + i sin phi), phi = a arg w: the polar form that every exponent once took."""
+    phi = a * np.arctan2(w.imag, w.real)
+    mod = np.abs(w) ** a
+    out = np.empty(w.shape, dtype=complex)
+    out.real, out.imag = mod * np.cos(phi), mod * np.sin(phi)
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_exact_exponents_agree_with_the_polar_form(a):
+    w = EXACT_EXPONENT_BASES
+    got = _power(w, a)
+    assert (np.abs(got - _polar_power(w, a)) <= 4.0 * np.spacing(np.abs(w) ** a)).all()
+    assert (got == (w if a == 1.0 else np.sqrt(w))).all()
+    # both signs of zero on the cut (w[-10:-2], -1 + 0j and -1 - 0j first): the
+    # side follows the sign, as in the polar form
+    assert (got[-10], got[-9]) == ((1j, -1j) if a == 0.5 else (-1.0, -1.0))
+    assert (np.signbit(got.imag) == np.signbit(_polar_power(w, a).imag))[-10:-2].all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_powers_of_one_base_match_separate_calls():
+    # the seeded bases and the cut at -1 and -4: no zero, which a negative power
+    # sends to inf, and no modulus whose power 1/0.6 overflows
+    w = np.concatenate([EXACT_EXPONENT_BASES[:300], EXACT_EXPONENT_BASES[-10:-6]])
+    exponents = (0.3, 0.5, 1.0, 0.0, -0.4, 1.0 / 0.6, (0.5 - 1.0) * 0.6)
+    for a, got in zip(exponents, _powers(w, exponents), strict=True):
+        assert got.tobytes() == _power(w, a).tobytes(), a
+        if a not in (0.0, 0.5, 1.0):
+            assert got.tobytes() == _polar_power(w, a).tobytes(), a
+    assert (_power(w, 0.0) == 1.0).all()
+    assert _power(w, 1.0) is w  # the base itself, which no caller writes into
 
 
 def test_unit_circle_is_shared_read_only_and_exact():

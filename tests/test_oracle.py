@@ -33,7 +33,7 @@ from janowski import (
     subordination_pullback,
     verify_subordination,
 )
-from janowski import empirical_bounds, oracle
+from janowski import empirical_bounds, envelope, oracle
 from janowski.oracle import _HEADROOM, _effective_schwarz, _rng, _unit_circle, _winding_contains
 from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
 
@@ -414,6 +414,27 @@ class TestDrawCache:
             assert z.size == 1024 and not any(x.flags.writeable for x in (z, w, zdw))
 
 
+def test_no_caller_writes_into_a_power(monkeypatch):
+    """Every trial id over seeds 0-15 and the array path of eval_powered give
+    the same results when each power comes back as a read-only copy."""
+    powers = envelope._powers
+
+    def frozen(w, exponents):
+        out = [np.array(x) for x in powers(w, exponents)]
+        for x in out:
+            x.setflags(write=False)
+        return out
+
+    p = JanowskiParams(0.7 + 0.2j, -0.4, 0.5, 0.1j)
+    z = 0.8 * _unit_circle(64)
+    want = [implication_trial(tid, seed=s).to_json() for s in range(16) for tid in THEOREM_IDS], eval_powered(p, z)
+    monkeypatch.setattr(envelope, "_powers", frozen)
+    monkeypatch.setattr(oracle, "_powers", frozen)
+    monkeypatch.setattr(oracle, "_power", envelope._power)
+    got = [implication_trial(tid, seed=s).to_json() for s in range(16) for tid in THEOREM_IDS], eval_powered(p, z)
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
 def _angle_sum_contains(points, curve):
     """Reference membership: |sum of turning angles of curve - point| > pi,
     or within 1e-12 of a vertex."""
@@ -432,13 +453,13 @@ def _angle_sum_contains(points, curve):
 
 
 def _containment_calls(monkeypatch, tid, seed):
-    """The (points, curve) arguments of every containment test one trial makes."""
+    """The (points, curve, disk) arguments of every containment test one trial makes."""
     calls = []
     contains = oracle._winding_contains
 
-    def spy(points, curve):
-        calls.append((points, curve))
-        return contains(points, curve)
+    def spy(points, curve, disk=None):
+        calls.append((points, curve, disk))
+        return contains(points, curve, disk)
 
     monkeypatch.setattr(oracle, "_winding_contains", spy)
     implication_trial(tid, seed=seed)
@@ -450,8 +471,9 @@ class TestWindingContains:
     @pytest.mark.parametrize("seed", [1, 3, 5, 7])
     @pytest.mark.parametrize("tid", ["T5.7", "C5.12"])
     def test_poly_mode_trials_match_the_angle_sum(self, monkeypatch, tid, seed):
-        (points, curve), = _containment_calls(monkeypatch, tid, seed)
-        assert np.array_equal(_winding_contains(points, curve), _angle_sum_contains(points, curve))
+        (points, curve, disk), = _containment_calls(monkeypatch, tid, seed)
+        assert disk == oracle._inscribed_disk(curve)
+        assert np.array_equal(_winding_contains(points, curve, disk), _angle_sum_contains(points, curve))
 
         rng = np.random.default_rng(seed)
         lo = np.array([curve.real.min(), curve.imag.min()])
@@ -463,6 +485,7 @@ class TestWindingContains:
         box[32:36] = curve[extremes] + np.array([5e-13j, -5e-13j, 5e-13, -5e-13])  # just outside, within 1e-12
         got = _winding_contains(box, curve)
         assert np.array_equal(got, _angle_sum_contains(box, curve))
+        assert np.array_equal(_winding_contains(box, curve, disk), got)
         assert got[:36].all() and got[36:].any() and not got.all()
 
     def test_doubly_covered_loop_is_inside(self):
@@ -492,6 +515,73 @@ class TestWindingContains:
         got = _winding_contains(points, curve)
         assert got.tolist() == [False, False, False, True]
         assert np.array_equal(got, _angle_sum_contains(points, curve))
+
+
+def _disk_probes(curve: np.ndarray, disk, seed: int) -> np.ndarray:
+    """Points on, just inside and just outside the certified circle, inside the
+    disk, across the curve's box, on curve vertices, and NaN points."""
+    centre, radius, _ = disk
+    rng = np.random.default_rng(seed)
+    turn = np.exp(2j * np.pi * rng.random(256))
+    ring = [centre + radius * f * turn for f in (1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-3)]
+    inner = centre + radius * np.sqrt(rng.random(256)) * turn
+    lo, hi = complex(curve.real.min(), curve.imag.min()), complex(curve.real.max(), curve.imag.max())
+    box = lo.real + (hi - lo).real * rng.random(256) + 1j * (lo.imag + (hi - lo).imag * rng.random(256))
+    nan = np.array([complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.nan)])
+    return np.concatenate(ring + [inner, box, curve[rng.choice(curve.size, 32, replace=False)], nan])
+
+
+def _star(t: np.ndarray) -> np.ndarray:
+    return (1.0 + 0.5 * np.cos(5.0 * t)) * np.exp(1j * t)
+
+
+class TestInscribedDisk:
+    """The disk shortcut of `_winding_contains` gives the flags of the full
+    crossing count, point for point."""
+
+    def _check(self, curve, seed, angle_sum=True):
+        disk = oracle._inscribed_disk(curve)
+        points = _disk_probes(curve, disk, seed)
+        full = _winding_contains(points, curve)
+        assert np.array_equal(_winding_contains(points, curve, disk), full)
+        if angle_sum:
+            assert np.array_equal(full, _angle_sum_contains(points, curve))
+        return disk, points, full
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    @pytest.mark.parametrize("tid", ["T5.7", "C5.12"])
+    def test_every_table_row_curve(self, monkeypatch, tid, seed):
+        (_, curve, disk), = _containment_calls(monkeypatch, tid, seed)
+        got, points, full = self._check(curve, seed)
+        assert got == disk
+        centre, radius, flag = disk
+        assert radius > 0.0 and flag and full[:1024].all()  # the dominant curve winds once about its mean
+        # no edge comes within the radius: 64 points on each edge stay farther from the centre
+        s = np.linspace(0.0, 1.0, 64)[:, None]
+        edges = curve + s * (np.roll(curve, -1) - curve)
+        assert np.abs(edges - centre).min() > radius + 2e-12
+
+    def test_doubly_covered_loop(self):
+        # the inner loop of (0.5 + 2 cos t) e^{it} winds twice and holds the mean 1
+        t = 2.0 * np.pi * np.arange(4096) / 4096
+        curve = (0.5 + 2.0 * np.cos(t)) * np.exp(1j * t)
+        disk, points, full = self._check(curve, 11)
+        assert disk[1] > 0.1 and disk[2] and full[:1024].all()
+        # the limacon (1 + 2 cos t) e^{it} passes through its mean: no disk, all counted
+        curve = (1.0 + 2.0 * np.cos(t)) * np.exp(1j * t)
+        assert oracle._inscribed_disk(curve)[1] < 0.0
+        self._check(curve, 12)
+
+    def test_non_convex_star(self):
+        t = 2.0 * np.pi * np.arange(4096) / 4096
+        disk, points, full = self._check(_star(t), 13)
+        assert 0.49 < disk[1] < 0.5 and disk[2]
+
+    def test_nan_curve_gives_an_empty_disk(self):
+        curve = np.exp(2j * np.pi * np.arange(256) / 256)
+        curve[7] = complex(math.nan, 0.0)
+        assert math.isnan(oracle._inscribed_disk(curve)[1])
+        self._check(curve, 14, angle_sum=False)  # the angle sum skips the NaN vertex's steps
 
 
 @pytest.mark.parametrize("call,limit", [

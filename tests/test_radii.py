@@ -80,9 +80,12 @@ def test_scaled_radii_match_the_unscaled_formula(scale):
                  RadiusProblem(0.5, -0.5 + 0.1j, 0.6, 0.3, A, -0.6, 0.7, 0.2j)):
         a, b, al, g, c, d, be, de = (getattr(prob, f) for f in "A B alpha gamma C D beta delta".split())
         cross = a * d * (g - 1.0) + b * (c * (1.0 - de) + d * (de - g))
-        num = al * abs(a - b) * abs(1.0 - g) ** (1.0 / al)
-        den = be * abs(1.0 - g) ** (1.0 / al - 1.0) * (abs(c - d) * abs(de - 1.0) + abs(cross))
+        num = al * abs(a - b) * abs(1.0 - g)  # the printed terms over their common |1 - g|^(1/al - 1)
+        den = be * (abs(c - d) * abs(de - 1.0) + abs(cross))
         assert subordination_radius(prob) == min(num / den, 1.0)
+        printed = (al * abs(a - b) * abs(1.0 - g) ** (1.0 / al)) / (
+            be * abs(1.0 - g) ** (1.0 / al - 1.0) * (abs(c - d) * abs(de - 1.0) + abs(cross)))
+        assert subordination_radius(prob) == pytest.approx(min(printed, 1.0), rel=1e-14)
 
 
 def test_reciprocal_domain():
