@@ -79,7 +79,7 @@ def _radius_terms(prob: RadiusProblem) -> tuple[float, float, int]:
 
 
 def _modulus(z: complex) -> float:
-    """|z|, inf or NaN past the largest double, where abs() of a complex raises OverflowError."""
+    """|z|, inf past the largest double, where abs() of a complex raises OverflowError."""
     return math.hypot(z.real, z.imag)
 
 

@@ -1101,7 +1101,7 @@ def test_shifted_view_forms_no_grid():
     want = [envelope_bounds(p, r) for p, r in draws]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(envelope, "_unit_circle", refuse)
-        patch.setattr(envelope, "_power", refuse)
+        patch.setattr(envelope, "_powers", refuse)  # which `_power` calls too
         assert [envelope_bounds(p, r) for p, r in draws] == want
 
 
