@@ -158,7 +158,7 @@ def _drift(compute: Callable[[argparse.Namespace, float], complex]):
 def _verify(a) -> dict:
     ids = list(J.THEOREM_IDS) if a.theorem_id == "all" else [a.theorem_id]
     seeds = range(a.seed, a.seed + require_index("seeds", a.seeds, 1))
-    # run seed-major, so all ids of a seed share its Schwarz draw; list id-major
+    # run seed-major, so all ids of a seed share its one-slot seed context; list id-major
     run = {(tid, seed): J.implication_trial(tid, seed=seed) for seed in seeds for tid in ids}
     reports = [run[tid, seed] for tid in ids for seed in seeds]
     return {

@@ -19,7 +19,7 @@ Honesty conventions used throughout:
 
 Winding containment (the poly-mode T5.7 and C5.12 trials, against a dominant
 that need not be univalent) counts signed crossings of each sample's ray.
-Each table row's 4096-point dominant curve is cached with an inscribed disk:
+Each table row's 4096-point dominant curve is kept with an inscribed disk:
 centred at the curve's mean, its radius is (1 - 1e-9) times the least distance
 from the centre to an edge, less 4e-12, and its flag is the centre's crossing
 count. A sample strictly inside that disk cannot be separated from the centre
@@ -29,17 +29,18 @@ disk takes 98 % of the 2048 samples of a trial over odd seeds 1-399 (71 %
 at the least), which halves the cost of these trials.
 
 Trial contract: a trial is a function of its seed alone.  The seed picks
-the trial's parameters from fixed tables and its test function through
-`_effective_schwarz`; the trial returns only its evidence, the tuple
+the trial's parameters from fixed tables and its test function from its
+`_SeedContext`; the trial returns only its evidence, the tuple
 (hypothesis, conclusion, margin, detail).  `implication_trial` checks the
 seed, records the sampling mode in `detail` and builds the one
-`TrialReport`, so a report depends only on (theorem id, seed).
+`TrialReport`, so a report depends only on (theorem id, seed).  One slot
+holds the context of the last seed asked for, so a trial's work is shared
+only with the trials of the same seed run back to back.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 from collections.abc import Mapping
@@ -93,9 +94,8 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-@functools.lru_cache(maxsize=4)
 def _uniforms(seed: int, stream: int) -> tuple[float, float]:
-    """The first two draws of `_rng(seed, stream)`, once per seed: a generator costs more to build than to run."""
+    """The first two draws of `_rng(seed, stream)`; a generator costs more to build than to run."""
     return tuple(_rng(seed, stream).random(2))
 
 
@@ -198,14 +198,12 @@ def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     exceeds the grid maximum by less than a 1e-7 relative factor, so the
     normalized polynomial is rigorously Schwarz.  Degree 1 is the
     deterministic near-identity w(z) = (1 - 1e-6) z. The peak is screened
-    by `_screened_peak`. Draws are shared, keyed by (seed, degree), through an
-    LRU cache of 128, which holds criterion 7's 25 odd seeds run id-major;
-    `verify` runs seed-major, so the ids of a seed draw once for any --seeds.
+    by `_screened_peak`. Each call draws afresh; the trials of a seed share
+    one draw through its `_SeedContext`.
     """
     return _draw(require_index("seed", seed, 0, _SEED_END), require_index("degree", degree, 1, 17))
 
 
-@functools.lru_cache(maxsize=128)
 def _draw(seed: int, degree: int) -> SchwarzPoly:
     if degree == 1:
         return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
@@ -265,21 +263,53 @@ def _screen(n: int, bounds) -> np.ndarray:
     return centres
 
 
-@functools.lru_cache(maxsize=4)
-def _effective_schwarz(
+class _SeedContext(dict):
+    """The work that the trials of one seed share, keyed by (build, *args) and
+    built on first use as build(seed, *args): the uniforms of a stream
+    (`_uniforms`), the Schwarz draw of a degree (`_draw`) and the test function
+    with its samples (`_test_function`), which T3.3 and T5.4, and T5.7 and
+    C5.12, ask for alike."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, key: tuple):
+        build, *args = key
+        self[key] = work = build(self.seed, *args)
+        return work
+
+
+_slot = _SeedContext(-1)  # the context of the last seed asked for; -1 is no seed
+
+
+def _context(seed: int) -> _SeedContext:
+    """The slot's context if it is that of `seed`, else a new one in its place."""
+    global _slot
+    if _slot.seed != seed:
+        _slot = _SeedContext(seed)
+    return _slot
+
+
+def _reset_shared_work() -> None:
+    """Forget the work of the seed slot and the row curves (`_row_curve`), so
+    that the next trial builds all of its own; for tests that count or
+    compare that work."""
+    _slot.clear()
+    _ROW_CURVES.clear()
+
+
+def _test_function(
     seed: int, rho: float, c_max: float, n: int = _N_SAMPLES, radii: tuple[float, ...] = (1.0,)
 ) -> tuple[SchwarzPoly, np.ndarray, np.ndarray, np.ndarray]:
     """Trial test function with its read-only samples (omega, z, omega(z), z omega'(z))
-    on n points of each circle |z| = r, r in radii, shared by the trials of a seed
-    that pass equal arguments (T3.3 and T5.4, T5.7 and C5.12).  Even seeds take a
+    on n points of each circle |z| = r, r in radii. Even seeds take a
     rotation-dilation (exact identities available), odd seeds a dilated polynomial."""
-    u, v = _uniforms(seed, 2)
+    u, v = _context(seed)[_uniforms, 2]
     if seed % 2 == 0:
-        c = c_max * (0.25 + 0.75 * u) * cmath.exp(2j * math.pi * v)
-        omega = SchwarzPoly.scaled_identity(c)
+        omega = SchwarzPoly.scaled_identity(c_max * (0.25 + 0.75 * u) * cmath.exp(2j * math.pi * v))
     else:
-        degree = 2 + int(u * 12.0)
-        omega = random_schwarz(seed, degree).dilated(rho)
+        omega = _context(seed)[_draw, 2 + int(u * 12.0)].dilated(rho)
     z = _unit_circle(n) if radii == (1.0,) else np.concatenate([r * _unit_circle(n) for r in radii])
     p = omega._poly(z)
     out = omega, z, omega._value(z, p), z * omega._deriv(z, p)
@@ -607,11 +637,11 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
     random inside an annulus."""
     alpha = (0.3, 0.5, 0.75, 1.0)[seed % 4]
     m = (0.0, -0.4, 0.3, 0.55)[(seed // 4) % 4]
-    u = _uniforms(seed, 1)
+    u = _context(seed)[_uniforms, 1]
     cg = complex((0.1 + 0.2 * u[0]) * cmath.exp(2j * math.pi * u[1]))
     beta = 0.98 * (1.0 - abs(cg))
 
-    _, z, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
+    _, z, w, zdw = _context(seed)[_test_function, 0.2, 0.25]
     target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, alpha)
     num, den, base, dlog = _ratio(target, w)
     p = _power(base, alpha)
@@ -636,16 +666,8 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
     con_margin = _sector_margin(alpha * _arg_ratio(num, den), sector.lo, sector.hi)
     max_pull = _max_pullback(p, target)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return hypothesis, conclusion, con_margin, {
-        "alpha": alpha,
-        "m": m,
-        "beta": beta,
-        "g_pole": cg,
-        "mu1": mu1,
-        "mu2": mu2,
-        "hyp_margin": hyp_margin,
-        "max_pullback": max_pull,
-    }
+    return hypothesis, conclusion, con_margin, dict(
+        alpha=alpha, m=m, beta=beta, g_pole=cg, mu1=mu1, mu2=mu2, hyp_margin=hyp_margin, max_pullback=max_pull)
 
 
 def _trial_weighted_sector(seed: int) -> _Evidence:
@@ -658,7 +680,7 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
     eta = 0.999 * eta_infimum(a, c, beta)
     sp = weighted_sector_params(alpha, beta, gamma, m, eta)
 
-    _, z, w, zdw = _effective_schwarz(seed, rho=0.35, c_max=0.5)
+    _, z, w, zdw = _context(seed)[_test_function, 0.35, 0.5]
     target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, beta)
     num, den, base, dlog = _ratio(target, w)
     arg_base = _arg_ratio(num, den)
@@ -674,16 +696,9 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
     con_margin = _sector_margin(beta * arg_base, sector.lo, sector.hi)
     max_pull = _max_pullback(_power(base, beta), target)
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return hypothesis, conclusion, con_margin, {
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma,
-        "m": m,
-        "eta": eta,
-        "delta": sp.delta,
-        "hyp_margin": hyp_margin,
-        "max_pullback": max_pull,
-    }
+    return hypothesis, conclusion, con_margin, dict(
+        alpha=alpha, beta=beta, gamma=gamma, m=m, eta=eta, delta=sp.delta,
+        hyp_margin=hyp_margin, max_pullback=max_pull)
 
 
 def _trial_inverse_coefficient(seed: int) -> _Evidence:
@@ -695,7 +710,7 @@ def _trial_inverse_coefficient(seed: int) -> _Evidence:
     cap = alpha * abs(A + b) / ((1.0 + b) ** (alpha - 1.0) * (1.0 + abs(A)) ** (alpha + 1.0))
     beta = 0.98 * min(1.0, cap)
 
-    _, _, w, zdw = _effective_schwarz(seed, rho=0.2, c_max=0.25)
+    _, _, w, zdw = _context(seed)[_test_function, 0.2, 0.25]
     target = JanowskiParams(A, -b, alpha)
     *_, base, dlog = _ratio(target, w)
     p = _power(base, alpha)
@@ -706,15 +721,8 @@ def _trial_inverse_coefficient(seed: int) -> _Evidence:
 
     max_pull = _max_pullback(p, target)
     margin = 1.0 - max_pull
-    return hypothesis, margin >= -1e-4, margin, {
-        "A": A,
-        "b": b,
-        "alpha": alpha,
-        "beta": beta,
-        "criterion": criterion,
-        "sup_coefficient": sup_coeff,
-        "max_pullback": max_pull,
-    }
+    return hypothesis, margin >= -1e-4, margin, dict(
+        A=A, b=b, alpha=alpha, beta=beta, criterion=criterion, sup_coefficient=sup_coeff, max_pullback=max_pull)
 
 
 def _trial_reciprocal_sector(seed: int) -> _Evidence:
@@ -724,7 +732,7 @@ def _trial_reciprocal_sector(seed: int) -> _Evidence:
     beta = (0.5, 0.8, 0.98)[(seed // 3) % 3] * (1.0 - order)
     coef = beta / (1.0 - order)
 
-    _, _, w, zdw = _effective_schwarz(seed, rho=0.6, c_max=0.9)
+    _, _, w, zdw = _context(seed)[_test_function, 0.6, 0.9]
     p = 1.0 + coef * w
     sup_deriv = float(np.max(np.abs((1.0 - order) * coef * zdw)))
     inverse_part = np.abs(order + (1.0 - order) * p)
@@ -734,13 +742,8 @@ def _trial_reciprocal_sector(seed: int) -> _Evidence:
     con_margin = half_angle - float(np.max(np.abs(np.angle(p))))
     max_pull = _max_pullback(p, JanowskiParams(coef, 0.0))
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return hypothesis, conclusion, con_margin, {
-        "order": order,
-        "beta": beta,
-        "sup_derivative": sup_deriv,
-        "half_angle": half_angle,
-        "max_pullback": max_pull,
-    }
+    return hypothesis, conclusion, con_margin, dict(
+        order=order, beta=beta, sup_derivative=sup_deriv, half_angle=half_angle, max_pullback=max_pull)
 
 
 _OPERATOR_TABLE_A = (
@@ -767,19 +770,18 @@ _CURVE_RADIUS = 0.99  # radius of the sampled dominant curve of a poly-mode oper
 _OMEGA_RHO = 0.6
 
 
-@functools.lru_cache(maxsize=8)  # the poly-mode operator tables hold 8 rows
-def _dominant_curve(spec: DominantSpec) -> np.ndarray:
-    """The dominant of `spec` at _N_SAMPLES points of |z| = _CURVE_RADIUS;
-    built on first use, cached per spec and read-only."""
-    curve = operator_dominant(spec, _CURVE_RADIUS * _unit_circle(_N_SAMPLES))
-    curve.setflags(write=False)
-    return curve
+_ROW_CURVES: dict[DominantSpec, tuple[np.ndarray, _Disk]] = {}
 
 
-@functools.lru_cache(maxsize=8)
-def _dominant_disk(spec: DominantSpec) -> _Disk:
-    """The `_inscribed_disk` of `_dominant_curve(spec)`, cached per spec."""
-    return _inscribed_disk(_dominant_curve(spec))
+def _row_curve(spec: DominantSpec) -> tuple[np.ndarray, _Disk]:
+    """The dominant of `spec` at _N_SAMPLES points of |z| = _CURVE_RADIUS,
+    read-only, with its `_inscribed_disk`; built on first use, once for each
+    row of the poly-mode operator tables."""
+    if spec not in _ROW_CURVES:
+        curve = operator_dominant(spec, _CURVE_RADIUS * _unit_circle(_N_SAMPLES))
+        curve.setflags(write=False)
+        _ROW_CURVES[spec] = curve, _inscribed_disk(curve)
+    return _ROW_CURVES[spec]
 
 
 def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
@@ -790,13 +792,13 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     c z; the trial then checks that exact identity through the standalone
     dominant evaluator.  Odd seeds use a genuine polynomial Schwarz function
     and fall back to a winding count against the sampled dominant curve,
-    which depends only on the table row and is cached per row with its
-    inscribed disk (`_dominant_curve`, `_dominant_disk`); the cut clearance
+    which depends only on the table row and is kept per row with its
+    inscribed disk (`_row_curve`); the cut clearance
     is that of the image disk of |z| = _CURVE_RADIUS.  `detail` holds the
     calling id's own parameters; the trial adds its evidence to it.
     """
     radii = (1.0,) if seed % 2 == 0 else (0.35, 0.65, 0.9, 1.0)
-    omega, z, w, zdw = _effective_schwarz(seed, _OMEGA_RHO, 0.88, 512, radii)
+    omega, z, w, zdw = _context(seed)[_test_function, _OMEGA_RHO, 0.88, 512, radii]
     target = JanowskiParams(spec.A, -spec.b, spec.gamma)
     *_, base, dlog = _ratio(target, w)
     p, p_alpha, p_alpha_m1 = _powers(base, (spec.gamma, spec.alpha * spec.gamma, (spec.alpha - 1.0) * spec.gamma))
@@ -811,7 +813,7 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     else:
         disk = image_disk(target, _CURVE_RADIUS)  # holds 1, so Re center > 1/2
         clearance = abs(disk.center) - disk.radius
-        contained = _winding_contains(e_samples, _dominant_curve(spec), _dominant_disk(spec))
+        contained = _winding_contains(e_samples, *_row_curve(spec))
         hypothesis = bool(np.all(contained)) and clearance > 1e-9
         detail["contained_fraction"] = float(np.mean(contained))
         detail["cut_clearance"] = clearance
@@ -874,7 +876,7 @@ def _trial_first_order(seed: int) -> _Evidence:
     A, B, beta, gamma = complex(A), complex(B), complex(beta), complex(gamma)
     a, d = ((0.0, 0.0), (0.6, 0.0), (0.4, -0.4))[(seed // 4) % 3]  # weight lambda = (1 + a z)/(1 + d z)
 
-    _, z, w, zdw = _effective_schwarz(seed, rho=0.3, c_max=0.45)
+    _, z, w, zdw = _context(seed)[_test_function, 0.3, 0.45]
     target = JanowskiParams(A, B, alpha)
     *_, base, dlog = _ratio(target, w)
     p = _power(base, alpha)
@@ -888,16 +890,9 @@ def _trial_first_order(seed: int) -> _Evidence:
 
     max_pull = _max_pullback(p, target)
     margin = 1.0 - max_pull
-    return hypothesis, margin >= -1e-4, margin, {
-        "A": A,
-        "B": B,
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma,
-        "hyp_pullback": hyp_pull,
-        "denominator_clearance": denom_clear,
-        "max_pullback": max_pull,
-    }
+    return hypothesis, margin >= -1e-4, margin, dict(
+        A=A, B=B, alpha=alpha, beta=beta, gamma=gamma,
+        hyp_pullback=hyp_pull, denominator_clearance=denom_clear, max_pullback=max_pull)
 
 
 _TRIALS: dict[str, Callable[[int], _Evidence]] = {

@@ -58,10 +58,8 @@ def _window_max(f: np.ndarray, centres: np.ndarray, half: int) -> np.ndarray:
 
 
 def screen_bounds(screen_call):
-    """The `bounds` function that `screen_call()` hands to `_screen`, or None.
-    The Schwarz draw cache is cleared first, since a cached draw skips `_screen`."""
+    """The `bounds` function that `screen_call()` hands to `_screen`, or None."""
     seen, screen = [], oracle._screen
-    oracle._draw.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_screen", lambda n, bounds: seen.append(bounds) or screen(n, bounds))
         screen_call()

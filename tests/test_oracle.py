@@ -7,6 +7,7 @@ and is sound exactly when no trial lands hypothesis-true/conclusion-false.
 """
 
 import cmath
+import collections
 import json
 import math
 import tracemalloc
@@ -34,16 +35,20 @@ from janowski import (
     verify_subordination,
 )
 from janowski import empirical_bounds, envelope, oracle
-from janowski.oracle import _HEADROOM, _effective_schwarz, _rng, _unit_circle, _winding_contains
+from janowski.oracle import _HEADROOM, _rng, _test_function, _unit_circle, _winding_contains
 from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
 
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
 
 
-def _clear_seed_caches() -> None:
-    """Forget every draw, test function and uniform shared between the trials of a seed."""
-    for cache in (oracle._draw, oracle._effective_schwarz, oracle._uniforms):
-        cache.cache_clear()
+def _count_builds(monkeypatch) -> collections.Counter:
+    """Builds of each piece of work a `_SeedContext` holds, by builder name:
+    `_uniforms` (per stream), `_draw` (per degree) and `_test_function`."""
+    builds = collections.Counter()
+    for name in ("_uniforms", "_draw", "_test_function"):
+        build = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args, _n=name, _b=build: builds.update([_n]) or _b(*args))
+    return builds
 
 
 def _grid_checks(monkeypatch) -> list:
@@ -76,7 +81,7 @@ class TestSchwarzPoly:
 
     def test_deterministic(self):
         a = random_schwarz(42, 7)
-        b = oracle._draw.__wrapped__(42, 7)  # a fresh draw, past the shared cache
+        b = random_schwarz(42, 7)  # a second, independent draw
         assert a is not b
         assert a.coefficients == b.coefficients
         assert a.scale == b.scale
@@ -173,7 +178,7 @@ class TestSchwarzPoly:
 
 def _operator_omega(seed: int) -> SchwarzPoly:
     """The test function of the operator trials (T5.7, C5.12) at an odd seed."""
-    return _effective_schwarz(seed, rho=oracle._OMEGA_RHO, c_max=0.88, n=16)[0]
+    return _test_function(seed, oracle._OMEGA_RHO, 0.88, 16)[0]
 
 
 class TestPullback:
@@ -331,59 +336,68 @@ class TestImplicationTrials:
 
     def test_reports_are_deterministic(self):
         a = implication_trial("T5.5", seed=12).to_json()
-        _clear_seed_caches()  # so b samples its test function afresh
+        oracle._reset_shared_work()  # so b samples its test function afresh
         b = implication_trial("T5.5", seed=12).to_json()
         assert a == b
 
 
 class TestDominantCurveCache:
     # seeds 1, 3, 5, 7 take every row of the poly-mode operator and combination tables
-    def test_cached_curve_is_read_only_and_exact(self, monkeypatch):
-        cached, specs = oracle._dominant_curve, []
-        monkeypatch.setattr(oracle, "_dominant_curve", lambda spec: specs.append(spec) or cached(spec))
+    def test_cached_curve_is_read_only_and_exact(self):
+        oracle._reset_shared_work()
         for tid in ("T5.7", "C5.12"):
             for seed in (1, 3, 5, 7):
                 implication_trial(tid, seed=seed)
-        assert len(set(specs)) == 8
-        for spec in specs:
-            curve = cached(spec)
-            assert curve is cached(spec)
+        assert len(oracle._ROW_CURVES) == 8
+        for spec, (curve, disk) in oracle._ROW_CURVES.items():
+            assert oracle._row_curve(spec)[0] is curve
             assert not curve.flags.writeable
             fresh = operator_dominant(spec, oracle._CURVE_RADIUS * _unit_circle(oracle._N_SAMPLES))
             assert curve.tobytes() == fresh.tobytes(), spec
+            assert disk == oracle._inscribed_disk(fresh), spec
 
     def test_reports_do_not_depend_on_the_order_of_first_use(self):
         def reports(seeds):
-            oracle._dominant_curve.cache_clear()
+            oracle._reset_shared_work()
             return {(tid, s): implication_trial(tid, seed=s).to_json() for s in seeds for tid in ("T5.7", "C5.12")}
 
         assert reports(range(15, -1, -1)) == reports(range(16))
 
     def test_identity_mode_leaves_the_cache_empty(self):
-        oracle._dominant_curve.cache_clear()
+        oracle._reset_shared_work()
         for seed in range(0, 16, 2):
             for tid in ("T5.7", "C5.12"):
                 implication_trial(tid, seed=seed)
-        assert oracle._dominant_curve.cache_info().currsize == 0
+        assert not oracle._ROW_CURVES
 
 
 class TestDrawCache:
-    def test_reports_do_not_depend_on_sharing_the_draw(self):
-        def reports(pairs, clear_each):
-            _clear_seed_caches()
+    def test_reports_do_not_depend_on_sharing_the_draw(self, monkeypatch):
+        """Seed-major, the ids of a seed share its context; id-major, or with a
+        reset before each trial, every trial builds its own. The reports are
+        the same. 2^63 + 1 and 2^64 - 1 sit at the ends of the Philox key range."""
+        builds = _count_builds(monkeypatch)
+
+        def reports(pairs, reset_each):
+            oracle._reset_shared_work()
+            builds.clear()
             out = {}
             for tid, seed in pairs:
-                if clear_each:
-                    _clear_seed_caches()
+                if reset_each:
+                    oracle._reset_shared_work()
                 out[tid, seed] = implication_trial(tid, seed=seed).to_json()
-            return out
+            return out, dict(builds)
 
-        seed_major = [(tid, s) for s in range(100) for tid in THEOREM_IDS]
-        id_major = [(tid, s) for tid in THEOREM_IDS for s in range(100)]
-        first = reports(seed_major, False)
-        assert reports(id_major, False) == first
-        assert oracle._draw.cache_info().hits == (len(THEOREM_IDS) - 1) * 50  # id-major: 50 odd seeds fit
-        assert reports(seed_major, True) == first
+        seeds = [*range(100), 2**63 + 1, 2**64 - 1, 12345677]
+        ids, odd = len(THEOREM_IDS), sum(s % 2 for s in seeds)
+        seed_major = [(tid, s) for s in seeds for tid in THEOREM_IDS]
+        id_major = [(tid, s) for tid in THEOREM_IDS for s in seeds]
+        first, shared = reports(seed_major, False)
+        assert shared == {"_draw": odd, "_test_function": 5 * len(seeds), "_uniforms": 2 * len(seeds)}
+        # each trial builds its test function and stream 2, T3.3 also stream 1 for its pole
+        own = {"_draw": ids * odd, "_test_function": ids * len(seeds), "_uniforms": (ids + 1) * len(seeds)}
+        assert reports(id_major, False) == (first, own)
+        assert reports(seed_major, True) == (first, own)
 
     def test_campaign_draws_and_checks_once_per_odd_seed(self, monkeypatch):
         """Seed-major, as the benchmark runs: T5.4 and C5.12 reuse the test
@@ -393,24 +407,21 @@ class TestDrawCache:
         degree 2, whose z (c_0 + c_1 z) reaches |c_0| + |c_1| on the circle,
         so the coefficient bound certifies it without the grid."""
         calls = _grid_checks(monkeypatch)
-        _clear_seed_caches()
+        builds = _count_builds(monkeypatch)
+        oracle._reset_shared_work()
         seeds = range(1660, 1670)
         for seed in seeds:
             for tid in THEOREM_IDS:
                 implication_trial(tid, seed=seed)
         odd = len(seeds) // 2
         assert calls == [4096] * (odd - 1)
-        info = oracle._draw.cache_info()
-        assert (info.misses, info.hits) == (odd, 4 * odd)
-        info = oracle._effective_schwarz.cache_info()
-        assert (info.misses, info.hits) == (5 * len(seeds), 2 * len(seeds))
-        info = oracle._uniforms.cache_info()  # stream 2 for each test function, stream 1 for T3.3's pole
-        assert (info.misses, info.hits) == (2 * len(seeds), 4 * len(seeds))
-        assert _effective_schwarz(1665, 0.2, 0.25)[0].degree == 2
+        # stream 2 for the test functions, stream 1 for T3.3's pole
+        assert builds == {"_draw": odd, "_test_function": 5 * len(seeds), "_uniforms": 2 * len(seeds)}
+        assert _test_function(1665, 0.2, 0.25)[0].degree == 2
 
     def test_shared_samples_are_read_only(self):
         for seed in (1660, 1661):
-            _, z, w, zdw = _effective_schwarz(seed, oracle._OMEGA_RHO, 0.88, 512, (0.35, 1.0))
+            _, z, w, zdw = _test_function(seed, oracle._OMEGA_RHO, 0.88, 512, (0.35, 1.0))
             assert z.size == 1024 and not any(x.flags.writeable for x in (z, w, zdw))
 
 
@@ -587,7 +598,7 @@ class TestInscribedDisk:
 @pytest.mark.parametrize("call,limit", [
     (lambda: empirical_bounds(JanowskiParams(0.7 + 0.3j, -0.4, 0.6, 0.2 - 0.3j), 0.8, 200_000), 4 << 20),
     (lambda: empirical_bounds(JanowskiParams(0.7 + 0.3j, -0.4, 0.6), 0.8, 200_000), 4 << 20),
-    (lambda: oracle._draw.__wrapped__(5, 16), 1 << 19),  # a fresh draw: a cached one screens nothing
+    (lambda: random_schwarz(5, 16), 1 << 19),  # each call draws and screens afresh
     # R = 2e-12, twice the rounding slack: the screen keeps every sample, and its index arrays
     # are full-length (3.9 MiB in all), but the samples are formed 16384 at a time (20 MiB at once)
     (lambda: empirical_bounds(JanowskiParams(0.5, 0.3, 0.6), 1e-11, 200_000), 6 << 20),

@@ -3,6 +3,7 @@ object, submodules load on first use, and report values convert to plain
 JSON data."""
 
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,12 @@ def test_arguments_stay_principal():
     # no module unwraps arguments: they stay principal, and oracle._turns counts cut crossings
     for path in sorted((SRC / "janowski").glob("*.py")):
         assert "unwrap" not in path.read_text(), path.name
+
+
+def test_oracle_keeps_no_module_cache():
+    # the trials of a seed share their work through one oracle._SeedContext, not through caches
+    text = (SRC / "janowski" / "oracle.py").read_text()
+    assert not re.search(r"\blru_cache\b|\bfunctools\.cache\b|from functools import[^\n]*\bcache\b", text)
 
 
 def test_every_export_is_its_defining_object():
