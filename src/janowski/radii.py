@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateMapError,
     NoRootError,
-    NumericalError,
     OutOfRangeError,
     require_finite,
     require_finite_args,
@@ -67,29 +66,32 @@ def _radius_terms(prob: RadiusProblem) -> tuple[float, float, int]:
     divided by 2^e |1 - gamma|^(1/alpha - 1). The printed num holds
     |1 - gamma|^(1/alpha) and den |1 - gamma|^(1/alpha - 1), so that factor
     cancels exactly and no power is formed, which would overflow or underflow
-    at small alpha. (A, B) = 2^e1 (a, b) and (C, D) = 2^e2 (c, d), e = e1 + e2,
-    so |A - B|, |C - D| and the cross term cannot overflow, and the power-of-two
+    at small alpha. (A, B) = 2^e1 (a, b), (C, D) = 2^e2 (c, d) and
+    (gamma, delta) = 2^g (gamma', delta'), e = e1 + e2 + g, so 1 - gamma,
+    1 - delta and delta - gamma enter as (2^-g - gamma') 2^g and so on, and
+    no difference, modulus or cross term can overflow; the power-of-two
     scale keeps every bit of a finite quotient and every verdict num >= den."""
     (A, B, e1), (C, D, e2) = _scaled_pair(prob.A, prob.B), _scaled_pair(prob.C, prob.D)
-    gamma, delta = complex(prob.gamma), complex(prob.delta)
-    num = math.ldexp(prob.alpha * abs(A - B) * _modulus(1.0 - gamma), -e2)
-    cross = A * D * (gamma - 1.0) + B * (C * (1.0 - delta) + D * (delta - gamma))
-    den = prob.beta * (math.ldexp(abs(C - D) * _modulus(delta - 1.0), -e1) + _modulus(cross))
-    return num, den, e1 + e2
+    gamma, delta, g = _scaled_pair(prob.gamma, prob.delta)
+    one = math.ldexp(1.0, -g)
+    u, v, w = one - gamma, one - delta, delta - gamma
+    num = math.ldexp(prob.alpha * abs(A - B) * _modulus(u), -e2)
+    cross = -A * D * u + B * (C * v + D * w)
+    den = prob.beta * (math.ldexp(abs(C - D) * _modulus(v), -e1) + _modulus(cross))
+    return num, den, e1 + e2 + g
 
 
 def _modulus(z: complex) -> float:
-    """|z|, inf past the largest double, where abs() of a complex raises OverflowError."""
+    """|z| by math.hypot, whose last bit can differ from that of abs() of a
+    complex; the radius terms keep its rounding."""
     return math.hypot(z.real, z.imag)
 
 
 def subordination_radius(prob: RadiusProblem) -> float:
     """Radius (capped at 1) on which source-subordinate functions are
-    target-subordinate: num / den of `_radius_terms`. Raises NumericalError
-    when a term overflows, as at shifts near the largest double."""
+    target-subordinate: num / den of `_radius_terms`, finite for every
+    admitted problem, shifts near the largest double included."""
     num, den, _ = _radius_terms(prob)
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise NumericalError("a subordination-radius term overflows a double")
     if den == 0.0:
         return 1.0
     return min(num / den, 1.0)

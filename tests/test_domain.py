@@ -357,11 +357,17 @@ def test_subordination_radius_at_a_small_power(gamma):
     assert subordination_radius(prob) < 0.05
 
 
-def test_overflowing_subordination_radius_raises():
-    # the shift's own modulus and the cross term overflow a double
-    prob = RadiusProblem(0.5, 0.2, 0.5, -1.7e308 - 1.7e308j, 0.3, 0.1, 0.5, 0.0)
-    with pytest.raises(NumericalError, match="overflows a double"):
-        subordination_radius(prob)
+@pytest.mark.parametrize("prob", [
+    RadiusProblem(0.5, 0.2, 0.5, -1.7e308 - 1.7e308j, 0.3, 0.1, 0.5, 0.0),
+    RadiusProblem(0.5, 0.2, 1.0, -1.7e308 - 1.7e308j, 0.3, 0.1, 1.0, 0.0),
+    RadiusProblem(0.5, 0.2, 1.0, 1.7e308, 0.3, -1.0, 1.0, -1.7e308),
+    RadiusProblem(0.9, -0.8, 0.4, 1.7e308j, 0.3 + 0.2j, -0.9, 1.0, -1.7e308),
+], ids=["shift-1.7e308(1+i)", "shift-1.7e308(1+i)-alpha=beta=1", "delta-gamma=-3.4e308-alpha=beta=1", "delta-gamma-oblique"])
+def test_subordination_radius_at_a_huge_shift(prob):
+    # |1 - gamma|, delta - gamma and the cross term overflowed a double and raised
+    # NumericalError, although num and den both grow like |gamma|; at alpha = beta = 1
+    # the printed formula holds no power
+    assert subordination_radius(prob) == pytest.approx(_printed_radius(prob), rel=1e-14)
 
 
 def test_largest_seeds_get_distinct_streams():
