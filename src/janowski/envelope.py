@@ -179,33 +179,39 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
 def invert_powered(p: JanowskiParams, w) -> np.ndarray:
     """Preimage of candidate values under the powered, shifted map:
     w -> (w~ - 1)/(A - B w~) with w~ = ((w - gamma)/(1 - gamma))^(1/alpha),
-    at a scalar or non-empty array w of finite points. The preimage of
-    w~ = A/B is the point at infinity, and it comes back as inf, as does a
-    preimage too large for a double. A value with |arg((w - gamma)/(1 -
-    gamma))| >= alpha pi has no preimage either: its principal root wraps
-    round, and the point returned maps elsewhere (`subordination_pullback`
-    gives it inf)."""
+    at a scalar or non-empty array w of finite points, and inf for a value
+    with no preimage (the rule of `_preimage`). `subordination_pullback`
+    is the modulus of the same preimages."""
     w = np.asarray(w, dtype=complex)
     require_points("w", w)
-    z, _ = _invert_normalized(p, (w - p.gamma) / (1.0 - p.gamma))
-    return np.where(np.isfinite(z), z, math.inf)
+    return _preimage(p, w)
 
 
-def _invert_normalized(p: JanowskiParams, base: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The preimages (not finite at w~ = A/B) of the normalized values
-    base = (w - gamma)/(1 - gamma), and phi = arg(base) / alpha, the
-    argument of the principal root w~ = `_power(base, 1/alpha)` (None at
-    alpha = 1, where w~ = base). A value with |phi| >= pi lies at or past
-    the ends of the sector |arg| < alpha pi that holds the image of an
-    argument-safe map, and its w~ has wrapped round to a point that is no
-    preimage. The root for 1/alpha = 2 is base * base, exact as in `_powers`."""
+def _preimage(p: JanowskiParams, w: np.ndarray) -> np.ndarray:
+    """Preimages of the values w under the powered, shifted map, and inf
+    for a value with none: with base = (w - gamma)/(1 - gamma), a base != 0
+    with |arg base| >= alpha pi (at alpha = 1 the negative real axis, with
+    either sign of zero), past the ends of the sector that holds the image
+    of an argument-safe map, where the principal root w~ = base^(1/alpha)
+    wraps round to a point that maps elsewhere; w~ = A/B (the image of
+    z = infinity); a preimage too large for a double; NaN. base = 0 maps to
+    -1/A. arg base is the phase the root takes anyway; the root for
+    1/alpha = 2 is base * base, exact as in `_powers`."""
+    base = np.atleast_1d(w if p.gamma == 0.0 else (w - p.gamma) / (1.0 - p.gamma))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p.alpha == 1.0:  # the power 1 is the identity, kept exact
-            return (base - 1.0) / (p.A - p.B * base), None
-        a = 1.0 / p.alpha
-        phi = a * np.arctan2(base.imag, base.real)  # as in `_powers`, kept for the caller
-        root = base * base if a == 2.0 else _polar(np.abs(base) ** a, phi)
-        return (root - 1.0) / (p.A - p.B * root), phi
+            root, off = base, (base.real < 0.0) & (base.imag == 0.0)
+        else:
+            a = 1.0 / p.alpha
+            phi = a * np.arctan2(base.imag, base.real)
+            root = base * base if a == 2.0 else _polar(np.abs(base) ** a, phi)
+            past = not -math.pi < phi.min() <= phi.max() < math.pi  # two reductions, and True on NaN
+            off = (np.abs(phi) >= math.pi) & (base != 0.0) if past else False  # z[False] selects nothing
+        z = (root - 1.0) / (p.A - p.B * root)
+        z[off] = math.inf
+        if not cmath.isfinite(z.sum()):  # one reduction; a finite sum has no inf or NaN term
+            z[~np.isfinite(z)] = math.inf
+    return z.reshape(np.shape(w))
 
 
 def _branch_guard(p: JanowskiParams, r: float) -> None:

@@ -94,7 +94,10 @@ def require_range(name: str, value, interval: str, hi: float | None = None) -> N
 def require_map(A, B, alpha, gamma, names: str = "A B alpha gamma") -> None:
     """Check the powered, shifted map (1 - gamma)((1 + A z)/(1 + B z))^alpha + gamma:
     A != B, |B| <= 1 (the pole stays off the open unit disk), alpha in (0, 1]
-    and gamma != 1. `names` gives the four parameters' names for the messages."""
+    and gamma != 1. `names` gives the four parameters' names for the messages.
+    The tests are absolute, not scaled: A and B must differ by more than
+    1e-12, so A = 1e-13, B = 0 raises DegenerateMapError; |B| may exceed 1 by
+    1e-12 and gamma must lie more than 1e-12 from 1."""
     a, b, power, shift = names.split()
     A, B = complex(A), complex(B)
     if cmath.isclose(A, B, rel_tol=0.0, abs_tol=1e-12):  # abs(A - B) overflows near 1.7e308
@@ -118,8 +121,11 @@ class PoleOnBoundaryError(ParameterError):
 class BranchUndefinedError(ParameterError):
     """A power or argument is requested where no continuous branch exists.
 
-    Raised when the origin is interior to the first-order image, so the
-    image loops around 0 and no single-valued power can be anchored at 1.
+    Raised by the branch guard of the powered map when the origin is
+    interior to the first-order image, so the image loops around 0 and no
+    single-valued power can be anchored at 1, and by `kernel_integral` when
+    the segment to z crosses the zero of 1 + A t. A value on the cut of an
+    inverse raises nothing: it has no preimage, and the inverse gives inf.
     """
 
 

@@ -52,7 +52,9 @@ class JanowskiParams:
 
     alpha is the power in (0, 1] and gamma != 1 the affine shift; the
     plain first-order map is alpha = 1, gamma = 0. Construction validates
-    A != B and |B| <= 1. `argument_safe`, set at construction, reports
+    A != B and |B| <= 1 as `require_map` does, with absolute margins of
+    1e-12: |A - B| <= 1e-12 raises DegenerateMapError at any scale, so
+    (1e-13, 0) does, although that map is not constant. `argument_safe`, set at construction, reports
     whether the origin stays out of the open first-order image of the unit
     disk (|A - B| <= |1 - A conj(B)|), the condition under which powers and
     arguments of the map are single-valued. Every field must be finite.

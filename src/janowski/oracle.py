@@ -56,15 +56,14 @@ from .envelope import (
     ShiftedView,
     _circle_geometry,
     _curve_blocks,
-    _invert_normalized,
     _power,
     _powers,
+    _preimage,
     _unit_circle,
     sector_image,
     tilt_angle,
 )
 from .errors import (
-    BranchUndefinedError,
     InvalidTheoremIdError,
     OutOfRangeError,
     ParameterError,
@@ -323,28 +322,17 @@ def _test_function(
 
 
 def subordination_pullback(w, target: JanowskiParams) -> np.ndarray:
-    """Moduli of the inverse powered map of `target` (`invert_powered`) at
-    the points w.
+    """|`invert_powered`| at the non-empty points w, as a 1-d array.
 
-    Values <= 1 certify membership in the image of the unit disk.  Points
-    that land on the branch cut of the outer root raise BranchUndefined.
-    Points with no preimage come back as inf: those swallowed by the pole
-    of the inverse, and those at or past the ends |arg| = alpha pi of the
-    sector that holds the target's image, base = (w - gamma)/(1 - gamma),
-    which is w itself at gamma = 0.
+    Values <= 1 certify membership in the image of the unit disk.  A point
+    with no preimage (the one rule of `envelope._preimage`: past the sector
+    ends, on the cut at alpha = 1, at the pole of the inverse) comes back as
+    inf, and so does a non-finite point, which `invert_powered` refuses.
     """
-    base = np.atleast_1d(np.asarray(w, dtype=complex))
-    if target.gamma != 0.0:
-        base = (base - target.gamma) / (1.0 - target.gamma)
-    if np.any((base.real <= 0.0) & (base.imag == 0.0)):
-        raise BranchUndefinedError("sample on the branch cut of the inverse power")
-    z, phi = _invert_normalized(target, base)
-    q = np.abs(z)
-    if phi is not None and (phi.max() >= math.pi or phi.min() <= -math.pi):  # two reductions, no mask
-        q[np.abs(phi) >= math.pi] = math.inf
-    if q.size and math.isnan(q.max()):  # a NaN preimage is none either; the max propagates NaN
-        q[np.isnan(q)] = math.inf
-    return q
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    if not w.size:
+        raise ParameterError("w must not be empty")
+    return np.abs(_preimage(target, w))
 
 
 def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol: float = 1e-9) -> bool:
@@ -352,15 +340,15 @@ def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol:
 
     The target must be argument-safe, which makes its powered map
     univalent with a globally defined inverse; membership then reduces to
-    a pullback modulus test, and a sample on the cut of the inverse is outside.
+    a test of `subordination_pullback`, whose inf puts a sample with no
+    preimage outside. At an origin touch (|A| = 1) the value gamma pulls
+    back to |-1/A| = 1: a boundary point of the closed image, inside at r = 1.
     """
     require_finite_args("verify_subordination", tol=tol)
     if not target.argument_safe:
         raise ParameterError("target must be argument-safe so the inverse map is single-valued")
     require_range("r", r, "(0, 1]")
-    if np.size(p_samples) == 0:
-        raise ParameterError("p_samples must not be empty")
-    return _max_pullback(p_samples, target) <= r + tol
+    return float(subordination_pullback(p_samples, target).max()) <= r + tol
 
 
 _ON_VERTEX = 1e-12  # a point this close to a curve vertex counts as contained
@@ -622,15 +610,6 @@ def _arg_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.arctan2(num.imag, num.real) - np.arctan2(den.imag, den.real)
 
 
-def _max_pullback(samples: np.ndarray, target: JanowskiParams) -> float:
-    """Largest pullback modulus of the samples under the map `target`; inf when a
-    sample lies on the cut of its inverse, where it has no preimage to certify."""
-    try:
-        return float(np.max(subordination_pullback(samples, target)))
-    except BranchUndefinedError:
-        return math.inf
-
-
 def _trial_ratio_sector(seed: int) -> _Evidence:
     """Sector transfer for quotients: derivative-quotient sector bound forces
     the function-quotient sector bound, with the comparison pole drawn at
@@ -664,7 +643,7 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
 
     sector = sector_image(alpha, m)
     con_margin = _sector_margin(alpha * _arg_ratio(num, den), sector.lo, sector.hi)
-    max_pull = _max_pullback(p, target)
+    max_pull = float(subordination_pullback(p, target).max())
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, dict(
         alpha=alpha, m=m, beta=beta, g_pole=cg, mu1=mu1, mu2=mu2, hyp_margin=hyp_margin, max_pullback=max_pull)
@@ -694,7 +673,7 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
 
     sector = sector_image(beta, m)
     con_margin = _sector_margin(beta * arg_base, sector.lo, sector.hi)
-    max_pull = _max_pullback(_power(base, beta), target)
+    max_pull = float(subordination_pullback(_power(base, beta), target).max())
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, dict(
         alpha=alpha, beta=beta, gamma=gamma, m=m, eta=eta, delta=sp.delta,
@@ -719,7 +698,7 @@ def _trial_inverse_coefficient(seed: int) -> _Evidence:
     sup_coeff = float(np.max(np.abs(coeff)))
     hypothesis = criterion and sup_coeff < beta * _HEADROOM
 
-    max_pull = _max_pullback(p, target)
+    max_pull = float(subordination_pullback(p, target).max())
     margin = 1.0 - max_pull
     return hypothesis, margin >= -1e-4, margin, dict(
         A=A, b=b, alpha=alpha, beta=beta, criterion=criterion, sup_coefficient=sup_coeff, max_pullback=max_pull)
@@ -740,7 +719,7 @@ def _trial_reciprocal_sector(seed: int) -> _Evidence:
 
     half_angle = reciprocal_order_sector(order, beta) * math.pi / 2.0
     con_margin = half_angle - float(np.max(np.abs(np.angle(p))))
-    max_pull = _max_pullback(p, JanowskiParams(coef, 0.0))
+    max_pull = float(subordination_pullback(p, JanowskiParams(coef, 0.0)).max())
     conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
     return hypothesis, conclusion, con_margin, dict(
         order=order, beta=beta, sup_derivative=sup_deriv, half_angle=half_angle, max_pullback=max_pull)
@@ -818,7 +797,7 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
         detail["contained_fraction"] = float(np.mean(contained))
         detail["cut_clearance"] = clearance
 
-    max_pull = _max_pullback(p, target)
+    max_pull = float(subordination_pullback(p, target).max())
     margin = 1.0 - max_pull
     detail["max_pullback"] = max_pull
     return hypothesis, margin >= -1e-4, margin, detail
@@ -885,10 +864,10 @@ def _trial_first_order(seed: int) -> _Evidence:
     denom_clear = float(np.min(np.abs(denom)))
     e_samples = p + (1.0 + a * z) / (1.0 + d * z) * zdp / denom
 
-    hyp_pull = _max_pullback(e_samples, target)
+    hyp_pull = float(subordination_pullback(e_samples, target).max())
     hypothesis = hyp_pull <= _HEADROOM and denom_clear > 1e-9
 
-    max_pull = _max_pullback(p, target)
+    max_pull = float(subordination_pullback(p, target).max())
     margin = 1.0 - max_pull
     return hypothesis, margin >= -1e-4, margin, dict(
         A=A, B=B, alpha=alpha, beta=beta, gamma=gamma,

@@ -4,7 +4,7 @@ range, each with a JanowskiError rather than a returned value or a bare
 numpy or Python exception.
 
 `subordination_pullback`, which maps non-finite points to inf on purpose,
-is left out.
+is left out of the finite-point cases; it still rejects an empty array.
 """
 
 import cmath
@@ -52,6 +52,7 @@ from janowski import (
     sector_image,
     silverman_inclusion,
     starlike_radius,
+    subordination_pullback,
     subordination_radius,
     tilt_angle,
     uralegaddi_radius,
@@ -199,6 +200,7 @@ def test_radius_problem_rejects_a_pole_inside_the_disk(fields):
 # raises: (entry of SCALAR_CALLS, replaced arguments, class, message)
 MESSAGE_CASES = [
     ("JanowskiParams", dict(A=-0.3), DegenerateMapError, "A and B must differ"),
+    ("JanowskiParams", dict(A=1e-13, B=0.0), DegenerateMapError, "A and B must differ"),  # |A - B| <= 1e-12, absolute
     ("JanowskiParams", dict(B=2.0), OutOfRangeError, "|B| must be <= 1, got 2.0"),
     ("JanowskiParams", dict(alpha=1.5), OutOfRangeError, "alpha must lie in (0, 1], got 1.5"),
     ("JanowskiParams", dict(gamma=1.0), OutOfRangeError, "gamma = 1 collapses the shifted map to a constant"),
@@ -381,6 +383,14 @@ def test_largest_seeds_get_distinct_streams():
 def test_empty_samples_raise():
     with pytest.raises(JanowskiError):
         verify_subordination(np.array([], dtype=complex), JanowskiParams(1.0, 0.0, 0.5))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_empty_pullback_raises(alpha):
+    # at alpha != 1 a zero-size reduction once raised a bare numpy ValueError,
+    # and at alpha = 1 an empty array came back
+    with pytest.raises(ParameterError, match="w must not be empty"):
+        subordination_pullback(np.array([]), JanowskiParams(0.5, -0.5, alpha))
 
 
 def test_non_finite_weight_raises():

@@ -10,6 +10,7 @@ import cmath
 import collections
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from janowski import (
-    BranchUndefinedError,
     DominantSpec,
     InvalidTheoremIdError,
     JanowskiParams,
@@ -29,6 +29,7 @@ from janowski import (
     TrialReport,
     eval_powered,
     implication_trial,
+    invert_powered,
     operator_dominant,
     random_schwarz,
     subordination_pullback,
@@ -196,17 +197,56 @@ class TestPullback:
         q = subordination_pullback(w, target)
         assert np.abs(q - rho).max() < 1e-9
 
-    def test_cut_value_raises(self):
-        target = JanowskiParams(0.8, -0.5, 0.5, 0.2)
-        with pytest.raises(BranchUndefinedError):
-            subordination_pullback(np.array([target.gamma - 0.5]), target)
+    def test_cut_values_pull_back_to_inf(self):
+        # the negative real axis of base = (w - gamma)/(1 - gamma), with either
+        # sign of zero, has no preimage: it is the cut itself at alpha = 1, where
+        # the Moebius inverse alone would return a point, and past the ends
+        # |arg base| = alpha pi at alpha < 1
+        for alpha in (1.0, 0.5, 0.3):
+            for target in (JanowskiParams(0.5, -0.5, alpha), JanowskiParams(0.8, -0.5, alpha, 0.2)):
+                w = np.array([complex(target.gamma.real + x, s) for x in (-0.5, -3.0) for s in (0.0, -0.0)])
+                assert np.all(invert_powered(target, w) == math.inf), target
+                assert np.all(subordination_pullback(w, target) == math.inf), target
+                assert not verify_subordination(w[1:2], target)
 
     def test_max_pullback_is_inf_on_the_cut(self):
         # a sample on the cut of the inverse has no preimage, so it certifies nothing
         target = JanowskiParams(0.8, -0.5, 0.5, 0.2)
         samples = np.array([1.0 + 0.1j, target.gamma - 0.5])
-        assert oracle._max_pullback(samples, target) == math.inf
-        assert oracle._max_pullback(samples[:1], target) == float(subordination_pullback(samples[:1], target)[0])
+        q = subordination_pullback(samples, target)
+        assert q.max() == math.inf
+        assert q[0] == subordination_pullback(samples[:1], target)[0] < math.inf
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.3])
+    def test_zero_base_is_a_boundary_point_at_a_touch(self, alpha):
+        # base = 0 maps to -1/A, on the unit circle when |A| = 1: w = gamma is
+        # then a boundary point of the closed image, and inside it at r = 1
+        target = JanowskiParams(1j, 0.3, alpha)
+        for w in (0j, complex(-0.0, 0.0), complex(-0.0, -0.0)):
+            assert complex(invert_powered(target, w)) == 1j
+            assert subordination_pullback(w, target).tolist() == [1.0]
+            assert verify_subordination(np.array([w]), target) is True
+
+    def test_one_rule_in_both_functions(self, monkeypatch):
+        """|invert_powered| is the pullback bit for bit, inf included, at
+        every point of the off-image test below: the in-image values it pulls
+        back and the off-image values it verifies. w = -1 + 1e-3j and w = -0.5
+        have no preimage under (0.5, -0.5, 0.5); their principal roots wrap
+        round to points that the map sends to 1 - 0.001i and to 0.5."""
+        target = JanowskiParams(0.5, -0.5, 0.5)
+        cases = [(np.array([-1.0 + 1e-3j, -0.5]), target)]
+        assert np.all(invert_powered(target, cases[0][0]) == math.inf)
+        # a NaN beside them once hid the sector ends from the pullback, which gave 0.002
+        assert subordination_pullback([math.nan, -1.0 + 1e-3j], target).tolist() == [math.inf, math.inf]
+        module = sys.modules[__name__]
+        for name in ("subordination_pullback", "verify_subordination"):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda w, p, _fn=fn: cases.append((w, p)) or _fn(w, p))
+        self.test_verify_subordination_is_false_off_the_image()
+        monkeypatch.undo()
+        assert len(cases) > 1500
+        for w, p in cases:
+            assert np.abs(invert_powered(p, w)).tobytes() == subordination_pullback(w, p).tobytes(), (p, w)
 
     def test_verify_subordination_is_false_on_the_cut(self):
         # the image of an argument-safe target holds no w with (w - gamma)/(1 - gamma)

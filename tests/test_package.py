@@ -3,9 +3,11 @@ object, submodules load on first use, and report values convert to plain
 JSON data."""
 
 import importlib
+import io
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,12 @@ import janowski
 from janowski._json import jsonable
 
 SRC = Path(__file__).parent.parent / "src"
+
+
+def code_of(path: Path) -> str:
+    """The source of `path` without its strings and comments, and without spaces."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return "".join(t.string for t in tokens if t.type not in (tokenize.STRING, tokenize.COMMENT))
 
 
 def run_python(code: str) -> str:
@@ -46,6 +54,17 @@ def test_oracle_keeps_no_module_cache():
     # the trials of a seed share their work through one oracle._SeedContext, not through caches
     text = (SRC / "janowski" / "oracle.py").read_text()
     assert not re.search(r"\blru_cache\b|\bfunctools\.cache\b|from functools import[^\n]*\bcache\b", text)
+
+
+def test_one_preimage_rule():
+    # values become preimages in envelope._preimage alone: it forms (w - gamma)/(1 - gamma),
+    # and the oracle reads inf for a value with no preimage instead of catching a raise
+    normalizations = {
+        path.name: len(re.findall(r"\(\w+-([\w.]+)\)/\(1(?:\.0)?-\1\)", code_of(path)))
+        for path in sorted((SRC / "janowski").glob("*.py"))
+    }
+    assert {name: n for name, n in normalizations.items() if n} == {"envelope.py": 1}
+    assert "BranchUndefinedError" not in code_of(SRC / "janowski" / "oracle.py")
 
 
 def test_every_export_is_its_defining_object():
