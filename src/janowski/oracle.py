@@ -31,9 +31,11 @@ at the least), which halves the cost of these trials.
 Trial contract: a trial is a function of its seed alone.  The seed picks
 the trial's parameters from fixed tables and its test function from its
 `_SeedContext`; the trial returns only its evidence, the tuple
-(hypothesis, conclusion, margin, detail).  `implication_trial` checks the
-seed, records the sampling mode in `detail` and builds the one
-`TrialReport`, so a report depends only on (theorem id, seed).  One slot
+(hypothesis, p, target, sector margin, detail).  `implication_trial` checks
+the seed, judges every conclusion by one rule (p must pull back under
+target, and the sector margin, or else 1 - max pullback, must clear the
+slack), records the max pullback and the sampling mode in `detail` and builds
+the one `TrialReport`, so a report depends only on (theorem id, seed).  One slot
 holds the context of the last seed asked for, so a trial's work is shared
 only with the trials of the same seed run back to back.
 """
@@ -81,6 +83,7 @@ _SAFETY = 1e-5  # interior margin a sampled supremum must clear before a claim
 _SEED_END = 2**64  # seeds are Philox key words, integers in [0, 2^64)
 _STRIDES = (256, 16)  # subgrid strides of the two screen levels; a window reaches stride / 2 steps each way
 _ROUNDING = 1e-12  # relative bound on the rounding of a computed sample, far above the 2e-15 measured
+_PULLBACK_TOL = 1e-9  # how far past the radius a sampled pullback may reach and still count as inside
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -335,7 +338,7 @@ def subordination_pullback(w, target: JanowskiParams) -> np.ndarray:
     return np.abs(_preimage(target, w))
 
 
-def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol: float = 1e-9) -> bool:
+def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol: float = _PULLBACK_TOL) -> bool:
     """Do all sampled values lie in the target's image of |z| <= r?
 
     The target must be argument-safe, which makes its powered map
@@ -356,14 +359,11 @@ _PAIR_BLOCK = 1 << 16  # (point, edge) pairs tested at once, bounding the workin
 _Disk = tuple[complex, float, bool]  # (centre, radius, flag of the centre) of `_inscribed_disk`
 
 
-def _winding_contains(points: np.ndarray, curve: np.ndarray, disk: _Disk | None = None) -> np.ndarray:
+def _winding_contains(points: np.ndarray, curve: np.ndarray, disk: _Disk) -> np.ndarray:
     """Nonzero-rule membership of the 1-d `points` w.r.t. the closed polygon
-    through the samples `curve` (`_crossings`). With the curve's
-    `_inscribed_disk` (centre, radius, flag), a point strictly inside the
-    disk takes the centre's flag and only the others, NaN points among
-    them, are counted: the flags are the same."""
-    if disk is None:
-        return _crossings(points, curve)
+    through the samples `curve`, the flags of `_crossings`: a point strictly
+    inside the curve's `_inscribed_disk` (centre, radius, flag) takes the
+    centre's flag, and only the others, NaN points among them, are counted."""
     centre, radius, flag = disk
     rest = ~(np.abs(points - centre) < radius)
     flags = np.full(points.size, flag)
@@ -589,12 +589,13 @@ class TrialReport:
 #
 # Every trial builds the test function from the CONCLUSION side: compose the
 # claimed dominant with a random Schwarz function, so the conclusion is true
-# by design and verified independently, then evaluate the hypothesis
-# expression honestly on a boundary grid.  A sound implication can therefore
-# never produce hypothesis-true/conclusion-false; a buggy formula anywhere in
-# the chain shows up as exactly that pattern.
+# by design, then evaluate the hypothesis expression honestly on a boundary
+# grid.  A trial returns (hypothesis, p, target, sector margin, detail), the
+# margin None for a pullback-only trial, and `implication_trial` judges every
+# conclusion from them.  A sound implication can therefore never produce
+# hypothesis-true/conclusion-false; a buggy formula shows up as exactly that.
 
-_Evidence = tuple[bool, bool, float, dict]
+_Evidence = tuple[bool, np.ndarray, JanowskiParams, float | None, dict]
 
 
 def _ratio(target: JanowskiParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -643,10 +644,8 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
 
     sector = sector_image(alpha, m)
     con_margin = _sector_margin(alpha * _arg_ratio(num, den), sector.lo, sector.hi)
-    max_pull = float(subordination_pullback(p, target).max())
-    conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return hypothesis, conclusion, con_margin, dict(
-        alpha=alpha, m=m, beta=beta, g_pole=cg, mu1=mu1, mu2=mu2, hyp_margin=hyp_margin, max_pullback=max_pull)
+    return hypothesis, p, target, con_margin, dict(
+        alpha=alpha, m=m, beta=beta, g_pole=cg, mu1=mu1, mu2=mu2, hyp_margin=hyp_margin)
 
 
 def _trial_weighted_sector(seed: int) -> _Evidence:
@@ -673,11 +672,8 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
 
     sector = sector_image(beta, m)
     con_margin = _sector_margin(beta * arg_base, sector.lo, sector.hi)
-    max_pull = float(subordination_pullback(_power(base, beta), target).max())
-    conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return hypothesis, conclusion, con_margin, dict(
-        alpha=alpha, beta=beta, gamma=gamma, m=m, eta=eta, delta=sp.delta,
-        hyp_margin=hyp_margin, max_pullback=max_pull)
+    return hypothesis, _power(base, beta), target, con_margin, dict(
+        alpha=alpha, beta=beta, gamma=gamma, m=m, eta=eta, delta=sp.delta, hyp_margin=hyp_margin)
 
 
 def _trial_inverse_coefficient(seed: int) -> _Evidence:
@@ -697,11 +693,8 @@ def _trial_inverse_coefficient(seed: int) -> _Evidence:
     criterion = silverman_inclusion(A, b, alpha, beta)
     sup_coeff = float(np.max(np.abs(coeff)))
     hypothesis = criterion and sup_coeff < beta * _HEADROOM
-
-    max_pull = float(subordination_pullback(p, target).max())
-    margin = 1.0 - max_pull
-    return hypothesis, margin >= -1e-4, margin, dict(
-        A=A, b=b, alpha=alpha, beta=beta, criterion=criterion, sup_coefficient=sup_coeff, max_pullback=max_pull)
+    return hypothesis, p, target, None, dict(
+        A=A, b=b, alpha=alpha, beta=beta, criterion=criterion, sup_coefficient=sup_coeff)
 
 
 def _trial_reciprocal_sector(seed: int) -> _Evidence:
@@ -718,11 +711,9 @@ def _trial_reciprocal_sector(seed: int) -> _Evidence:
     hypothesis = sup_deriv < beta * _HEADROOM and float(inverse_part.min()) > 1e-9
 
     half_angle = reciprocal_order_sector(order, beta) * math.pi / 2.0
-    con_margin = half_angle - float(np.max(np.abs(np.angle(p))))
-    max_pull = float(subordination_pullback(p, JanowskiParams(coef, 0.0)).max())
-    conclusion = con_margin >= -1e-4 and max_pull <= 1.0 + 1e-9
-    return hypothesis, conclusion, con_margin, dict(
-        order=order, beta=beta, sup_derivative=sup_deriv, half_angle=half_angle, max_pullback=max_pull)
+    con_margin = _sector_margin(np.angle(p), -half_angle, half_angle)
+    return hypothesis, p, JanowskiParams(coef, 0.0), con_margin, dict(
+        order=order, beta=beta, sup_derivative=sup_deriv, half_angle=half_angle)
 
 
 _OPERATOR_TABLE_A = (
@@ -796,11 +787,7 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
         hypothesis = bool(np.all(contained)) and clearance > 1e-9
         detail["contained_fraction"] = float(np.mean(contained))
         detail["cut_clearance"] = clearance
-
-    max_pull = float(subordination_pullback(p, target).max())
-    margin = 1.0 - max_pull
-    detail["max_pullback"] = max_pull
-    return hypothesis, margin >= -1e-4, margin, detail
+    return hypothesis, p, target, None, detail
 
 
 def _trial_operator_dominant(seed: int) -> _Evidence:
@@ -866,12 +853,8 @@ def _trial_first_order(seed: int) -> _Evidence:
 
     hyp_pull = float(subordination_pullback(e_samples, target).max())
     hypothesis = hyp_pull <= _HEADROOM and denom_clear > 1e-9
-
-    max_pull = float(subordination_pullback(p, target).max())
-    margin = 1.0 - max_pull
-    return hypothesis, margin >= -1e-4, margin, dict(
-        A=A, B=B, alpha=alpha, beta=beta, gamma=gamma,
-        hyp_pullback=hyp_pull, denominator_clearance=denom_clear, max_pullback=max_pull)
+    return hypothesis, p, target, None, dict(
+        A=A, B=B, alpha=alpha, beta=beta, gamma=gamma, hyp_pullback=hyp_pull, denominator_clearance=denom_clear)
 
 
 _TRIALS: dict[str, Callable[[int], _Evidence]] = {
@@ -892,11 +875,16 @@ def implication_trial(theorem_id: str, seed: int = 0) -> TrialReport:
 
     Trials are deterministic functions of (theorem_id, seed): the seed, an
     integer in [0, 2^64), picks every parameter and the test function.
+    Every trial's conclusion is judged here, by the one rule below.
     """
-    fn = _TRIALS.get(theorem_id)
+    fn = _TRIALS.get(theorem_id) if isinstance(theorem_id, str) else None
     if fn is None:
         raise InvalidTheoremIdError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(_TRIALS)}")
     seed = require_index("seed", seed, 0, _SEED_END)
-    hypothesis, conclusion, margin, detail = fn(seed)
+    hypothesis, p, target, margin, detail = fn(seed)
+    max_pull = float(subordination_pullback(p, target).max())
+    margin = 1.0 - max_pull if margin is None else margin
+    conclusion = margin >= -1e-4 and max_pull <= 1.0 + _PULLBACK_TOL
+    detail["max_pullback"] = max_pull
     detail["mode"] = "identity" if seed % 2 == 0 else "poly"
     return TrialReport(theorem_id, seed, hypothesis, conclusion, margin, detail)

@@ -376,11 +376,10 @@ def best_dominant(
         psi_s = np.array([complex(psi(t)) for t in ts])
         return (psi_s / lam_s - 1.0) / s, 1.0 / lam_s
 
-    outer, G1 = _nested_integral(f, tol)
-    denom = z * outer
-    if abs(denom) < 1e-300:
+    outer, G1 = _nested_integral(f, tol)  # the denominator integral is z * outer, so z cancels
+    if abs(outer) < 1e-300:
         raise DegenerateMapError("denominator integral vanishes")
-    return z * cmath.exp(G1) / denom
+    return cmath.exp(G1) / outer
 
 
 def silverman_inclusion(A: complex, b: float, alpha: float, beta: float) -> bool:

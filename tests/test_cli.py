@@ -228,6 +228,11 @@ class TestExitCodes:
         data = report(capsys, "special", "silverman", "--A", A, "--b", "0.5", "--beta", "0.3")
         assert data["result"]["included"] is False
 
+    def test_best_dominant_at_the_origin(self, capsys):
+        # q(0) = lambda(0) = 1; the product form z e^G / (z outer) once raised DegenerateMapError (exit 2)
+        data = report(capsys, "special", "best-q", "--A", "1", "--B=-1", "--z", "0")
+        assert data["result"]["value"] == {"re": pytest.approx(1.0, abs=1e-15), "im": 0.0}
+
     def test_huge_radius_parameters_stay_finite(self, capsys):
         for argv, key, value in (
             ("radius uralegaddi --A 1e308 --B=-1e308 --beta2 2", "radius", 0.5),

@@ -18,6 +18,7 @@ from janowski import (
     BranchUndefinedError,
     DegenerateMapError,
     DominantSpec,
+    InvalidTheoremIdError,
     JanowskiError,
     JanowskiParams,
     NumericalError,
@@ -378,6 +379,13 @@ def test_largest_seeds_get_distinct_streams():
     assert random_schwarz(2**64 - 2, 4).coefficients != top
     assert random_schwarz(2**63, 4).coefficients != random_schwarz(2**63 + 1, 4).coefficients
     assert implication_trial("T5.5", seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("theorem_id", [["T3.3"], {"a": 1}, 3.3], ids=["list", "dict", "float"])
+def test_theorem_id_that_is_not_a_string_raises(theorem_id):
+    # an unhashable id once raised a bare TypeError from the registry lookup
+    with pytest.raises(InvalidTheoremIdError, match=r"^unknown theorem id .*; known ids: T3\.3, T3\.6, "):
+        implication_trial(theorem_id)
 
 
 def test_empty_samples_raise():

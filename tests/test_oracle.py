@@ -36,7 +36,7 @@ from janowski import (
     verify_subordination,
 )
 from janowski import empirical_bounds, envelope, oracle
-from janowski.oracle import _HEADROOM, _rng, _test_function, _unit_circle, _winding_contains
+from janowski.oracle import _HEADROOM, _crossings, _rng, _test_function, _unit_circle, _winding_contains
 from tests.conftest import assert_screen_bounds_hold, safe_params, screen_bounds
 
 GRID = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1024, endpoint=False))
@@ -362,11 +362,13 @@ class TestImplicationTrials:
             m, b, lam, gamma = (combo.detail[k] for k in ("m", "b", "lam", "gamma"))
             spec = DominantSpec(A=cmath.exp(1j * math.pi * m), b=b, alpha=1.0, gamma=gamma,
                                 mu=1.0 - lam, eta=lam, delta=1.0, rho=0.0)
-            hypothesis, conclusion, margin, detail = oracle._operator_trial(seed, spec, {})
-            assert (hypothesis, conclusion, margin) == (
-                combo.hypothesis_holds, combo.conclusion_holds, combo.margin)
-            for key in ("max_pullback", "identity_gap" if seed % 2 == 0 else "contained_fraction"):
-                assert detail[key] == combo.detail[key], (seed, key)
+            hypothesis, p, target, margin, detail = oracle._operator_trial(seed, spec, {})
+            assert target == JanowskiParams(spec.A, -spec.b, spec.gamma)
+            max_pull = float(subordination_pullback(p, target).max())
+            assert (hypothesis, margin, max_pull, 1.0 - max_pull) == (
+                combo.hypothesis_holds, None, combo.detail["max_pullback"], combo.margin)
+            key = "identity_gap" if seed % 2 == 0 else "contained_fraction"
+            assert detail[key] == combo.detail[key], (seed, key)
 
     def test_shared_unit_grid_is_read_only(self):
         grid = oracle._unit_circle(64)
@@ -508,7 +510,7 @@ def _containment_calls(monkeypatch, tid, seed):
     calls = []
     contains = oracle._winding_contains
 
-    def spy(points, curve, disk=None):
+    def spy(points, curve, disk):
         calls.append((points, curve, disk))
         return contains(points, curve, disk)
 
@@ -534,7 +536,7 @@ class TestWindingContains:
         box[:32] = curve[rng.choice(curve.size, 32, replace=False)]  # vertices hit exactly
         extremes = [curve.imag.argmax(), curve.imag.argmin(), curve.real.argmax(), curve.real.argmin()]
         box[32:36] = curve[extremes] + np.array([5e-13j, -5e-13j, 5e-13, -5e-13])  # just outside, within 1e-12
-        got = _winding_contains(box, curve)
+        got = _crossings(box, curve)
         assert np.array_equal(got, _angle_sum_contains(box, curve))
         assert np.array_equal(_winding_contains(box, curve, disk), got)
         assert got[:36].all() and got[36:].any() and not got.all()
@@ -545,7 +547,7 @@ class TestWindingContains:
         t = 2.0 * np.pi * np.arange(4096) / 4096
         curve = (1.0 + 2.0 * np.cos(t)) * np.exp(1j * t)
         points = np.array([0.5, 0.3 + 0.1j, 2.0, 1.5 - 1.0j, -0.5, 3.5, 1.0 + 2.0j])
-        got = _winding_contains(points, curve)
+        got = _crossings(points, curve)
         assert got.tolist() == [True, True, True, True, False, False, False]
         assert np.array_equal(got, _angle_sum_contains(points, curve))
 
@@ -555,7 +557,7 @@ class TestWindingContains:
         curve = j / 512 + 1j * np.where(j % 2 == 0, 1.0, -1.0)
         rng = np.random.default_rng(0)
         points = rng.random(256) + 0.99j * (2.0 * rng.random(256) - 1.0)
-        got = _winding_contains(points, curve)
+        got = _crossings(points, curve)
         assert np.array_equal(got, _angle_sum_contains(points, curve))
         assert got.any() and not got.all()
 
@@ -563,7 +565,7 @@ class TestWindingContains:
         t = 2.0 * np.pi * np.arange(256) / 256
         curve = np.exp(1j * t)
         points = np.array([complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.nan), 0.0])
-        got = _winding_contains(points, curve)
+        got = _crossings(points, curve)
         assert got.tolist() == [False, False, False, True]
         assert np.array_equal(got, _angle_sum_contains(points, curve))
 
@@ -593,7 +595,7 @@ class TestInscribedDisk:
     def _check(self, curve, seed, angle_sum=True):
         disk = oracle._inscribed_disk(curve)
         points = _disk_probes(curve, disk, seed)
-        full = _winding_contains(points, curve)
+        full = _crossings(points, curve)
         assert np.array_equal(_winding_contains(points, curve, disk), full)
         if angle_sum:
             assert np.array_equal(full, _angle_sum_contains(points, curve))

@@ -2,6 +2,8 @@
 object, submodules load on first use, and report values convert to plain
 JSON data."""
 
+import ast
+import collections
 import importlib
 import io
 import re
@@ -65,6 +67,24 @@ def test_one_preimage_rule():
     }
     assert {name: n for name, n in normalizations.items() if n} == {"envelope.py": 1}
     assert "BranchUndefinedError" not in code_of(SRC / "janowski" / "oracle.py")
+
+
+def test_one_conclusion_rule():
+    # implication_trial judges every trial's conclusion: it alone pulls a trial's
+    # conclusion samples back, writes max_pullback and holds the 1e-4 slack
+    tree = ast.parse((SRC / "janowski" / "oracle.py").read_text())
+    pullbacks, writes = collections.Counter(), collections.Counter()
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "subordination_pullback":
+                pullbacks[name] += 1
+            if isinstance(node, ast.Constant) and node.value == "max_pullback" or (
+                    isinstance(node, ast.keyword) and node.arg == "max_pullback"):
+                writes[name] += 1
+    assert pullbacks == {"verify_subordination": 1, "_trial_first_order": 1, "implication_trial": 1}
+    assert writes == {"implication_trial": 1}
+    assert code_of(SRC / "janowski" / "oracle.py").count("1e-4") == 1
 
 
 def test_every_export_is_its_defining_object():

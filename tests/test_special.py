@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -468,6 +470,16 @@ class TestBestDominant:
             got = best_dominant(psi, lambda t: 1.0, z)
             want = z * cmath.exp(z) / (cmath.exp(z) - 1.0)
             assert abs(got - want) < 1e-8
+
+    @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-320])
+    def test_value_at_and_next_to_the_origin_is_lambda_0(self, z):
+        # z cancels from z e^G / (z outer): the product form raised DegenerateMapError
+        # at z = 0 and 1e-300 and gave inf + nan i at 1e-320
+        p = JanowskiParams(1.0, -1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = best_dominant(lambda t: complex(eval_powered(p, t)), lambda t: 1.0, z)
+        assert abs(got - 1.0) <= 4.0 * sys.float_info.epsilon
 
     def test_normalization_required(self):
         with pytest.raises(NonCaratheodoryLambdaError):
