@@ -123,9 +123,11 @@ class BranchUndefinedError(ParameterError):
 
     Raised by the branch guard of the powered map when the origin is
     interior to the first-order image, so the image loops around 0 and no
-    single-valued power can be anchored at 1, and by `kernel_integral` when
-    the segment to z crosses the zero of 1 + A t. A value on the cut of an
-    inverse raises nothing: it has no preimage, and the inverse gives inf.
+    single-valued power can be anchored at 1, by `operator_dominant` past
+    max(|A|, b) |z| = 1, where principal powers need not continue the base
+    map from 0, and by `kernel_integral` when the segment to z crosses the
+    zero of 1 + A t. A value on the cut of an inverse raises nothing: it
+    has no preimage, and the inverse gives inf.
     """
 
 

@@ -598,17 +598,12 @@ class TrialReport:
 _Evidence = tuple[bool, np.ndarray, JanowskiParams, float | None, dict]
 
 
-def _ratio(target: JanowskiParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """With target's A and B: num = 1 + A w, den = 1 + B w, the base q = num / den
-    and its log-derivative A / num - B / den. Powers of q are principal `_powers`."""
+def _ratio(target: JanowskiParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """With target's A and B: the base q = (1 + A w) / (1 + B w) and its log-derivative
+    A / (1 + A w) - B / (1 + B w). Powers of q are `_powers`; arg q is np.angle(q), their arctan2."""
     num = 1.0 + target.A * w
     den = 1.0 + target.B * w
-    return num, den, num / den, target.A / num - target.B / den
-
-
-def _arg_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """arg num - arg den, the argument of q = num / den that stays principal for |arg q| < pi."""
-    return np.arctan2(num.imag, num.real) - np.arctan2(den.imag, den.real)
+    return num / den, target.A / num - target.B / den
 
 
 def _trial_ratio_sector(seed: int) -> _Evidence:
@@ -623,7 +618,7 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
 
     _, z, w, zdw = _context(seed)[_test_function, 0.2, 0.25]
     target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, alpha)
-    num, den, base, dlog = _ratio(target, w)
+    base, dlog = _ratio(target, w)
     p = _power(base, alpha)
     zdp = alpha * p * dlog * zdw
     gratio = 1.0 - cg * z  # g/(z g') for the comparison g(z) = z/(1 - cg z)
@@ -643,7 +638,7 @@ def _trial_ratio_sector(seed: int) -> _Evidence:
     hypothesis = ratio_ok and hyp_margin > _SAFETY
 
     sector = sector_image(alpha, m)
-    con_margin = _sector_margin(alpha * _arg_ratio(num, den), sector.lo, sector.hi)
+    con_margin = _sector_margin(alpha * np.angle(base), sector.lo, sector.hi)
     return hypothesis, p, target, con_margin, dict(
         alpha=alpha, m=m, beta=beta, g_pole=cg, mu1=mu1, mu2=mu2, hyp_margin=hyp_margin)
 
@@ -660,8 +655,8 @@ def _trial_weighted_sector(seed: int) -> _Evidence:
 
     _, z, w, zdw = _context(seed)[_test_function, 0.35, 0.5]
     target = JanowskiParams(cmath.exp(1j * math.pi * m), -1.0, beta)
-    num, den, base, dlog = _ratio(target, w)
-    arg_base = _arg_ratio(num, den)
+    base, dlog = _ratio(target, w)
+    arg_base = np.angle(base)
     # z p'/p for p = base^beta, evaluated without forming p first
     x = (a + c * z) * beta * (dlog * zdw)
     shifted = 1.0 + x
@@ -687,7 +682,7 @@ def _trial_inverse_coefficient(seed: int) -> _Evidence:
 
     _, _, w, zdw = _context(seed)[_test_function, 0.2, 0.25]
     target = JanowskiParams(A, -b, alpha)
-    *_, base, dlog = _ratio(target, w)
+    base, dlog = _ratio(target, w)
     p = _power(base, alpha)
     coeff = alpha * dlog * zdw / p  # z p'/p^2
     criterion = silverman_inclusion(A, b, alpha, beta)
@@ -760,8 +755,10 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     The operator is E = mu p^a (d + r p) + eta z p' p^(a-1) on the base power
     p.  Even seeds use w(z) = c z, for which E IS the dominant composed with
     c z; the trial then checks that exact identity through the standalone
-    dominant evaluator.  Odd seeds use a genuine polynomial Schwarz function
-    and fall back to a winding count against the sampled dominant curve,
+    dominant evaluator.  Both sides take their powers of the quotient from
+    `_powers`, so the identity checks the operator algebra, not a second
+    power.  Odd seeds use a genuine polynomial Schwarz function and fall
+    back to a winding count against the sampled dominant curve,
     which depends only on the table row and is kept per row with its
     inscribed disk (`_row_curve`); the cut clearance
     is that of the image disk of |z| = _CURVE_RADIUS.  `detail` holds the
@@ -770,7 +767,7 @@ def _operator_trial(seed: int, spec: DominantSpec, detail: dict) -> _Evidence:
     radii = (1.0,) if seed % 2 == 0 else (0.35, 0.65, 0.9, 1.0)
     omega, z, w, zdw = _context(seed)[_test_function, _OMEGA_RHO, 0.88, 512, radii]
     target = JanowskiParams(spec.A, -spec.b, spec.gamma)
-    *_, base, dlog = _ratio(target, w)
+    base, dlog = _ratio(target, w)
     p, p_alpha, p_alpha_m1 = _powers(base, (spec.gamma, spec.alpha * spec.gamma, (spec.alpha - 1.0) * spec.gamma))
     zdp = spec.gamma * p * dlog * zdw
     e_samples = complex(spec.mu) * p_alpha * (complex(spec.delta) + complex(spec.rho) * p) + complex(spec.eta) * zdp * p_alpha_m1
@@ -844,7 +841,7 @@ def _trial_first_order(seed: int) -> _Evidence:
 
     _, z, w, zdw = _context(seed)[_test_function, 0.3, 0.45]
     target = JanowskiParams(A, B, alpha)
-    *_, base, dlog = _ratio(target, w)
+    base, dlog = _ratio(target, w)
     p = _power(base, alpha)
     zdp = alpha * p * dlog * zdw
     denom = beta * p + gamma

@@ -157,14 +157,10 @@ def reciprocal_radius(A: complex, B: complex, alpha: float, beta2: float) -> flo
     return min(alpha * abs(A - B) / den, 1.0)
 
 
-@functools.cache
-def alpha_star() -> float:
-    """Power threshold: the unique root of 2 a + (2/pi) atan(a) = 1 in (0, 1).
-
-    Solved once, by bisection down to adjacent floats (54 halvings of
-    [0, 1]), so the returned lower end lies within one ulp of the root.
-    """
-    f = lambda a: 2.0 * a + (2.0 / math.pi) * math.atan(a) - 1.0
+def _bisect(f) -> float:
+    """The lower end of [lo, hi] after halving [0, 1] down to adjacent
+    floats, keeping f(lo) <= 0 < f(hi): within one ulp of the root of an
+    increasing f with f(0) <= 0 < f(1), however small that root is."""
     lo, hi = 0.0, 1.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if f(mid) <= 0.0:
@@ -172,6 +168,13 @@ def alpha_star() -> float:
         else:
             hi = mid
     return lo
+
+
+@functools.cache
+def alpha_star() -> float:
+    """Power threshold: the unique root of 2 a + (2/pi) atan(a) = 1 in (0, 1),
+    solved once by `_bisect` (54 halvings), so within one ulp of the root."""
+    return _bisect(lambda a: 2.0 * a + (2.0 / math.pi) * math.atan(a) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -189,9 +192,9 @@ def starlike_radius(A: float, B: float, beta: float, method: str = "closed") -> 
 
     Requires A in (0, 1], B in [-1, 0) and beta >= 1 - alpha_star
     (about 0.61655), else the threshold angle is unreachable. `method`
-    selects the quadratic closed form or an independent bisection on the
-    angle equation; the two agree to 1e-9 and both report the smallest
-    positive root.
+    selects the quadratic closed form, taken by its conjugate root, or an
+    independent `_bisect` of the angle equation; both report the smallest
+    positive root within a few ulps, for every finite beta.
     """
     require_finite_args("starlike_radius", A=A, B=B, beta=beta)
     require_range("A", A, "(0, 1]")
@@ -199,7 +202,8 @@ def starlike_radius(A: float, B: float, beta: float, method: str = "closed") -> 
     astar = alpha_star()
     if beta < (1.0 - astar) - 1e-9:
         raise OutOfRangeError(f"beta must be at least {1.0 - astar:.6f}, got {beta}")
-    theta = (1.0 - astar) * math.pi / (2.0 * beta)
+    target = (1.0 - astar) * math.pi * 0.5
+    theta = target / beta  # the bits of target / (2 beta) / 2 wherever 2 beta is finite
     s = math.sin(theta)
     # The angle map x -> (A - B) x / (1 - A B x^2) increases on (0, 1]
     # because A B < 0, so a root exists in (0, 1] iff the value at 1
@@ -207,24 +211,16 @@ def starlike_radius(A: float, B: float, beta: float, method: str = "closed") -> 
     if (A - B) / (1.0 - A * B) < s - 1e-14:
         raise NoRootError("threshold angle is not attained inside the disk")
     if method == "closed":
-        disc = (A - B) ** 2 + 4.0 * A * B * s * s
-        root = (-(A - B) + math.sqrt(max(0.0, disc))) / (2.0 * A * B * s)
+        # the conjugate of (-(A - B) + sqrt(disc)) / (2 A B s), which cancels at small s
+        root = 2.0 * s / ((A - B) + math.sqrt(max(0.0, (A - B) ** 2 + 4.0 * A * B * s * s)))
         return StarlikeRadius(value=root, theta=theta, method=method)
     if method == "bisect":
-        target = (1.0 - astar) * 0.5 * math.pi
 
         def g(x: float) -> float:
             arg = (A - B) * x / (1.0 - A * B * x * x)
             return beta * math.asin(min(1.0, arg)) - target
 
-        lo, hi = 0.0, 1.0
-        if g(hi) < 0.0:
+        if g(1.0) < 0.0:
             raise NoRootError("threshold angle is not attained inside the disk")
-        while hi - lo > 1e-14:
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return StarlikeRadius(value=0.5 * (lo + hi), theta=theta, method=method)
+        return StarlikeRadius(value=_bisect(g), theta=theta, method=method)
     raise OutOfRangeError(f"unknown method {method!r}")

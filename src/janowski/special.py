@@ -17,18 +17,19 @@ written with complex log1p/expm1 equivalents so they stay accurate near
 the origin, where the naive quotient forms cancel; their guards for t = 0
 and for 1 + x = 1 run only on a panel where a node hits them.
 
-Scalars stay scalar, as in `envelope`: `operator_dominant` evaluates a
-Python or numpy float or complex z with cmath.log and cmath.exp, and an
-array with `envelope._log` and np.exp, unchanged bit for bit. The two agree
-to within 16 eps (max(1, |h|) + kappa T), kappa = |Az|/|1 + Az| +
-b|z|/|1 - bz| the condition of the base map and T the size of the terms it
-scales: at most 3.3 eps on that scale over 30000 seeded draws, and 4.6 eps
-max(1, |h|) where kappa < 1. `best_dominant` calls its callables one
-node at a time, so a psi built on `eval_powered` takes the scalar path:
-about 60 us a call against 290 us when each node went through 0-d numpy
-arrays (one core of a 2-vCPU x86-64 machine). The nodes are Python complex
-(`tolist()`), so the arithmetic inside the callables runs on Python complex
-instead of numpy scalars, about 5 % of a call.
+Scalars stay scalar, as in `envelope`: `operator_dominant` forms
+Q = (1 + Az)/(1 - bz) once and powers it as `eval_powered` does, by
+complex ** float for a Python or numpy float or complex z and by
+`envelope._powers` for an array. The two agree to within 16 eps (max(1,
+|h|) + kappa T), kappa = |Az|/|1 + Az| + b|z|/|1 - bz| the condition of
+the base map and T the size of the terms it scales: at most 2.5 eps on that
+scale over 30000 seeded draws, and 3.8 eps max(1, |h|) where kappa < 1.
+`best_dominant` calls its callables one node at a time, so a psi built on
+`eval_powered` takes the scalar path: about 60 us a call against 290 us
+when each node went through 0-d numpy arrays (one core of a 2-vCPU x86-64
+machine). The nodes are Python complex (`tolist()`), so the arithmetic
+inside the callables runs on Python complex instead of numpy scalars,
+about 5 % of a call.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable
 
-from .envelope import _log, _points
+from .envelope import _points, _powers
 from .errors import (
     BranchUndefinedError,
     DegenerateMapError,
@@ -138,10 +139,9 @@ def hyper_3f2(
 
 def _clog1p_arr(x: np.ndarray) -> np.ndarray:
     """log(1 + x) for a complex numpy array or scalar x without
-    cancellation at small |x| (Kahan). Keeps np.log, not `envelope._log`:
-    the trick log(u) x / (u - 1) needs a correctly rounded complex log, and
-    log(hypot) loses the relative accuracy of Re log u near |u| = 1. The
-    guard for u = 1 runs only when an entry hits it."""
+    cancellation at small |x| (Kahan), by np.log: the trick log(u) x /
+    (u - 1) needs a correctly rounded complex log, which log|u| + i arg u
+    is not near |u| = 1. The guard for u = 1 runs only when an entry hits it."""
     u = 1.0 + x
     plain = u == 1.0
     if not plain.any():
@@ -168,7 +168,9 @@ def _cexpm1_arr(y: np.ndarray) -> np.ndarray:
 
 def _kernel_rate(A: complex, b: float, alpha: float, t: np.ndarray) -> np.ndarray:
     """Integrand (((1 + A t) / (1 - b t))^alpha - 1) / t, finite at t = 0;
-    the guard for |t| < 1e-300 runs only when a node hits it."""
+    the guard for |t| < 1e-300 runs only when a node hits it. Not
+    `envelope._powers`: Q^alpha - 1 cancels near t = 0, and |t| < 1/b
+    reaches past |A t| <= 1, where principal powers continue Q."""
     t = np.asarray(t, dtype=complex)
     tiny = abs(t) < 1e-300
     hit = tiny.any()
@@ -317,26 +319,30 @@ def operator_dominant(spec: DominantSpec, z) -> complex | np.ndarray:
     + eta gamma (A + b) z / ((1 + A z)(1 - b z))), Q = (1+Az)/(1-bz), at a
     scalar or a non-empty array z of finite points.
 
-    A Python or numpy float or complex z is evaluated in Python complex
-    arithmetic (cmath.log and cmath.exp) and returns a complex; other input
-    goes through `envelope._log` and np.exp. A point within 1e-14 of the
-    zero -1/A or the pole 1/b raises; |1 + A z| >= 1 - |A| |z| and
-    |1 - b z| >= 1 - b |z|, so each is tested only where max|z| reaches it."""
+    Q^gamma and Q^(alpha gamma) are principal powers, complex ** float for
+    a Python or numpy float or complex z (which returns a complex) and
+    `envelope._powers` otherwise. They continue Q from z = 0 only where
+    max(|A|, b) |z| <= 1, so a point past 1 + 1e-9 raises, the bound of
+    `eval_powered`'s branch guard. A point within 1e-14 of the zero -1/A or
+    the pole 1/b raises; |1 + A z| >= 1 - |A| |z| and |1 - b z| >= 1 - b |z|,
+    so each is tested only where max|z| reaches it."""
     z, radius, scalar = _points("z", z)
     A = complex(spec.A)
+    a_abs = math.hypot(A.real, A.imag)
+    if (reach := max(a_abs, spec.b) * radius) > 1.0 + 1e-9:
+        raise BranchUndefinedError(f"principal powers of the base map need max(|A|, b) |z| <= 1, got {reach:.6g}")
     num = 1.0 + A * z
     den = 1.0 - spec.b * z
     if ((spec.b * radius >= 1.0 - 1e-14 and np.min(np.abs(den)) < 1e-14)
-            or (math.hypot(A.real, A.imag) * radius >= 1.0 - 1e-14 and np.min(np.abs(num)) < 1e-14)):
+            or (a_abs * radius >= 1.0 - 1e-14 and np.min(np.abs(num)) < 1e-14)):
         raise PoleOnBoundaryError("evaluation point hits a zero or pole of the base map")
-    # sum of principal logs: its powers keep that branch
-    q_log, exp = (cmath.log(num) - cmath.log(den), cmath.exp) if scalar else (_log(num) - _log(den), np.exp)
-    bracket = (
+    q, powers = num / den, (spec.gamma, spec.alpha * spec.gamma)
+    q_gamma, q_outer = (q ** powers[0], q ** powers[1]) if scalar else _powers(q, powers)  # ** is libm's polar form
+    out = q_outer * (
         complex(spec.mu) * complex(spec.delta)
-        + complex(spec.mu) * complex(spec.rho) * exp(spec.gamma * q_log)
+        + complex(spec.mu) * complex(spec.rho) * q_gamma
         + complex(spec.eta) * spec.gamma * (A + spec.b) * z / (num * den)
     )
-    out = exp(spec.alpha * spec.gamma * q_log) * bracket
     return out if scalar or out.ndim else complex(out)
 
 

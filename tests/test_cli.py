@@ -147,6 +147,12 @@ class TestActions:
         )
         assert verified["oracle"]["gap"] < 1e-9
 
+    def test_starlike_at_the_largest_beta(self, capsys):
+        # 2 beta overflowed here, and the closed form divided by zero
+        data = report(capsys, *"radius starlike --A 0.9 --B=-0.9 --beta 1e308 --verify".split())
+        assert data["result"]["value"] == pytest.approx(5.3804259447114524832e-309, rel=1e-15, abs=0.0)
+        assert data["oracle"]["gap"] <= 1e-15 * data["result"]["value"]
+
     def test_macgregor(self, capsys):
         data = report(capsys, "special", "macgregor", "--beta", "0.5")
         assert data["result"]["value"] == pytest.approx(1.0 / (2.0 * math.log(2.0)))
@@ -266,6 +272,8 @@ class TestExitCodes:
             "geometry image-disk --A 1.7e308+1.7e308i --B=-1 --r 0.5",
             "radius inclusion --A 0.5 --B 3 --C 0.5 --D=-0.5",
             "radius starlike --A 0.5+0.1i --B=-0.5",
+            "bounds tilt --b 0.5 --m 1e308",
+            "special dominant --A=-0.15+0.75i --b 1 --alpha 0.5 --gamma 0.5 --mu 1 --eta 0 --delta 0 --rho 1 --z 2+2i",
         ],
     )
     def test_out_of_domain_input_is_parameter_failure(self, capsys, tmp_path, argv):

@@ -212,6 +212,7 @@ MESSAGE_CASES = [
     ("sector_image", dict(alpha=0.0), OutOfRangeError, "alpha must lie in (0, 1], got 0.0"),
     ("sector_image", dict(m=1.0), OutOfRangeError, "m must lie in (-1, 1), got 1.0"),
     ("tilt_angle", dict(b=1.5), OutOfRangeError, "b must lie in [0, 1], got 1.5"),
+    ("tilt_angle", dict(m=1e308), OutOfRangeError, "m must lie in [-1, 1], got 1e+308"),  # pi m overflowed
     ("alpha_nesting", dict(a2=1.2), OutOfRangeError, "powers must lie in (0, 1], got 1.2"),
     ("SchwarzPoly.scaled_identity", dict(c=1.0), OutOfRangeError, "|c| must lie in (0, 1), got 1.0"),
     ("SchwarzPoly.dilated", dict(rho=1.5), OutOfRangeError, "rho must lie in (0, 1], got 1.5"),
@@ -255,6 +256,8 @@ MESSAGE_CASES = [
     ("double_subordination_tilt", dict(l=-1.5), OutOfRangeError, "l must lie in [-1, 1], got -1.5"),
     ("double_subordination_tilt", dict(alpha=0.0), OutOfRangeError, "alpha must be positive, got 0.0"),
     ("eval_powered", dict(z=1.5), BranchUndefinedError, "origin interior to the image at radius 1.5: |A| r = 1.2 > 1"),
+    ("operator_dominant", dict(z=1.5), BranchUndefinedError,
+     "principal powers of the base map need max(|A|, b) |z| <= 1, got 1.5"),
     ("tilt_angle", dict(b=1.0, m=1.0), DegenerateMapError, "b + e^{i m pi} = 0 leaves no half-plane"),
     ("alpha_nesting", dict(A=1.5), OutOfRangeError, "nesting requires |A| <= 1 and |B| <= 1"),
     ("starlike_radius", dict(beta=0.3), OutOfRangeError, "beta must be at least 0.616551, got 0.3"),

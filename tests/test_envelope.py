@@ -43,7 +43,6 @@ from janowski.envelope import (
     BoundReport,
     ShiftedView,
     _curve_blocks,
-    _log,
     _newton,
     _power,
     _powers,
@@ -546,18 +545,6 @@ def test_power_matches_30_digit_principal_power(name, a):
             assert abs(mp.mpc(gi) - want) <= 8 * ULP * abs(want), (wi, a)
     if name.startswith("cut"):  # the side of the cut follows np.log
         assert (np.signbit(got.imag) == np.signbit(np.exp(a * np.log(w)).imag)).all()
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", HELPER_POINTS)
-def test_log_matches_30_digit_principal_log(name):
-    w = HELPER_POINTS[name]
-    got = _log(w)
-    with mp.workdps(30):
-        for wi, gi in zip(w, got):
-            want = _mp_log(wi)
-            assert abs(mp.mpc(gi) - want) <= 4 * np.spacing(max(1.0, float(abs(want)))), wi
-    assert (np.signbit(got.imag) == np.signbit(np.log(w).imag)).all()
 
 
 @pytest.mark.filterwarnings("error")

@@ -87,6 +87,22 @@ def test_one_conclusion_rule():
     assert code_of(SRC / "janowski" / "oracle.py").count("1e-4") == 1
 
 
+def test_one_principal_power():
+    # powers of the Janowski quotient are envelope._powers (complex ** float for a scalar) and
+    # arg q is np.angle(q): no second log of the quotient, and np.log only in the Kahan
+    # log1p and expm1 kernels of the starlikeness kernel's rate
+    np_logs = collections.Counter()
+    for path in sorted((SRC / "janowski").glob("*.py")):
+        code = code_of(path)
+        assert not re.search(r"(?<!\w)def(_log|_arg_ratio)\(", code), path.name
+        assert "cmath.log(" not in code, path.name
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "log" and getattr(node.value, "id", None) == "np":
+                    np_logs[getattr(top, "name", None)] += 1
+    assert set(np_logs) == {"_clog1p_arr", "_cexpm1_arr"}
+
+
 def test_every_export_is_its_defining_object():
     for module, names in janowski._EXPORTS.items():
         defining = importlib.import_module(f"janowski.{module}")

@@ -129,6 +129,28 @@ def test_starlike_theta_uses_alpha_star():
     assert r.theta == pytest.approx((1.0 - alpha_star()) * math.pi / 4.0)
 
 
+def _starlike_mp(A: float, B: float, beta: float) -> tuple[mp.mpf, mp.mpf]:
+    """(theta, root) at 40 digits: theta = (1 - alpha*) pi / (2 beta), alpha* by
+    mpmath's own findroot, and the smallest positive root x of beta asin((A - B) x /
+    (1 - A B x^2)) = (1 - alpha*) pi / 2, from the conjugate form of the quadratic."""
+    with mp.workdps(40):
+        astar = mp.findroot(lambda a: 2 * a + 2 / mp.pi * mp.atan(a) - 1, 0.38)
+        theta = (1 - astar) * mp.pi / (2 * mp.mpf(beta))
+        s, A, B = mp.sin(theta), mp.mpf(A), mp.mpf(B)
+        return theta, 2 * s / ((A - B) + mp.sqrt((A - B) ** 2 + 4 * A * B * s * s))
+
+
+@pytest.mark.parametrize("method", ["closed", "bisect"])
+@pytest.mark.parametrize("beta", [1.0, 1.2, 1.5, 1e3, 1e6, 1e9, 1e200, 1e308, 1.7e308])
+def test_starlike_radius_matches_40_digits_at_every_beta(beta, method):
+    # the quadratic form lost digits to cancellation as beta grew (-0.0 from 1e9), 2 beta
+    # overflowed at 1e308, and the bisection stopped at an absolute width of 1e-14
+    for A, B in ((0.9, -0.9), (1.0, -1.0), (0.6, -0.7), (0.8, -0.6), (1.0, -0.05), (0.05, -1.0)):
+        got = starlike_radius(A, B, beta, method=method)
+        theta, root = _starlike_mp(A, B, beta)
+        assert abs(got.theta - theta) <= 1e-15 * theta and abs(got.value - root) <= 1e-15 * root, (A, B)
+
+
 @given(
     st.floats(0.3, 1.0),
     st.floats(-1.0, -0.2),

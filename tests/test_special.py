@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from janowski import (
+    BranchUndefinedError,
     DominantSpec,
     JanowskiParams,
     NoConvergenceError,
@@ -358,15 +359,17 @@ class TestOperatorDominant:
         assert type(operator_dominant(spec, np.complex128(0.5j))) is complex
 
     def test_scalar_point_agrees_with_the_array_path(self):
-        """A Python or numpy scalar z is evaluated with cmath. On seeded specs
-        (alpha and gamma down to 1e-3 and at 1) at points in the disk, near and
-        at the pole 1/b and near and at the zero -1/A, each scalar call returns
-        a Python complex within 16 eps (max(1, |h|) + kappa T) of the
-        one-element array call, or raises the same error class. kappa =
-        |Az|/|1 + Az| + b|z|/|1 - bz| is the condition of the base map, whose
-        products numpy may round with a fused multiply-add, and T = |Q^(alpha
-        gamma)| (|mu rho Q^gamma| + |eta gamma (A + b) z / ((1 + Az)(1 - bz))|)
-        the size of the terms it scales."""
+        """A Python or numpy scalar z is evaluated with complex ** float. On
+        seeded specs (alpha and gamma down to 1e-3 and at 1) at points of the
+        domain max(|A|, b) |z| <= 1, its edge in the directions of the pole
+        1/b and of the zero -1/A, approaches of that edge, and a point past
+        it, each scalar call returns a Python complex within 16 eps (max(1,
+        |h|) + kappa T) of the one-element array call, or raises the same
+        error class. kappa = |Az|/|1 + Az| + b|z|/|1 - bz| is the condition
+        of the base map, whose products numpy may round with a fused
+        multiply-add, and T = |Q^(alpha gamma)| (|mu rho Q^gamma| + |eta
+        gamma (A + b) z / ((1 + Az)(1 - bz))|) the size of the terms it
+        scales."""
         eps = np.finfo(float).eps
         rng = np.random.default_rng(20261020)
 
@@ -380,10 +383,12 @@ class TestOperatorDominant:
             spec = DominantSpec(A=polar(1.0), b=float(rng.uniform()), alpha=alpha, gamma=gamma,
                                 mu=polar(1.0), eta=polar(1.0), delta=polar(1.0), rho=polar(1.0))
             A, b = spec.A, spec.b
-            zs = [polar(1.0) for _ in range(6)] + [1.0 / b, -1.0 / A, complex(math.inf, 0.0)]
+            edge = 1.0 / max(abs(A), b)  # the pole or the zero lies on the edge of the domain
+            to_zero = -A.conjugate() / abs(A)
+            zs = [polar(edge) for _ in range(6)] + [edge, to_zero * edge, 1.5 * edge, complex(math.inf, 0.0)]
             for j in (1, 4, 8, 12):
                 turn = cmath.exp(1j * 10.0 ** -j * rng.normal())
-                zs += [(1.0 - 10.0 ** -j) * turn / b, -(1.0 - 10.0 ** -j) * turn / A]
+                zs += [(1.0 - 10.0 ** -j) * turn * edge, (1.0 - 10.0 ** -j) * turn * to_zero * edge]
             for z in map(complex, zs):
                 try:
                     want = operator_dominant(spec, np.array([z]))[0]
@@ -404,6 +409,18 @@ class TestOperatorDominant:
                     assert type(got) is complex and abs(got - want) <= bound, (spec, z, got, want)
                 compared += 1
         assert compared > 2500 and raised >= 600
+
+    def test_no_value_past_the_principal_domain(self):
+        """Past max(|A|, b) |z| = 1 the principal power of Q need not be the
+        continuation of Q from z = 0. Here it is not: the continuation gives
+        -0.7197-0.0024i and the principal powers 0.0024-0.7197i, so both
+        paths raise."""
+        spec = DominantSpec(A=-0.15 + 0.75j, b=1.0, alpha=0.5, gamma=0.5, mu=1.0, eta=0.0, delta=0.0, rho=1.0)
+        for z in (2 + 2j, np.complex128(2 + 2j), np.array([0.1, 2 + 2j])):
+            with pytest.raises(BranchUndefinedError, match=r"max\(\|A\|, b\) \|z\| <= 1, got 2.82843"):
+                operator_dominant(spec, z)
+        # the edge itself is admitted: |z| = 1 away from the pole
+        assert operator_dominant(spec, -1.0) == pytest.approx(cmath.exp(0.75 * cmath.log((1.15 - 0.75j) / 2.0)))
 
     def test_pole_anywhere_in_an_array_raises(self):
         spec = DominantSpec(A=0.5, b=0.8, alpha=1.0, gamma=1.0, mu=1.0, eta=1.0, delta=1.0, rho=0.0)
