@@ -1,9 +1,9 @@
 """Randomized cross-checks for the subordination machinery.
 
 Everything here argues from samples, never from symbols: random Schwarz
-polynomials generate test functions, boundary grids estimate suprema, and
-the inverse of the powered bilinear map (or a winding count, when the
-comparison function is not univalent) decides membership questions.
+polynomials (certified by a grid theorem) generate test functions, boundary
+grids estimate suprema, and the inverse of the powered bilinear map (or a winding
+count, when the comparison function is not univalent) decides membership questions.
 
 Honesty conventions used throughout:
 
@@ -78,6 +78,7 @@ from .sectors import eta_infimum, ratio_sector_params, reciprocal_order_sector, 
 from .special import DominantSpec, operator_dominant, silverman_inclusion
 
 _HEADROOM = 1.0 - 1e-6
+_GRID = 65536  # unit-grid points on which a Schwarz polynomial is normalised and certified
 _N_SAMPLES = 4096  # unit-grid points on which a trial samples its test function
 _SAFETY = 1e-5  # interior margin a sampled supremum must clear before a claim
 _SEED_END = 2**64  # seeds are Philox key words, integers in [0, 2^64)
@@ -109,9 +110,9 @@ def _uniforms(seed: int, stream: int) -> tuple[float, float]:
 class SchwarzPoly:
     """Polynomial Schwarz function w(z) = scale * z * sum_k c_k z^k.
 
-    `coefficients` holds the unnormalized c_k; `scale` absorbs the
-    normalization that pins the boundary supremum strictly below 1, checked on a
-    4096-point grid only where the bound scale * sum |c_k| reaches 1.
+    `coefficients` holds the unnormalized c_k; `scale` absorbs the normalization
+    that pins the boundary supremum below 1, certified by scale * sum |c_k| < 1
+    or else by scale * `_certified_sup` < 1; otherwise `ParameterError`.
     """
 
     coefficients: tuple[complex, ...]
@@ -128,9 +129,9 @@ class SchwarzPoly:
             raise OutOfRangeError(f"scale must be positive, got {self.scale}")
         if self.scale * math.fsum(map(abs, self.coefficients)) * (1.0 + 2.0**-40) < 1.0:
             return  # |w| <= scale * sum |c_k| on the closed disk, certified past rounding
-        sup = float(np.abs(self.value(_unit_circle(4096))).max())
+        sup = self.scale * _certified_sup(np.array(self.coefficients, dtype=complex))
         if sup >= 1.0:
-            raise ParameterError(f"not a Schwarz function: boundary modulus reaches {sup}")
+            raise ParameterError(f"not certified Schwarz: the boundary modulus bound is {sup}")
 
     @classmethod
     def scaled_identity(cls, c: complex) -> "SchwarzPoly":
@@ -146,31 +147,21 @@ class SchwarzPoly:
     @property
     def linear_coefficient(self) -> complex | None:
         """c with w(z) = c z when the polynomial is linear, else None."""
-        if len(self.coefficients) == 1:
-            return self.scale * self.coefficients[0]
-        return None
+        return self.scale * self.coefficients[0] if len(self.coefficients) == 1 else None
 
     def value(self, z):
-        zz = np.asarray(z, dtype=complex)
-        out = self._value(zz, self._poly(zz))
-        return complex(out) if out.ndim == 0 else out
+        return self._at(z)[0]
 
     def deriv(self, z):
-        zz = np.asarray(z, dtype=complex)
-        out = self._deriv(zz, self._poly(zz))
-        return complex(out) if out.ndim == 0 else out
+        return self._at(z)[1]
 
-    def _poly(self, zz: np.ndarray) -> np.ndarray:
-        """p(z) = sum_k c_k z^k, the one polynomial that value and deriv share."""
-        return _horner(zz, self.coefficients)
-
-    def _value(self, zz: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.scale * zz * p
-
-    def _deriv(self, zz: np.ndarray, p: np.ndarray) -> np.ndarray:
-        coef = self.coefficients
+    def _at(self, z) -> tuple:
+        """(w(z), w'(z)) from the one polynomial p(z) = sum_k c_k z^k; complex for a scalar z."""
+        zz, coef = np.asarray(z, dtype=complex), self.coefficients
+        p = _horner(zz, coef)
         dp = _horner(zz, [k * c for k, c in enumerate(coef) if k]) if len(coef) > 1 else np.zeros_like(zz)
-        return self.scale * (p + zz * dp)
+        out = self.scale * zz * p, self.scale * (p + zz * dp)
+        return out if zz.ndim else tuple(map(complex, out))
 
     def dilated(self, rho: float) -> "SchwarzPoly":
         """Precompose with z -> rho z, pulling the image into |w| <= rho."""
@@ -193,42 +184,43 @@ def _horner(x: np.ndarray, coef) -> np.ndarray:
 def random_schwarz(seed: int, degree: int) -> SchwarzPoly:
     """Seeded random Schwarz polynomial of the given degree (1..16).
 
-    Coefficients are drawn from the unit square via a counter-based
-    generator, then rescaled so the boundary supremum is 1 - 1e-6.  The
-    rescaling grid has 65536 points: every diagnostic grid used elsewhere
-    divides it, and for trigonometric degree <= 16 the true supremum
-    exceeds the grid maximum by less than a 1e-7 relative factor, so the
-    normalized polynomial is rigorously Schwarz.  Degree 1 is the
-    deterministic near-identity w(z) = (1 - 1e-6) z. The peak is screened
-    by `_screened_peak`. Each call draws afresh; the trials of a seed share
-    one draw through its `_SeedContext`.
+    Coefficients are drawn from the unit square by a counter-based generator
+    and rescaled so that `_screened_peak`, the maximum of |w| on a grid that
+    every diagnostic grid divides, is 1 - 1e-6; `_certified_sup` exceeds it by
+    a factor below 1 + 7.5e-8, so `SchwarzPoly` certifies every draw. Degree 1
+    is the near-identity w(z) = (1 - 1e-6) z. Each call draws afresh; the
+    trials of a seed share one draw through its `_SeedContext`.
     """
     return _draw(require_index("seed", seed, 0, _SEED_END), require_index("degree", degree, 1, 17))
 
 
 def _draw(seed: int, degree: int) -> SchwarzPoly:
-    if degree == 1:
-        return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
-    rng = _rng(seed, 0)
-    raw = rng.random((degree, 2))
-    coef = raw[:, 0] + 1j * raw[:, 1]
-    peak = _screened_peak(_unit_circle(65536), coef)
-    if peak < 1e-12:
-        return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
-    return SchwarzPoly(tuple(coef), _HEADROOM / peak)
+    if degree > 1:
+        raw = _rng(seed, 0).random((degree, 2))
+        coef = raw[:, 0] + 1j * raw[:, 1]
+        peak = _screened_peak(coef)
+        if peak >= 1e-12:
+            return SchwarzPoly(tuple(coef), _HEADROOM / peak)
+    return SchwarzPoly((1.0 + 0.0j,), _HEADROOM)
 
 
-def _screened_peak(z: np.ndarray, coef: np.ndarray) -> float:
-    """Largest |T| over the unit grid z, T(z) = z sum_k coef_k z^k. Only the
-    samples `_screen` keeps are formed, as `_horner`(z, coef) times z in place,
-    the order of the whole grid's elided z * polyval(z, coef); they keep their
-    grid bits, so the result is the whole grid's maximum, the same float.
+def _screened_peak(coef: np.ndarray) -> float:
+    """Largest |T| over the N = `_GRID`-point unit grid z_j = e^{i t_j}, T(z) = z
+    sum_k coef_k z^k. Only the samples `_screen` keeps are formed, as `_horner`(z,
+    coef) times z in place, the order of the whole grid's elided z * polyval(z,
+    coef); they keep their grid bits, so the result is the whole grid's maximum.
 
     T at z = e^{it} has degree d = len(coef), and V = z^{-(d//2 + 1)} T degree
     h = d // 2 with |V| = |T| <= S = sum |coef_k|, so by Bernstein |T| moves by
     at most h S rho within reach rho of t_j. (A second-order bound needs a
     second polynomial per level, which costs more than the samples it saves.)
+    And sup |T| <= sec(h pi / N) max_j |T(z_j)| for N > 2h (Ehlich and Zeller,
+    Math. Z. 86, 1964): a real trigonometric p of degree h with max |p| = M has
+    p'^2 + h^2 p^2 <= h^2 M^2 (van der Corput and Schaake), so |p| >= M cos(h pi
+    / N) > 0 within pi / N of its peak; take p = Re(e^{-i theta} V), theta = arg
+    V where |V| peaks.
     """
+    z = _unit_circle(_GRID)
     size, h = float(np.abs(coef).sum()), coef.size // 2
     tiny = _ROUNDING * size
 
@@ -241,6 +233,14 @@ def _screened_peak(z: np.ndarray, coef: np.ndarray) -> float:
         return [(T - tiny, T + h * size * half * (2.0 * np.pi / z.size) + 2.0 * tiny)]
 
     return float(modulus(z[_screen(z.size, bounds)]).max())
+
+
+def _certified_sup(coef: np.ndarray) -> float:
+    """sec(h pi / N) (`_screened_peak` + `_ROUNDING` S) >= sup |T|, by the theorem
+    there. A computed sample errs from |T| at the exact z_j by a few d ulps of S
+    in Horner's rule and by d S times the few ulps that cos and sin of a rounded
+    angle put z_j off; both, and the secant's rounding, stay below 1e-13 S."""
+    return (_screened_peak(coef) + _ROUNDING * float(np.abs(coef).sum())) / math.cos(coef.size // 2 * math.pi / _GRID)
 
 
 def _screen(n: int, bounds) -> np.ndarray:
@@ -313,8 +313,8 @@ def _test_function(
     else:
         omega = _context(seed)[_draw, 2 + int(u * 12.0)].dilated(rho)
     z = _unit_circle(n) if radii == (1.0,) else np.concatenate([r * _unit_circle(n) for r in radii])
-    p = omega._poly(z)
-    out = omega, z, omega._value(z, p), z * omega._deriv(z, p)
+    w, dw = omega._at(z)
+    out = omega, z, w, z * dw
     for x in out[1:]:
         x.setflags(write=False)
     return out
@@ -338,20 +338,19 @@ def subordination_pullback(w, target: JanowskiParams) -> np.ndarray:
     return np.abs(_preimage(target, w))
 
 
-def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0, tol: float = _PULLBACK_TOL) -> bool:
+def verify_subordination(p_samples, target: JanowskiParams, r: float = 1.0) -> bool:
     """Do all sampled values lie in the target's image of |z| <= r?
 
     The target must be argument-safe, which makes its powered map
     univalent with a globally defined inverse; membership then reduces to
-    a test of `subordination_pullback`, whose inf puts a sample with no
-    preimage outside. At an origin touch (|A| = 1) the value gamma pulls
-    back to |-1/A| = 1: a boundary point of the closed image, inside at r = 1.
+    `subordination_pullback` <= r + `_PULLBACK_TOL`, whose inf puts a sample
+    with no preimage outside. At an origin touch (|A| = 1) the value gamma
+    pulls back to |-1/A| = 1: a boundary point of the closed image, inside at r = 1.
     """
-    require_finite_args("verify_subordination", tol=tol)
     if not target.argument_safe:
         raise ParameterError("target must be argument-safe so the inverse map is single-valued")
     require_range("r", r, "(0, 1]")
-    return float(subordination_pullback(p_samples, target).max()) <= r + tol
+    return float(subordination_pullback(p_samples, target).max()) <= r + _PULLBACK_TOL
 
 
 _ON_VERTEX = 1e-12  # a point this close to a curve vertex counts as contained

@@ -126,15 +126,21 @@ def _scaled_pair(A: complex, B: complex) -> tuple[complex, complex, int]:
     )
 
 
-def uralegaddi_radius(A: complex, B: complex, alpha: float, beta2: float) -> float:
-    """Radius of membership in the Uralegaddi class Re(z f'/f) < beta2, beta2 > 1.
-
-    Every argument must be finite, A != B and alpha in (0, 1]; |B| may exceed 1."""
-    require_finite_args("uralegaddi_radius", A=A, B=B, alpha=alpha, beta2=beta2)
+def _checked_pair(name: str, A: complex, B: complex, alpha: float, beta2: float) -> tuple[complex, complex, int]:
+    """`_scaled_pair`(A, B) once every argument is finite, A != B and alpha in (0, 1]."""
+    require_finite_args(name, A=A, B=B, alpha=alpha, beta2=beta2)
     A, B, e = _scaled_pair(A, B)
     if abs(A - B) <= math.ldexp(1e-12, -e):
         raise DegenerateMapError("A and B must differ")
     require_range("alpha", alpha, "(0, 1]")
+    return A, B, e
+
+
+def uralegaddi_radius(A: complex, B: complex, alpha: float, beta2: float) -> float:
+    """Radius of membership in the Uralegaddi class Re(z f'/f) < beta2, beta2 > 1.
+
+    Every argument must be finite, A != B and alpha in (0, 1]; |B| may exceed 1."""
+    A, B, e = _checked_pair("uralegaddi_radius", A, B, alpha, beta2)
     if beta2 <= 1.0:
         raise OutOfRangeError(f"beta2 must exceed 1, got {beta2}")
     den = math.ldexp(2.0 * (beta2 + 1.0), -e) + abs(A - B * (2.0 * beta2 - 1.0))
@@ -145,11 +151,7 @@ def reciprocal_radius(A: complex, B: complex, alpha: float, beta2: float) -> flo
     """Radius of reciprocal starlikeness Re(f/(z f')) > beta2, 0 <= beta2 < 1.
 
     Every argument must be finite, A != B and alpha in (0, 1]; |B| may exceed 1."""
-    require_finite_args("reciprocal_radius", A=A, B=B, alpha=alpha, beta2=beta2)
-    A, B, e = _scaled_pair(A, B)
-    if abs(A - B) <= math.ldexp(1e-12, -e):
-        raise DegenerateMapError("A and B must differ")
-    require_range("alpha", alpha, "(0, 1]")
+    A, B, e = _checked_pair("reciprocal_radius", A, B, alpha, beta2)
     require_range("beta2", beta2, "[0, 1)")
     den = math.ldexp(2.0 * beta2, -e) + abs(A - B * (2.0 * beta2 - 1.0))
     if den == 0.0:
@@ -158,16 +160,16 @@ def reciprocal_radius(A: complex, B: complex, alpha: float, beta2: float) -> flo
 
 
 def _bisect(f) -> float:
-    """The lower end of [lo, hi] after halving [0, 1] down to adjacent
-    floats, keeping f(lo) <= 0 < f(hi): within one ulp of the root of an
-    increasing f with f(0) <= 0 < f(1), however small that root is."""
-    lo, hi = 0.0, 1.0
+    """Of the adjacent floats lo < hi, f(lo) <= 0 < f(hi), that halving [0, 1]
+    leaves, the one with the smaller |f| (an unevaluated end loses): within one
+    ulp of the root of an increasing f with f(0) <= 0 < f(1), however small."""
+    lo, hi, f_lo, f_hi = 0.0, 1.0, -math.inf, math.inf
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if f(mid) <= 0.0:
-            lo = mid
+        if (f_mid := f(mid)) <= 0.0:
+            lo, f_lo = mid, f_mid
         else:
-            hi = mid
-    return lo
+            hi, f_hi = mid, f_mid
+    return lo if -f_lo <= f_hi else hi
 
 
 @functools.cache
@@ -205,9 +207,8 @@ def starlike_radius(A: float, B: float, beta: float, method: str = "closed") -> 
     target = (1.0 - astar) * math.pi * 0.5
     theta = target / beta  # the bits of target / (2 beta) / 2 wherever 2 beta is finite
     s = math.sin(theta)
-    # The angle map x -> (A - B) x / (1 - A B x^2) increases on (0, 1]
-    # because A B < 0, so a root exists in (0, 1] iff the value at 1
-    # clears s.
+    # The angle map x -> (A - B) x / (1 - A B x^2) increases on (0, 1] because
+    # A B < 0, so a root exists in (0, 1] iff the value at 1 clears s.
     if (A - B) / (1.0 - A * B) < s - 1e-14:
         raise NoRootError("threshold angle is not attained inside the disk")
     if method == "closed":

@@ -53,10 +53,10 @@ def _count_builds(monkeypatch) -> collections.Counter:
 
 
 def _grid_checks(monkeypatch) -> list:
-    """Sizes of the grids `SchwarzPoly.value` evaluates; in the library only
-    the 4096-point check of `SchwarzPoly` calls it."""
-    calls, value = [], SchwarzPoly.value
-    monkeypatch.setattr(SchwarzPoly, "value", lambda self, z: calls.append(np.size(z)) or value(self, z))
+    """Degrees of the polynomials `SchwarzPoly` certifies by the grid theorem
+    of `_certified_sup`, its check where scale * sum |c_k| reaches 1."""
+    calls, certify = [], oracle._certified_sup
+    monkeypatch.setattr(oracle, "_certified_sup", lambda coef: calls.append(coef.size) or certify(coef))
     return calls
 
 
@@ -174,7 +174,41 @@ class TestSchwarzPoly:
         assert s.scale * math.fsum(map(abs, s.coefficients)) >= 1.0
         calls = _grid_checks(monkeypatch)
         SchwarzPoly(s.coefficients, s.scale)
-        assert calls == [4096]
+        assert calls == [9]
+
+    def test_grid_maximum_below_one_is_not_enough(self):
+        """c_k = e^{-i k t0} / 16 peaks at |w(e^{i t0})| = scale, half a step
+        of the 4096-point grid past a grid point: scaled to a 4096-point
+        maximum of 1 - 1e-7, it reaches 1.0000062 there."""
+        t0 = math.pi / 4096
+        coef = tuple(cmath.exp(-1j * k * t0) / 16 for k in range(16))
+        z = _unit_circle(4096)
+        peak = float(np.abs(z * npoly.polyval(z, coef)).max())
+        with pytest.raises(ParameterError, match="not certified Schwarz"):
+            SchwarzPoly(coef, (1.0 - 1e-7) / peak)
+
+    @pytest.mark.parametrize("offset", [0.5, 0.25, 1e-3])
+    def test_peaks_between_grid_points_are_refused(self, offset):
+        """c_k = r_k e^{-i k t0} reaches sup |w| = scale * sum r_k at t0, a
+        fraction `offset` of a step of the 65536-point grid past a grid
+        point; every degree is refused once that supremum reaches 1, which
+        the grid maximum alone, short of it by up to 2.4e-8 at degree 16 and
+        offset 0.5, would not do."""
+        t0 = (12345 + offset) * 2.0 * math.pi / 65536
+        for degree in range(2, 17):
+            r = _rng(degree, 7).random(degree) + 0.1
+            coef = tuple(rk * cmath.exp(-1j * k * t0) for k, rk in enumerate(r))
+            with pytest.raises(ParameterError, match="not certified Schwarz"):
+                SchwarzPoly(coef, (1.0 + 1e-13) / math.fsum(r))
+
+    def test_every_draw_is_certified(self, monkeypatch):
+        """Each draw of seeds 0-199 at degrees 2-16 passes its own check, by
+        the grid theorem at every degree from 3 on."""
+        calls = _grid_checks(monkeypatch)
+        for seed in range(200):
+            for degree in range(2, 17):
+                oracle._draw(seed, degree)
+        assert set(calls) == set(range(3, 17))
 
 
 def _operator_omega(seed: int) -> SchwarzPoly:
@@ -445,7 +479,7 @@ class TestDrawCache:
         """Seed-major, as the benchmark runs: T5.4 and C5.12 reuse the test
         function of T3.3 and T5.7, and each odd seed's draw is screened once
         and hit by its 4 other ids; no dilated or identity test function
-        evaluates the grid, and a draw does at most once. Seed 1665 draws
+        needs the grid theorem, and a draw does at most once. Seed 1665 draws
         degree 2, whose z (c_0 + c_1 z) reaches |c_0| + |c_1| on the circle,
         so the coefficient bound certifies it without the grid."""
         calls = _grid_checks(monkeypatch)
@@ -456,7 +490,7 @@ class TestDrawCache:
             for tid in THEOREM_IDS:
                 implication_trial(tid, seed=seed)
         odd = len(seeds) // 2
-        assert calls == [4096] * (odd - 1)
+        assert len(calls) == odd - 1 and min(calls) >= 3
         # stream 2 for the test functions, stream 1 for T3.3's pole
         assert builds == {"_draw": odd, "_test_function": 5 * len(seeds), "_uniforms": 2 * len(seeds)}
         assert _test_function(1665, 0.2, 0.25)[0].degree == 2

@@ -141,7 +141,7 @@ def _starlike_mp(A: float, B: float, beta: float) -> tuple[mp.mpf, mp.mpf]:
 
 
 @pytest.mark.parametrize("method", ["closed", "bisect"])
-@pytest.mark.parametrize("beta", [1.0, 1.2, 1.5, 1e3, 1e6, 1e9, 1e200, 1e308, 1.7e308])
+@pytest.mark.parametrize("beta", [1.0, 1.2, 1.5, 1e3, 1e6, 1e9, 1e200, 1e308, 1.7e308, 1.7976931348623157e308])
 def test_starlike_radius_matches_40_digits_at_every_beta(beta, method):
     # the quadratic form lost digits to cancellation as beta grew (-0.0 from 1e9), 2 beta
     # overflowed at 1e308, and the bisection stopped at an absolute width of 1e-14
