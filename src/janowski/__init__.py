@@ -5,14 +5,15 @@ The package splits into six layers:
 
 * :mod:`janowski.moebius` -- the bilinear map itself and its disk images.
 * :mod:`janowski.envelope` -- powered boundary curves and sharp range reports.
-* :mod:`janowski.sectors` -- sector-transfer parameter calculus.
-* :mod:`janowski.radii` -- radius constants and class-inclusion tests.
+* :mod:`janowski.sectors` -- sector images, tilts and sector-transfer calculus.
+* :mod:`janowski.radii` -- radius constants, orders and class-inclusion tests.
 * :mod:`janowski.special` -- series, kernels, and explicit dominants.
 * :mod:`janowski.oracle` -- randomized sampling cross-checks for all of it.
 
 Importing the package loads none of them, nor numpy: a submodule loads on
 first access to one of its names (PEP 562), so `janowski.image_disk` loads
-only :mod:`janowski.moebius`.
+only :mod:`janowski.moebius`. Of them only `envelope`, `special` and `oracle`
+load numpy; `moebius` imports it only when handed an array.
 """
 
 from importlib import import_module
@@ -41,12 +42,12 @@ _EXPORTS = {
         "ShiftedView",
         "BoundReport",
         "envelope_bounds",
+    ),
+    "sectors": (
         "SectorImage",
         "sector_image",
         "tilt_angle",
         "alpha_nesting",
-    ),
-    "sectors": (
         "SectorParams",
         "ratio_sector_params",
         "derivative_sector_params",
@@ -61,20 +62,20 @@ _EXPORTS = {
         "RadiusProblem",
         "subordination_radius",
         "class_inclusion",
+        "silverman_inclusion",
         "uralegaddi_radius",
         "reciprocal_radius",
         "alpha_star",
+        "macgregor_gamma",
         "StarlikeRadius",
         "starlike_radius",
     ),
     "special": (
         "hyper_3f2",
         "kernel_integral",
-        "macgregor_gamma",
         "DominantSpec",
         "operator_dominant",
         "best_dominant",
-        "silverman_inclusion",
     ),
     "oracle": (
         "SchwarzPoly",

@@ -3,13 +3,15 @@ executable, with JSON reports on stdout and SVG/CSV artifact output.
 
 Conventions: complex flags accept "re+imi" literals (1, -0.3-0.4i, 2i);
 angle flags accept a "pi" suffix (0.25pi).  Exit code 0 on success, 2 on
-a violated precondition, 3 on a numerical failure.  The default seed
-comes from the JANOWSKI_SEED environment variable.
+a violated precondition or a parse failure, 3 on a numerical failure, each
+failure with one JSON object on stderr.  The default seed comes from the
+JANOWSKI_SEED environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 # The library is reached as J.name and numpy inside the functions that use
-# it, so that each command loads only the modules it runs (radius: no numpy).
+# it, so that each command loads only the modules it runs (scalar actions: no numpy).
 import janowski as J
 
 from ._json import jsonable
@@ -85,13 +87,12 @@ def _powered(a) -> J.JanowskiParams:
 
 
 def _check_image_disk(a, geo) -> dict:
+    """Distance of 2048 scalar `eval_map` samples of |z| = r from the circle, without numpy."""
     if geo.kind != "disk":
         return {"note": "half-plane image; boundary residual check applies to disks only"}
-    import numpy as np
-
-    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-    w = J.eval_map(_first_order(a), a.r * np.exp(1j * t))
-    return {"boundary_residual": float(np.max(np.abs(np.abs(w - geo.center) - geo.radius))), "samples": 2048}
+    p, step = _first_order(a), 2.0 * math.pi / 2048
+    ws = (J.eval_map(p, cmath.rect(a.r, k * step)) for k in range(2048))
+    return {"boundary_residual": max(abs(abs(w - geo.center) - geo.radius) for w in ws), "samples": 2048}
 
 
 def _contains(a) -> dict:
@@ -307,13 +308,20 @@ def _seed_from_env() -> int:
         raise ParameterError(f"JANOWSKI_SEED must be an integer, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each subparser, whose parse failures raise ParameterError."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, help="deterministic seed (default: env JANOWSKI_SEED, else 0)")
     common.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
     common.add_argument("--verify", action="store_true", help="append an independent cross-check block")
 
-    parser = argparse.ArgumentParser(prog="janowski", description=__doc__)
+    parser = _Parser(prog="janowski", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {J.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -391,13 +399,12 @@ def _fail(message: str, kind: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse handles --help/--version (code 0) and flag-level parse
-        # failures itself; fold the latter into the precondition exit code
-        return 0 if exc.code in (0, None) else 2
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help and --version, after their text; a parse failure raises ParameterError
+        return 0
+    except ParameterError as exc:
+        return _fail(str(exc), "parameter", 2)
     action = ACTIONS[args.command][args.action]
     try:
         if args.seed is None:

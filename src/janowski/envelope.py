@@ -32,10 +32,10 @@ chord-certified farthest point (`_shifted_view`), about 0.2 ms a call
 against 0.03 ms with g = 0.
 
 Scalars stay scalar: `eval_powered` evaluates a Python or numpy float or
-complex z in Python complex arithmetic, h = (1 - g) q ** a + g with
-q = (1 + Az)/(1 + Bz), whose complex ** float is the polar form from libm
-(exact at a = 1), and an array through `_power`, the array power of the
-quotient that `special.operator_dominant` shares. numpy may take arctan2,
+complex z in Python complex arithmetic, h = (1 - g) q ** a + g with q from
+`moebius._quotient`, as in `eval_map`, whose complex ** float is the polar
+form from libm (exact at a = 1), and an array through `_power`, the array
+power that `special.operator_dominant` shares. numpy may take arctan2,
 hypot and pow from vector kernels and fuse the complex products Az and Bz
 (FMA), so the two paths agree to within 16 eps (max(1, |h|) + kappa |h - g|),
 where kappa = a (|Az|/|1 + Az| + |Bz|/|1 + Bz|) is the condition of q: at
@@ -55,20 +55,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    SCALAR,
     BranchUndefinedError,
-    DegenerateMapError,
     NoConvergenceError,
     OutOfRangeError,
-    PoleOnBoundaryError,
-    require_finite_args,
     require_index,
     require_points,
-    require_range,
 )
-from .moebius import JanowskiParams, image_disk
+from .moebius import JanowskiParams, _points, _quotient, image_disk
 
-_EPS = 1e-12
 _NEWTON_TOL = 1e-13  # final step length of a Newton solve
 _NEWTON_CAP = 100
 _TAU = 2.0 * math.pi
@@ -132,35 +126,23 @@ def _unit_circle(n: int, size: int | None = None) -> np.ndarray:
     return z
 
 
-def _points(name: str, z) -> tuple[complex | np.ndarray, float, bool]:
-    """z as a Python complex if it is a SCALAR, else as a complex array,
-    with its largest modulus from `require_points` and whether it is a
-    scalar: the one preamble of the functions with a scalar path."""
-    scalar = isinstance(z, SCALAR)
-    z = complex(z) if scalar else np.asarray(z, dtype=complex)
-    return z, require_points(name, z), scalar
-
-
 def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     """Value of the powered, shifted map at z (principal branch, anchored at 1).
 
     Requires a scalar or non-empty array z of finite points, the
     argument-safe flag and |A| |z| <= 1, so the origin is not interior to
     the first-order image at the working radius and a single-valued power
-    exists. A point within 1e-14 of the pole -1/B raises, as in `eval_map`;
-    |1 + B z| >= 1 - |B| |z|, so only |B| max|z| >= 1 - 1e-14 is tested.
+    exists. A point within 1e-14 of the pole -1/B raises, as in `eval_map`.
     A Python or numpy float or complex z is evaluated in Python complex
     arithmetic and returns a complex; other input goes through `_power`
     (see the module docstring for how far the two agree).
     """
     z, radius, scalar = _points("z", z)
     _branch_guard(p, radius)
-    denom = 1.0 + p.B * z
-    if abs(p.B) * radius >= 1.0 - 1e-14 and np.min(np.abs(denom)) < 1e-14:
-        raise PoleOnBoundaryError("z hits the pole of the first-order map")
+    q = _quotient(p, z, radius, scalar)
     if scalar:  # complex ** float is the polar form, from libm
-        return (1.0 - p.gamma) * ((1.0 + p.A * z) / denom) ** p.alpha + p.gamma
-    out = (1.0 - p.gamma) * _power((1.0 + p.A * z) / denom, p.alpha) + p.gamma
+        return (1.0 - p.gamma) * q ** p.alpha + p.gamma
+    out = (1.0 - p.gamma) * _power(q, p.alpha) + p.gamma
     return complex(out) if out.ndim == 0 else out
 
 
@@ -556,55 +538,3 @@ def _farthest(C: complex, R: float, a: float, c: complex, nodes: list, touch: fl
                 value, t_best = max((value, t_best), (done[id(n0)], t))
             else:
                 done[id(n0)] = max(abs(n0[2]), abs(n1[2]))
-
-
-# ---------------------------------------------------------------------------
-# sector geometry of the limit case b = 1
-
-
-@dataclass(frozen=True)
-class SectorImage:
-    """Argument range of ((1 + e^{i m pi} z)/(1 - z))^a over the unit disk."""
-
-    lo: float
-    hi: float
-    half_plane_tilt: float
-
-
-def sector_image(alpha: float, m: float) -> SectorImage:
-    """The powered tilted half-plane map covers the sector
-    (-alpha (1 - m) pi / 2, alpha (1 + m) pi / 2); its 1/alpha-th root
-    fills the rotated half-plane Re(e^{-i m pi / 2} w) > 0."""
-    require_range("alpha", alpha, "(0, 1]")
-    require_range("m", m, "(-1, 1)")
-    return SectorImage(
-        lo=-alpha * (1.0 - m) * 0.5 * math.pi,
-        hi=alpha * (1.0 + m) * 0.5 * math.pi,
-        half_plane_tilt=0.5 * m * math.pi,
-    )
-
-
-def tilt_angle(b: float, m: float) -> float:
-    """Tilt lambda with Re(e^{-i lambda} h) > 0 for h subordinate to
-    (1 + e^{i m pi} z)/(1 - b z); lambda = arg(1 + b e^{i m pi})."""
-    require_finite_args("tilt_angle", b=b, m=m)
-    require_range("b", b, "[0, 1]")
-    require_range("m", m, "[-1, 1]")
-    a = cmath.exp(1j * math.pi * m)
-    if abs(b + a) <= _EPS:
-        raise DegenerateMapError("b + e^{i m pi} = 0 leaves no half-plane")
-    return math.atan2(b * math.sin(math.pi * m), b * math.cos(math.pi * m) + 1.0)
-
-
-def alpha_nesting(A: complex, B: complex, a1: float, a2: float) -> bool:
-    """Whether the power-a1 image nests in the power-a2 image (true iff a1 <= a2).
-
-    Valid for |A| <= 1, |B| <= 1, where the powered images grow with the
-    exponent and the maps stay subordination-comparable.
-    """
-    require_finite_args("alpha_nesting", A=A, B=B)
-    if abs(A) > 1.0 + _EPS or abs(B) > 1.0 + _EPS:
-        raise OutOfRangeError("nesting requires |A| <= 1 and |B| <= 1")
-    for a in (a1, a2):
-        require_range("powers", a, "(0, 1]")
-    return a1 <= a2 + _EPS

@@ -30,9 +30,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
+    SCALAR,
     NumericalError,
     OutOfRangeError,
     PoleOnBoundaryError,
@@ -113,17 +112,35 @@ class CanonicalParams:
     b: float
 
 
-def eval_map(p: JanowskiParams, z) -> complex | np.ndarray:
-    """First-order value (1 + A z) / (1 + B z); scalar or non-empty array z
-    of finite points. A point within 1e-14 of the pole -1/B raises;
-    |1 + B z| >= 1 - |B| |z|, so only |B| max|z| >= 1 - 1e-14 is tested."""
-    z = np.asarray(z, dtype=complex)
-    radius = require_points("z", z)
+def _points(name: str, z) -> tuple:
+    """(z, its largest modulus from `require_points`, whether z is a SCALAR):
+    a scalar as a Python complex, else a complex array, the one use of numpy here."""
+    if scalar := isinstance(z, SCALAR):
+        z = complex(z)
+    else:
+        import numpy as np
+
+        z = np.asarray(z, dtype=complex)
+    return z, require_points(name, z), scalar
+
+
+def _quotient(p: JanowskiParams, z, radius: float, scalar: bool):
+    """(1 + A z) / (1 + B z) at the points of `_points`, in Python complex for a
+    scalar, else in numpy. A point within 1e-14 of the pole -1/B raises; as
+    |1 + B z| >= 1 - |B| |z|, it is sought only where |B| max|z| >= 1 - 1e-14."""
     denom = 1.0 + p.B * z
-    if abs(p.B) * radius >= 1.0 - 1e-14 and np.min(np.abs(denom)) < 1e-14:
+    if abs(p.B) * radius >= 1.0 - 1e-14 and (abs(denom) if scalar else abs(denom).min()) < 1e-14:
         raise PoleOnBoundaryError("z hits the pole of the first-order map")
-    out = (1.0 + p.A * z) / denom
-    return complex(out) if out.ndim == 0 else out
+    return (1.0 + p.A * z) / denom
+
+
+def eval_map(p: JanowskiParams, z):
+    """First-order value (1 + A z) / (1 + B z) at a scalar or non-empty array z of finite
+    points. A Python or numpy float or complex z gives a Python complex within 16 eps
+    (max(1, |w|) + kappa |w|), kappa = |Az|/|1 + Az| + |Bz|/|1 + Bz|, of the array path."""
+    z, radius, scalar = _points("z", z)
+    w = _quotient(p, z, radius, scalar)
+    return w if scalar or w.ndim else complex(w)
 
 
 def image_disk(p: JanowskiParams, r: float) -> DiskGeometry:

@@ -62,8 +62,6 @@ from .envelope import (
     _powers,
     _preimage,
     _unit_circle,
-    sector_image,
-    tilt_angle,
 )
 from .errors import (
     InvalidTheoremIdError,
@@ -74,8 +72,11 @@ from .errors import (
     require_range,
 )
 from .moebius import JanowskiParams, image_disk
-from .sectors import eta_infimum, ratio_sector_params, reciprocal_order_sector, weighted_sector_params
-from .special import DominantSpec, operator_dominant, silverman_inclusion
+from .radii import silverman_inclusion
+from .sectors import (
+    eta_infimum, ratio_sector_params, reciprocal_order_sector, sector_image, tilt_angle, weighted_sector_params,
+)
+from .special import DominantSpec, operator_dominant
 
 _HEADROOM = 1.0 - 1e-6
 _GRID = 65536  # unit-grid points on which a Schwarz polynomial is normalised and certified
@@ -150,7 +151,9 @@ class SchwarzPoly:
         return self.scale * self.coefficients[0] if len(self.coefficients) == 1 else None
 
     def value(self, z):
-        return self._at(z)[0]
+        zz = np.asarray(z, dtype=complex)
+        out = self.scale * zz * _horner(zz, self.coefficients)
+        return out if zz.ndim else complex(out)
 
     def deriv(self, z):
         return self._at(z)[1]

@@ -109,6 +109,27 @@ def class_inclusion(
     return den <= num + math.ldexp(1e-12, -e)
 
 
+def silverman_inclusion(A: complex, b: float, alpha: float, beta: float) -> bool:
+    """Coefficient criterion placing the operator class inside the bounded-
+    turning class: beta (1+b)^(alpha-1) (1+|A|)^(alpha+1) <= alpha |A + b|."""
+    require_finite_args("silverman_inclusion", A=A, b=b, alpha=alpha, beta=beta)
+    A = complex(A)
+    require_range("b", b, "[0, 1]")
+    require_range("alpha", alpha, "(0, 1]")
+    if beta <= 0.0:
+        raise OutOfRangeError(f"beta must be positive, got {beta}")
+    # Both sides divided by s = max(1, |Re A|, |Im A|), so that no power or
+    # modulus overflows for huge A; at s = 1 this is the printed inequality
+    # to the last bit.
+    s = max(1.0, abs(A.real), abs(A.imag))
+    a = A / s
+    gap = abs(a + b / s)  # |A + b| / s
+    if gap < 1e-14 / s:
+        raise DegenerateMapError("A + b = 0 leaves the criterion vacuous")
+    lhs = beta * (1.0 + b) ** (alpha - 1.0) * s**alpha * (1.0 / s + abs(a)) ** (alpha + 1.0)
+    return lhs <= alpha * gap + 1e-12 / s
+
+
 def _scaled_pair(A: complex, B: complex) -> tuple[complex, complex, int]:
     """(A 2^-e, B 2^-e, e) for the least e >= 0 that brings every real and
     imaginary part of A and B to at most 1 in modulus.
@@ -177,6 +198,20 @@ def alpha_star() -> float:
     """Power threshold: the unique root of 2 a + (2/pi) atan(a) = 1 in (0, 1),
     solved once by `_bisect` (54 halvings), so within one ulp of the root."""
     return _bisect(lambda a: 2.0 * a + (2.0 / math.pi) * math.atan(a) - 1.0)
+
+
+def macgregor_gamma(beta: float) -> float:
+    """Order of starlikeness guaranteed by Re f' > beta on the disk:
+    (1 - 2 beta) / (2 (2^(1 - 2 beta) - 1)), continued by 1/(2 ln 2) at
+    beta = 1/2."""
+    require_range("beta", beta, "[0, 1)")
+    u = 1.0 - 2.0 * beta
+    if u == 0.0:
+        return 1.0 / (2.0 * math.log(2.0))
+    if abs(u) >= 0.25:
+        # 2.0 ** u is correctly rounded here and keeps beta = 0 exactly 1/2.
+        return u / (2.0 * (2.0 ** u - 1.0))
+    return u / (2.0 * math.expm1(u * math.log(2.0)))
 
 
 @dataclass(frozen=True)

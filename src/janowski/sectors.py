@@ -6,7 +6,9 @@ sector exponents mu_1 (lower edge) and mu_2 (upper edge) for two such
 criteria, normalized so the admissible sector of the hypothesis dominant
 ((1 + e^{i mu pi} z)/(1 - z))^delta is exactly
 [-mu_1 pi / 2, mu_2 pi / 2] with delta = (mu_1 + mu_2)/2 and tilt
-mu = (mu_2 - mu_1)/(mu_1 + mu_2).
+mu = (mu_2 - mu_1)/(mu_1 + mu_2). The sector of that dominant itself
+(`sector_image`), the tilt of a half-plane bound (`tilt_angle`) and the
+nesting of powered images (`alpha_nesting`) are closed forms here too.
 
 All angles are radians; inputs named `m` and `l` are angles in units of
 pi (the usual parametrization of tilted sector maps).
@@ -28,6 +30,54 @@ from .errors import (
 
 
 @dataclass(frozen=True)
+class SectorImage:
+    """Argument range of ((1 + e^{i m pi} z)/(1 - z))^a over the unit disk."""
+
+    lo: float
+    hi: float
+    half_plane_tilt: float
+
+
+def sector_image(alpha: float, m: float) -> SectorImage:
+    """The powered tilted half-plane map covers the sector
+    (-alpha (1 - m) pi / 2, alpha (1 + m) pi / 2); its 1/alpha-th root
+    fills the rotated half-plane Re(e^{-i m pi / 2} w) > 0."""
+    require_range("alpha", alpha, "(0, 1]")
+    require_range("m", m, "(-1, 1)")
+    return SectorImage(
+        lo=-alpha * (1.0 - m) * 0.5 * math.pi,
+        hi=alpha * (1.0 + m) * 0.5 * math.pi,
+        half_plane_tilt=0.5 * m * math.pi,
+    )
+
+
+def tilt_angle(b: float, m: float) -> float:
+    """Tilt lambda with Re(e^{-i lambda} h) > 0 for h subordinate to
+    (1 + e^{i m pi} z)/(1 - b z); lambda = arg(1 + b e^{i m pi})."""
+    require_finite_args("tilt_angle", b=b, m=m)
+    require_range("b", b, "[0, 1]")
+    require_range("m", m, "[-1, 1]")
+    a = cmath.exp(1j * math.pi * m)
+    if abs(b + a) <= 1e-12:
+        raise DegenerateMapError("b + e^{i m pi} = 0 leaves no half-plane")
+    return math.atan2(b * math.sin(math.pi * m), b * math.cos(math.pi * m) + 1.0)
+
+
+def alpha_nesting(A: complex, B: complex, a1: float, a2: float) -> bool:
+    """Whether the power-a1 image nests in the power-a2 image (true iff a1 <= a2).
+
+    Valid for |A| <= 1, |B| <= 1, where the powered images grow with the
+    exponent and the maps stay subordination-comparable.
+    """
+    require_finite_args("alpha_nesting", A=A, B=B)
+    if abs(A) > 1.0 + 1e-12 or abs(B) > 1.0 + 1e-12:
+        raise OutOfRangeError("nesting requires |A| <= 1 and |B| <= 1")
+    for a in (a1, a2):
+        require_range("powers", a, "(0, 1]")
+    return a1 <= a2 + 1e-12
+
+
+@dataclass(frozen=True)
 class SectorParams:
     """Edges mu_1/mu_2 of an admissible hypothesis sector.
 
@@ -45,6 +95,11 @@ class SectorParams:
     a_mag: float
     beta0: float = 0.0
     eta: float | None = None
+
+
+def _edges(mu1: float, mu2: float, a_mag: float, **extra) -> SectorParams:
+    """The SectorParams of edges mu1, mu2: delta = (mu1 + mu2)/2, tilt mu = (mu2 - mu1)/(mu1 + mu2)."""
+    return SectorParams(mu1=mu1, mu2=mu2, mu=(mu2 - mu1) / (mu1 + mu2), delta=0.5 * (mu1 + mu2), a_mag=a_mag, **extra)
 
 
 def _edge_pair(alpha: float, m: float, atan1: float, atan2: float) -> tuple[float, float]:
@@ -73,14 +128,7 @@ def ratio_sector_params(alpha: float, m: float, beta: float, arg_ratio: float) -
     den2 = 1.0 + a_mag - c * math.sin(arg_ratio)
     if den1 <= 0.0 or den2 <= 0.0:
         raise OutOfRangeError("edge correction denominator is not positive")
-    mu1, mu2 = _edge_pair(alpha, m, math.atan2(num, den1), math.atan2(num, den2))
-    return SectorParams(
-        mu1=mu1,
-        mu2=mu2,
-        mu=(mu2 - mu1) / (mu1 + mu2),
-        delta=0.5 * (mu1 + mu2),
-        a_mag=a_mag,
-    )
+    return _edges(*_edge_pair(alpha, m, math.atan2(num, den1), math.atan2(num, den2)), a_mag)
 
 
 def derivative_sector_params(alpha: float, m: float) -> tuple[SectorParams, float]:
@@ -117,17 +165,8 @@ def weighted_sector_params(
     beta0 = max(0.0, -corr / (alpha * (1.0 - m)))
     if beta <= beta0:
         raise OutOfRangeError(f"beta must exceed beta0 = {beta0}")
-    mu1 = alpha * beta * (1.0 - m) + corr
-    mu2 = alpha * beta * (1.0 + m) + corr
-    return SectorParams(
-        mu1=mu1,
-        mu2=mu2,
-        mu=(mu2 - mu1) / (mu1 + mu2),
-        delta=0.5 * (mu1 + mu2),
-        a_mag=abs(math.tan(0.25 * math.pi * m)),
-        beta0=beta0,
-        eta=eta,
-    )
+    mu1, mu2 = alpha * beta * (1.0 - m) + corr, alpha * beta * (1.0 + m) + corr
+    return _edges(mu1, mu2, abs(math.tan(0.25 * math.pi * m)), beta0=beta0, eta=eta)
 
 
 def eta_infimum(a: complex, c: complex, beta: float) -> float:

@@ -205,11 +205,23 @@ class TestExitCodes:
         assert json.loads(err)["kind"] == "parameter"
 
     def test_bad_literal_is_parameter_failure(self, capsys):
-        # argparse intercepts type-callable failures and prints usage text, so
-        # only the exit code is contractual here
         code, _, err = run_cli(capsys, "bounds", "--A", "nope", "--B", "0")
         assert code == 2
-        assert "nope" in err
+        error = json.loads(err)
+        assert error["kind"] == "parameter" and "nope" in error["error"]
+
+    @pytest.mark.parametrize("argv", ["bounds nope --A 1 --B 0", "geometry", "radius alpha-star --frob 1", ""])
+    def test_parse_failure_prints_json(self, capsys, argv):
+        # an unknown action, a missing action, an unknown flag, no command
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert json.loads(err)["kind"] == "parameter"
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0_with_their_text(self, capsys, flag):
+        code, out, err = run_cli(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: janowski" if flag == "--help" else "janowski 0.1.0")
 
     def test_nan_parameter_is_parameter_failure(self, capsys):
         for argv in ("geometry image-disk --A nan --B 0", "radius starlike --A 1 --B -1 --beta nan"):
@@ -417,22 +429,30 @@ def test_import_leaves_numpy_random_unloaded():
 
 
 # One invocation per subcommand, shaped like the benchmark's cold CLI runs,
-# plus one of the sector calculus, and the janowski modules each may load
-# beyond the CLI's own four.
+# plus one of the sector calculus and one of each scalar closed form, and the
+# janowski modules each may load beyond the CLI's own four.
 LOAD_CONTRACT = {
     "geometry": ("geometry image-disk --A=0.5 --B=0.1 --r=0.7 --verify", {"moebius"}),
     "bounds": (
         "bounds envelope --A=0.8 --B=-0.3 --alpha=0.6 --r=0.9 --verify",
-        {"envelope", "moebius", "oracle", "sectors", "special"},
+        {"envelope", "moebius", "oracle", "radii", "sectors", "special"},
     ),
     "radius": ("radius starlike --A=0.8 --B=-0.6 --beta=1.2 --verify", {"radii"}),
     "special": ("special kernel --A=1 --b=0.5 --alpha=0.5 --z=0.3", {"envelope", "moebius", "special"}),
-    "verify": ("verify --seeds=2 --seed=10", {"envelope", "moebius", "oracle", "sectors", "special"}),
+    "verify": ("verify --seeds=2 --seed=10", {"envelope", "moebius", "oracle", "radii", "sectors", "special"}),
     "plot": ("plot csv --A=0.8 --B=-0.3 --alpha=0.6 --n=64", {"envelope", "moebius"}),
     "sectors": ("bounds eta-inf --weight=1+0.5i --beta=0.6 --verify", {"sectors"}),
+    "bounds sector": ("bounds sector --m=0.5 --alpha=0.5 --verify", {"sectors"}),
+    "bounds tilt": ("bounds tilt --b=0.6 --m=0.3", {"sectors"}),
+    "bounds nesting": ("bounds nesting --A=1 --B=-1 --a1=0.2 --a2=0.5", {"sectors"}),
+    "special macgregor": ("special macgregor --beta=0.25 --verify", {"radii"}),
+    "special silverman": ("special silverman --A=1 --b=1 --beta=0.5", {"radii"}),
+    "geometry origin": ("geometry origin --A=0.5 --B=0.1", {"moebius"}),
+    "geometry canonicalize": ("geometry canonicalize --A=0.5 --B=0.1i", {"moebius"}),
+    "geometry contains": ("geometry contains --A=0.5 --B=0.1 --inner-A=0.3 --inner-B=0.1", {"moebius"}),
 }
 CLI_MODULES = {"janowski", "janowski.cli", "janowski._json", "janowski.errors"}
-NUMPY_FREE = {"radii", "sectors"}  # modules that run without numpy
+NUMPY_FREE = {"moebius", "radii", "sectors"}  # modules that run without numpy
 
 
 def loaded_after(code: str) -> tuple[set, bool]:
@@ -461,6 +481,10 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
     assert numpy_loaded == (not own <= NUMPY_FREE)
 
 
-@pytest.mark.parametrize("code,modules", [("import janowski", {"janowski"}), ("import janowski.cli", CLI_MODULES)])
+@pytest.mark.parametrize("code,modules", [
+    ("import janowski", {"janowski"}),
+    ("import janowski.cli", CLI_MODULES),
+    *((f"import janowski.{name}", {"janowski", "janowski.errors", f"janowski.{name}"}) for name in sorted(NUMPY_FREE)),
+])
 def test_import_loads_no_submodule_and_no_numpy(code, modules):
     assert loaded_after(code) == (modules, False)

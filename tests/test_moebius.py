@@ -29,14 +29,6 @@ def test_map_fixes_one_at_origin():
     assert eval_map(p, 0.0) == 1.0
 
 
-def test_eval_map_vectorized_matches_scalar():
-    p = JanowskiParams(0.8, -0.5)
-    zs = np.array([0.1, 0.3 + 0.2j, -0.4j, 0.9])
-    vec = eval_map(p, zs)
-    for z, w in zip(zs, vec):
-        assert w == eval_map(p, complex(z))
-
-
 def test_image_disk_frozen_case():
     """w = 1 + z sends |z| = 0.5 to the circle of center 1, radius 0.5."""
     g = image_disk(JanowskiParams(1.0, 0.0), 0.5)
@@ -197,17 +189,20 @@ def _powered_points(rng, p: JanowskiParams) -> list[complex]:
 
 
 def test_scalar_eval_powered_agrees_with_the_array_path():
-    """A Python or numpy scalar z is evaluated in Python complex arithmetic.
-    On seeded maps (gamma != 0 in most, alpha down to 1e-3 and alpha = 1,
-    |B| up to 1, argument-unsafe ones among them) and the points of
-    `_powered_points`, each scalar call returns a Python complex within
+    """A Python or numpy scalar z is evaluated in Python complex arithmetic,
+    by `eval_powered` and by `eval_map`, the first-order map (alpha = 1,
+    gamma = 0), which also takes argument-unsafe maps and points past the
+    branch guard. On seeded maps (gamma != 0 in most, alpha down to 1e-3 and
+    alpha = 1, |B| up to 1, argument-unsafe ones among them) and the points
+    of `_powered_points`, each scalar call returns a Python complex within
     16 eps (max(1, |h|) + kappa |h - gamma|) of the one-element array call,
     kappa = alpha (|Az|/|1 + Az| + |Bz|/|1 + Bz|), or raises the same error
     class. kappa is the condition of the quotient: numpy may round the
     products A z and B z with a fused multiply-add where CPython does not,
     so next to the pole or the zero the two paths part by that much."""
     rng = np.random.default_rng(20261020)
-    compared = raised = 0
+    compared = {eval_powered: 0, eval_map: 0}
+    raised = {eval_powered: 0, eval_map: 0}
     for k in range(300):
         alpha = (1e-3, 1.0, float(rng.uniform(1e-3, 1.0)))[k % 3]
         gamma = complex(rng.uniform(0.0, 2.0) * cmath.exp(2j * math.pi * rng.uniform())) if k % 4 else 0j
@@ -216,22 +211,25 @@ def test_scalar_eval_powered_agrees_with_the_array_path():
             B = B / abs(B)  # the pole on the unit circle
         p = JanowskiParams(A, B, alpha, gamma)
         for z in _powered_points(rng, p):
-            try:
-                want = eval_powered(p, np.array([z]))[0]
-            except ParameterError as err:
-                for scalar in (z, np.complex128(z)):
-                    with pytest.raises(type(err)):
-                        eval_powered(p, scalar)
-                raised += 1
-                continue
-            kappa = alpha * (abs(A * z) / abs(1.0 + A * z) + abs(B * z) / abs(1.0 + B * z))
-            bound = 16 * EPS * (max(1.0, abs(want)) + kappa * abs(want - gamma))
-            scalars = [z, np.complex128(z)] + ([z.real, np.float64(z.real)] if z.imag == 0.0 else [])
-            for scalar in scalars:
-                got = eval_powered(p, scalar)
-                assert type(got) is complex and abs(got - want) <= bound, (p, z, got, want)
-            compared += 1
-    assert compared > 3000 and raised > 300
+            for f, power, shift in ((eval_powered, alpha, gamma), (eval_map, 1.0, 0j)):
+                try:
+                    want = f(p, np.array([z]))[0]
+                except ParameterError as err:
+                    for scalar in (z, np.complex128(z)):
+                        with pytest.raises(type(err)):
+                            f(p, scalar)
+                    raised[f] += 1
+                    continue
+                kappa = power * (abs(A * z) / abs(1.0 + A * z) + abs(B * z) / abs(1.0 + B * z))
+                bound = 16 * EPS * (max(1.0, abs(want)) + kappa * abs(want - shift))
+                scalars = [z, np.complex128(z)] + ([z.real, np.float64(z.real)] if z.imag == 0.0 else [])
+                for scalar in scalars:
+                    got = f(p, scalar)
+                    assert type(got) is complex and abs(got - want) <= bound, (f, p, z, got, want)
+                compared[f] += 1
+    assert compared[eval_powered] > 3000 and raised[eval_powered] > 300
+    # eval_map raises only at the pole and the non-finite point, so it compares where the branch guard raises
+    assert compared[eval_map] > compared[eval_powered] + 1000 and 0 < raised[eval_map] < raised[eval_powered]
 
 
 @pytest.mark.filterwarnings("error")

@@ -80,6 +80,16 @@ class TestSchwarzPoly:
         z = GRID[:64]
         assert np.abs(d.value(z) - s.value(0.55 * z)).max() < 1e-14
 
+    def test_value_is_one_horner_pass_with_the_bits_of_at(self, monkeypatch):
+        s = random_schwarz(5, 9)
+        z = GRID[:64]
+        assert s.value(z).tobytes() == s._at(z)[0].tobytes()
+        assert s.value(0.3 - 0.4j) == s._at(0.3 - 0.4j)[0]
+        calls, horner = [], oracle._horner
+        monkeypatch.setattr(oracle, "_horner", lambda x, coef: calls.append(len(coef)) or horner(x, coef))
+        s.value(z)
+        assert calls == [9]
+
     def test_deterministic(self):
         a = random_schwarz(42, 7)
         b = random_schwarz(42, 7)  # a second, independent draw
