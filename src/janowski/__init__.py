@@ -12,8 +12,8 @@ The package splits into six layers:
 
 Importing the package loads none of them, nor numpy: a submodule loads on
 first access to one of its names (PEP 562), so `janowski.image_disk` loads
-only :mod:`janowski.moebius`. Of them only `envelope`, `special` and `oracle`
-load numpy; `moebius` imports it only when handed an array.
+only :mod:`janowski.moebius`. Of them only `envelope` and `oracle` load
+numpy; `moebius` and `special` import it for an array or a long 3F2 sum.
 """
 
 from importlib import import_module

@@ -225,10 +225,8 @@ def _plot_svg(a) -> dict:
 
 def _plot_csv(a) -> dict:
     curve = J.sample_curve(_powered(a), a.r, n=a.n)
-    rows = ["t,u,v,M,N"] + [
-        ",".join(format(val, ".15g") for val in (curve.t[k], curve.u[k], curve.v[k], curve.M[k], curve.N[k]))
-        for k in range(a.n)
-    ]
+    columns = (curve.t.tolist(), curve.u.tolist(), curve.v.tolist(), curve.M.tolist(), curve.N.tolist())
+    rows = ["t,u,v,M,N"] + ["%.15g,%.15g,%.15g,%.15g,%.15g" % row for row in zip(*columns)]
     path = Path(a.out or "envelope.csv")
     path.write_text("\n".join(rows) + "\n")
     return {"path": str(path), "rows": a.n}

@@ -59,7 +59,6 @@ from .errors import (
     NoConvergenceError,
     OutOfRangeError,
     require_index,
-    require_points,
 )
 from .moebius import JanowskiParams, _points, _quotient, image_disk
 
@@ -146,15 +145,15 @@ def eval_powered(p: JanowskiParams, z) -> complex | np.ndarray:
     return complex(out) if out.ndim == 0 else out
 
 
-def invert_powered(p: JanowskiParams, w) -> np.ndarray:
+def invert_powered(p: JanowskiParams, w) -> complex | np.ndarray:
     """Preimage of candidate values under the powered, shifted map:
     w -> (w~ - 1)/(A - B w~) with w~ = ((w - gamma)/(1 - gamma))^(1/alpha),
     at a scalar or non-empty array w of finite points, and inf for a value
-    with no preimage (the rule of `_preimage`). `subordination_pullback`
-    is the modulus of the same preimages."""
-    w = np.asarray(w, dtype=complex)
-    require_points("w", w)
-    return _preimage(p, w)
+    with no preimage (the rule of `_preimage`); a scalar w gives a complex.
+    `subordination_pullback` is the modulus of the same preimages."""
+    w, _, scalar = _points("w", w)
+    z = _preimage(p, w)
+    return complex(z) if scalar else z
 
 
 def _preimage(p: JanowskiParams, w: np.ndarray) -> np.ndarray:

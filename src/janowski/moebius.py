@@ -127,11 +127,15 @@ def _points(name: str, z) -> tuple:
 def _quotient(p: JanowskiParams, z, radius: float, scalar: bool):
     """(1 + A z) / (1 + B z) at the points of `_points`, in Python complex for a
     scalar, else in numpy. A point within 1e-14 of the pole -1/B raises; as
-    |1 + B z| >= 1 - |B| |z|, it is sought only where |B| max|z| >= 1 - 1e-14."""
+    |1 + B z| >= 1 - |B| |z|, it is sought only where |B| max|z| >= 1 - 1e-14.
+    A quotient past the largest double raises NumericalError."""
     denom = 1.0 + p.B * z
     if abs(p.B) * radius >= 1.0 - 1e-14 and (abs(denom) if scalar else abs(denom).min()) < 1e-14:
         raise PoleOnBoundaryError("z hits the pole of the first-order map")
-    return (1.0 + p.A * z) / denom
+    w = (1.0 + p.A * z) / denom
+    if not (cmath.isfinite(w) if scalar else abs(w).max() < math.inf):  # max propagates NaN
+        raise NumericalError("(1 + A z) / (1 + B z) overflows a double")
+    return w
 
 
 def eval_map(p: JanowskiParams, z):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from janowski import THEOREM_IDS, JanowskiParams, envelope_bounds
+from janowski import THEOREM_IDS, JanowskiParams, envelope_bounds, sample_curve
 from janowski._json import jsonable
 from janowski.cli import ACTIONS, main, parse_angle, parse_complex
 from janowski.errors import ParameterError
@@ -329,7 +329,7 @@ class TestPlot:
     def test_csv_artifact(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         data = report(
-            capsys, "plot", "csv", "--A", "0.8", "--B", "-0.3", "--n", "64",
+            capsys, "plot", "csv", "--A", "0.8", "--B", "-0.3", "--alpha", "0.6", "--r", "0.9", "--n", "64",
             "--out", str(path),
         )
         assert data["result"]["rows"] == 64
@@ -339,6 +339,10 @@ class TestPlot:
         first = lines[1].split(",")
         assert len(first) == 5
         assert float(first[0]) == 0.0
+        # every value as format(v, ".15g") gives it, as the benchmark's plot check reads it
+        curve = sample_curve(JanowskiParams(0.8, -0.3, 0.6), 0.9, n=64)
+        columns = (curve.t, curve.u, curve.v, curve.M, curve.N)
+        assert lines[1:] == [",".join(format(c[k], ".15g") for c in columns) for k in range(64)]
 
 
 SMOKE_ARGV = {
@@ -438,7 +442,12 @@ LOAD_CONTRACT = {
         {"envelope", "moebius", "oracle", "radii", "sectors", "special"},
     ),
     "radius": ("radius starlike --A=0.8 --B=-0.6 --beta=1.2 --verify", {"radii"}),
-    "special": ("special kernel --A=1 --b=0.5 --alpha=0.5 --z=0.3", {"envelope", "moebius", "special"}),
+    "special": ("special kernel --A=1 --b=0.5 --alpha=0.5 --z=0.3", {"moebius", "special"}),
+    "special dominant": (
+        "special dominant --A=0.5 --b=0.5 --alpha=0.5 --gamma=0.5 --mu=1 --eta=0.5 --delta=1 --rho=0 --z=0.3",
+        {"moebius", "special"},
+    ),
+    "special 3f2": ("special 3f2 --a1=1 --a2=1 --a3=1 --b1=2 --b2=2 --x=0.3", {"moebius", "special"}),
     "verify": ("verify --seeds=2 --seed=10", {"envelope", "moebius", "oracle", "radii", "sectors", "special"}),
     "plot": ("plot csv --A=0.8 --B=-0.3 --alpha=0.6 --n=64", {"envelope", "moebius"}),
     "sectors": ("bounds eta-inf --weight=1+0.5i --beta=0.6 --verify", {"sectors"}),
@@ -452,7 +461,7 @@ LOAD_CONTRACT = {
     "geometry contains": ("geometry contains --A=0.5 --B=0.1 --inner-A=0.3 --inner-B=0.1", {"moebius"}),
 }
 CLI_MODULES = {"janowski", "janowski.cli", "janowski._json", "janowski.errors"}
-NUMPY_FREE = {"moebius", "radii", "sectors"}  # modules that run without numpy
+NUMPY_FREE = {"moebius", "radii", "sectors", "special"}  # modules that run without numpy
 
 
 def loaded_after(code: str) -> tuple[set, bool]:
@@ -484,7 +493,8 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
 @pytest.mark.parametrize("code,modules", [
     ("import janowski", {"janowski"}),
     ("import janowski.cli", CLI_MODULES),
-    *((f"import janowski.{name}", {"janowski", "janowski.errors", f"janowski.{name}"}) for name in sorted(NUMPY_FREE)),
+    *((f"import janowski.{name}", {"janowski", "janowski.errors", f"janowski.{name}"}
+       | ({"janowski.moebius"} if name == "special" else set())) for name in sorted(NUMPY_FREE)),
 ])
 def test_import_loads_no_submodule_and_no_numpy(code, modules):
     assert loaded_after(code) == (modules, False)

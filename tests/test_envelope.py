@@ -376,7 +376,7 @@ def _rotated_to_cross_at(p: JanowskiParams, r: float, t_cross: float) -> Janowsk
     """(uA, uB, alpha, gamma_u) with the zero of h kept at the same z0: as u
     turns, the zero W(u z0) goes once round W(0) = 1, and so does the
     crossing of the cut round the circle; u is bisected to put it at t_cross."""
-    z0 = complex(envelope.invert_powered(p, 0.0)[()])
+    z0 = envelope.invert_powered(p, 0.0)
 
     def rotated(phi):
         u = cmath.exp(1j * phi)

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from janowski import (
     DegenerateMapError,
     JanowskiParams,
+    NumericalError,
     OutOfRangeError,
     ParameterError,
     PoleOnBoundaryError,
@@ -241,6 +242,22 @@ def test_invert_powered_at_a_over_b_is_inf():
     assert got[0] == math.inf and got[1] == pytest.approx(0.2 / 1.7, abs=1e-15)
     q = JanowskiParams(0.8, 0.5, 1.0, 0.2 + 0.1j)  # the shift leaves w~ an ulp from A/B = 1.6
     assert 1e14 < abs(complex(invert_powered(q, q.gamma + (1.0 - q.gamma) * 1.6))) < math.inf
+
+
+def test_invert_powered_gives_a_complex_for_a_scalar():
+    # a scalar w once gave a 0-d array, where eval_map and eval_powered give a complex
+    p = JanowskiParams(0.5, -0.3)
+    for w in (1.2, np.float64(1.2), 1.2 + 0j):
+        got = invert_powered(p, w)
+        assert type(got) is complex and got == pytest.approx(0.2 / 0.86, abs=1e-15)
+    assert invert_powered(p, np.array([1.2])).shape == (1,)
+
+
+@pytest.mark.parametrize("z", [10.0, np.array([0.1, 10.0])], ids=["scalar", "array"])
+def test_overflowing_quotient_raises(z):
+    # 1 + A z overflows a double for finite A and z: once inf+nanj, from the array path with a RuntimeWarning
+    with pytest.raises(NumericalError, match="overflows a double"):
+        eval_map(JanowskiParams(1e308, 0.0), z)
 
 
 @given(
